@@ -97,11 +97,6 @@ double Rng::Pareto(double xm, double alpha) {
   return xm / std::pow(u, 1.0 / alpha);
 }
 
-uint64_t Rng::Zipf(uint64_t n, double s) {
-  ZipfSampler sampler(n, s);
-  return sampler.Sample(*this);
-}
-
 double Rng::Gamma(double shape) {
   assert(shape > 0.0);
   if (shape < 1.0) {

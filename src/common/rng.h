@@ -52,12 +52,6 @@ class Rng {
   /// churn models: peer lifetimes in deployed P2P systems are heavy-tailed.
   double Pareto(double xm, double alpha);
 
-  /// Zipf-distributed integer in [0, n). Exponent `s` >= 0; s = 0 degenerates
-  /// to uniform. Implemented by inverting the empirical CDF built once per
-  /// (n, s) — callers that sample many values from the same distribution
-  /// should prefer ZipfSampler below.
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Samples a probability vector from a symmetric Dirichlet(alpha) of the
   /// given dimension. Small alpha => highly skewed vectors; used to create
   /// non-IID class distributions across peers.

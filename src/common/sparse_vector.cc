@@ -180,9 +180,9 @@ double SparseVector::Cosine(const SparseVector& other) const {
   return Dot(other) / (na * nb);
 }
 
-SparseVector::Index SparseVector::DimensionBound() const {
+uint64_t SparseVector::DimensionBound() const {
   if (entries_.empty()) return 0;
-  return entries_.back().first + 1;
+  return uint64_t{entries_.back().first} + 1;
 }
 
 std::string SparseVector::ToString() const {

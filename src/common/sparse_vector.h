@@ -74,8 +74,9 @@ class SparseVector {
   /// Cosine similarity in [-1, 1]; 0 when either vector is zero.
   double Cosine(const SparseVector& other) const;
 
-  /// Largest id present + 1, or 0 for the empty vector.
-  Index DimensionBound() const;
+  /// Largest id present + 1, or 0 for the empty vector. 64-bit so that id
+  /// 0xFFFFFFFF (wire ids are unchecked uint32) gives 2^32, not 0.
+  uint64_t DimensionBound() const;
 
   /// Number of bytes this vector occupies on the (simulated) wire:
   /// 4-byte id + 8-byte weight per entry, plus a 4-byte length header.

@@ -1,6 +1,7 @@
 #include "ml/kernel_svm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -9,12 +10,132 @@
 
 namespace p2pdt {
 
+namespace {
+
+// Charges `evals` cached-norm kernel evaluations whose gathers read `ops`
+// entries: to the distance counters for RBF, whose merge they replace, to
+// the dot counters otherwise. One charge per row or decision keeps the
+// inner loops free of ledger branches.
+void ChargeGathers(const Kernel& kernel, uint64_t evals, uint64_t ops) {
+  if (!CostLedger::enabled() || evals == 0) return;
+  CostCounts& c = CostLedger::Tls();
+  c.kernel_evals += evals;
+  if (kernel.type == KernelType::kRbf) {
+    c.sparse_dist_calls += evals;
+    c.sparse_dist_ops += ops;
+  } else {
+    c.sparse_dot_calls += evals;
+    c.sparse_dot_ops += ops;
+  }
+}
+
+// v·x where x's entries with ids below `bound` are scattered into `dense`
+// (zero elsewhere) and v has no entry at or past `bound` that x shares.
+// Sums v's products in id order, as SparseVector::Dot does, so finite
+// inputs give Dot's exact value. Adds the entries read to `ops`.
+double GatherDot(const SparseVector& v, const std::vector<double>& dense,
+                 uint64_t bound, uint64_t& ops) {
+  const std::vector<SparseVector::Entry>& e = v.entries();
+  double dot = 0.0;
+  std::size_t k = 0;
+  for (; k < e.size() && e[k].first < bound; ++k) {
+    dot += e[k].second * dense[e[k].first];
+  }
+  ops += k;
+  return dot;
+}
+
+// A training problem's entries flattened in example order, each feature id
+// replaced by its slot in a compact table of the problem's distinct ids.
+// Kernel rows scatter into a buffer of num_slots doubles, sized by the
+// problem and never by a feature id.
+struct CompactEntries {
+  std::vector<uint32_t> slot;
+  std::vector<double> weight;
+  std::vector<std::size_t> begin;  // example i owns [begin[i], begin[i + 1])
+  std::size_t num_slots = 0;
+};
+
+CompactEntries CompactFeatures(const std::vector<Example>& data) {
+  CompactEntries out;
+  std::size_t total = 0;
+  for (const Example& ex : data) total += ex.x.nnz();
+  out.slot.reserve(total);
+  out.weight.reserve(total);
+  out.begin.reserve(data.size() + 1);
+  out.begin.push_back(0);
+  // Open-addressing id -> slot table at load factor <= 1/2 with Fibonacci
+  // hashing, not FeatureRemapper's unordered_map or a sort: on a local
+  // problem of 50 documents x ~47 ids it costs under half of the kernel
+  // rows it enables, where the map costs 2.5x the rows and a sort more.
+  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
+  const std::size_t capacity = std::bit_ceil(2 * total + 2);
+  const int shift = 64 - std::countr_zero(capacity);
+  std::vector<uint32_t> ids(capacity);
+  std::vector<uint32_t> slots(capacity, kEmpty);
+  for (const Example& ex : data) {
+    for (const auto& [id, w] : ex.x.entries()) {
+      std::size_t h = (uint64_t{id} * 0x9E3779B97F4A7C15ull) >> shift;
+      while (slots[h] != kEmpty && ids[h] != id) h = (h + 1) & (capacity - 1);
+      if (slots[h] == kEmpty) {
+        ids[h] = id;
+        slots[h] = static_cast<uint32_t>(out.num_slots++);
+      }
+      out.slot.push_back(slots[h]);
+      out.weight.push_back(w);
+    }
+    out.begin.push_back(out.slot.size());
+  }
+  return out;
+}
+
+}  // namespace
+
+KernelSvmModel::KernelSvmModel(Kernel kernel, std::vector<SupportVector> svs,
+                               double bias)
+    : kernel_(kernel), svs_(std::move(svs)), bias_(bias) {
+  sv_norm2_.reserve(svs_.size());
+  for (const SupportVector& sv : svs_) {
+    sv_norm2_.push_back(sv.x.SquaredNorm());
+    dimension_bound_ = std::max(dimension_bound_, sv.x.DimensionBound());
+  }
+}
+
 double KernelSvmModel::Decision(const SparseVector& x) const {
   PhaseScope profile("kernel_decision");
   double sum = bias_;
-  for (const auto& sv : svs_) {
-    sum += sv.alpha * sv.y * kernel_(sv.x, x);
+  const double x_norm2 = x.SquaredNorm();
+  // Ids at or past min(query bound, model bound) are on one side only.
+  const uint64_t bound = std::min(x.DimensionBound(), dimension_bound_);
+  if (!Kernel::Gatherable(x_norm2) || bound > kGatherDimensionCeiling) {
+    for (const auto& sv : svs_) sum += sv.alpha * sv.y * kernel_(sv.x, x);
+    return sum;
   }
+  // All-zero between calls: only the query's ids are written, and they are
+  // cleared before returning.
+  thread_local std::vector<double> dense;
+  if (dense.size() < bound) dense.resize(bound, 0.0);
+  const std::vector<SparseVector::Entry>& query = x.entries();
+  std::size_t scattered = 0;
+  for (; scattered < query.size() && query[scattered].first < bound;
+       ++scattered) {
+    dense[query[scattered].first] = query[scattered].second;
+  }
+  uint64_t gathers = 0, ops = 0;
+  for (std::size_t s = 0; s < svs_.size(); ++s) {
+    const SupportVector& sv = svs_[s];
+    double k;
+    if (Kernel::Gatherable(sv_norm2_[s])) {
+      k = kernel_.FromDot(GatherDot(sv.x, dense, bound, ops), sv_norm2_[s],
+                          x_norm2);
+      ++gathers;
+    } else {
+      k = kernel_(sv.x, x);
+    }
+    sum += sv.alpha * sv.y * k;
+  }
+  for (std::size_t i = 0; i < scattered; ++i) dense[query[i].first] = 0.0;
+  ChargeGathers(kernel_, gathers, ops);
   return sum;
 }
 
@@ -24,6 +145,49 @@ std::size_t KernelSvmModel::WireSize() const {
   std::size_t bytes = 8 + 16;
   for (const auto& sv : svs_) bytes += sv.x.WireSize() + 16;
   return bytes;
+}
+
+std::vector<double> KernelMatrix(const std::vector<Example>& data,
+                                 const Kernel& kernel) {
+  PhaseScope profile("kernel_matrix");
+  const std::size_t n = data.size();
+  // Remap first: its hash table is freed before the n x n matrix exists.
+  const CompactEntries p = CompactFeatures(data);
+  std::vector<double> k(n * n);
+  std::vector<double> norm2(n);
+  for (std::size_t i = 0; i < n; ++i) norm2[i] = data[i].x.SquaredNorm();
+  std::vector<double> dense(p.num_slots, 0.0);
+  uint64_t gathers = 0, ops = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool gather_i = Kernel::Gatherable(norm2[i]);
+    if (gather_i) {
+      for (std::size_t e = p.begin[i]; e < p.begin[i + 1]; ++e) {
+        dense[p.slot[e]] = p.weight[e];
+      }
+    }
+    for (std::size_t j = i; j < n; ++j) {
+      if (gather_i && Kernel::Gatherable(norm2[j])) {
+        // Same products in the same id order as SparseVector::Dot.
+        double dot = 0.0;
+        for (std::size_t e = p.begin[j]; e < p.begin[j + 1]; ++e) {
+          dot += p.weight[e] * dense[p.slot[e]];
+        }
+        ops += p.begin[j + 1] - p.begin[j];
+        ++gathers;
+        k[i * n + j] = kernel.FromDot(dot, norm2[i], norm2[j]);
+      } else {
+        k[i * n + j] = kernel(data[i].x, data[j].x);
+      }
+      k[j * n + i] = k[i * n + j];
+    }
+    if (gather_i) {
+      for (std::size_t e = p.begin[i]; e < p.begin[i + 1]; ++e) {
+        dense[p.slot[e]] = 0.0;
+      }
+    }
+  }
+  ChargeGathers(kernel, gathers, ops);
+  return k;
 }
 
 Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
@@ -48,15 +212,10 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
   }
 
   // Materialized kernel matrix Q_ij = y_i y_j K(x_i, x_j).
-  std::vector<double> q(n * n);
-  {
-    PhaseScope profile("kernel_matrix");
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        double k = options.kernel(data[i].x, data[j].x);
-        q[i * n + j] = y[i] * y[j] * k;
-        q[j * n + i] = q[i * n + j];
-      }
+  std::vector<double> q = KernelMatrix(data, options.kernel);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      q[i * n + j] = y[i] * y[j] * q[i * n + j];
     }
   }
 
@@ -113,8 +272,9 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
     if (std::fabs(dai) < tau && std::fabs(daj) < tau) break;
     alpha[i] = ai;
     alpha[j] = aj;
+    // Q is symmetric, so rows i and j hold columns i and j contiguously.
     for (std::size_t t = 0; t < n; ++t) {
-      grad[t] += q[t * n + i] * dai + q[t * n + j] * daj;
+      grad[t] += q[i * n + t] * dai + q[j * n + t] * daj;
     }
   }
   if (CostLedger::enabled()) {

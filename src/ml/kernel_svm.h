@@ -1,6 +1,7 @@
 #ifndef P2PDT_ML_KERNEL_SVM_H_
 #define P2PDT_ML_KERNEL_SVM_H_
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -30,6 +31,13 @@ struct SupportVector {
   double alpha = 0.0;  // dual coefficient, 0 < alpha <= C
 };
 
+/// Feature-id ceiling of the dense query buffer Decision() scatters into:
+/// the default hashing-trick dimensionality
+/// (PreprocessorOptions::hashed_dimensions, 2^18). A query and model whose
+/// ids both reach it are scored with the reference merge instead, so no
+/// buffer is ever sized from a feature id alone.
+inline constexpr uint64_t kGatherDimensionCeiling = uint64_t{1} << 18;
+
 /// Non-linear (kernel) SVM model, represented by its support vectors.
 ///
 /// In CEMPaR this is what peers upload to their super-peer: "these SVM
@@ -40,9 +48,13 @@ struct SupportVector {
 class KernelSvmModel final : public BinaryClassifier {
  public:
   KernelSvmModel() = default;
-  KernelSvmModel(Kernel kernel, std::vector<SupportVector> svs, double bias)
-      : kernel_(kernel), svs_(std::move(svs)), bias_(bias) {}
+  KernelSvmModel(Kernel kernel, std::vector<SupportVector> svs, double bias);
 
+  /// bias + Σ α_i y_i K(sv_i, x). The query is scattered once into a
+  /// per-thread dense buffer over ids below min(query bound, model bound);
+  /// each SV's K comes from a gather against it and the cached ‖sv‖².
+  /// Vectors failing Kernel::Gatherable(), and pairs whose bounds both pass
+  /// kGatherDimensionCeiling, use Kernel::operator().
   double Decision(const SparseVector& x) const override;
 
   std::size_t WireSize() const override;
@@ -60,7 +72,20 @@ class KernelSvmModel final : public BinaryClassifier {
   Kernel kernel_;
   std::vector<SupportVector> svs_;
   double bias_ = 0.0;
+  /// ‖sv‖² per support vector, cached at construction.
+  std::vector<double> sv_norm2_;
+  /// Largest SV feature id + 1 (64-bit).
+  uint64_t dimension_bound_ = 0;
 };
+
+/// Gram matrix K(x_i, x_j) of `data`, row-major n x n and exactly
+/// symmetric: what TrainKernelSvm's SMO runs on. Feature ids are remapped
+/// to a compact per-problem table once; each row i is a scatter of x_i into
+/// a buffer of that size plus one gather per j >= i, read through
+/// Kernel::FromDot. Pairs with a vector failing Kernel::Gatherable() use
+/// Kernel::operator().
+std::vector<double> KernelMatrix(const std::vector<Example>& data,
+                                 const Kernel& kernel);
 
 /// Trains a C-SVM with Sequential Minimal Optimization using
 /// maximal-violating-pair working-set selection (Keerthi et al. / LIBSVM

@@ -97,7 +97,10 @@ class Environment {
   /// Runs the simulator until `flag` becomes true or `max_sim_seconds`
   /// elapse; returns the simulated seconds consumed. This is the standard
   /// way to drive an async protocol to quiescence under recurring churn /
-  /// maintenance events (plain RunAll would never return).
+  /// maintenance events (plain RunAll would never return). It steps whole
+  /// 1 s slices, so the return value is the end of the slice in which the
+  /// flag flipped; callers that report when it flipped stamp Now() in the
+  /// callback that sets it.
   double RunUntilFlag(const bool& flag, double max_sim_seconds);
 
   ~Environment();

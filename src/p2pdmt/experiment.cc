@@ -249,12 +249,13 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   StatsSnapshot before_train = StatsSnapshot::Take(env.net().stats());
   bool train_done = false;
   Status train_status = Status::OK();
+  const SimTime train_start = env.sim().Now();
   algo.Train([&](Status s) {
     train_status = s;
     train_done = true;
+    result.train_sim_seconds = env.sim().Now() - train_start;
   });
-  result.train_sim_seconds =
-      env.RunUntilFlag(train_done, options.max_train_sim_seconds);
+  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
   if (!train_done) {
     return Status::Internal("training protocol did not quiesce in " +
                             std::to_string(options.max_train_sim_seconds) +

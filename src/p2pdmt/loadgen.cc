@@ -69,18 +69,30 @@ const FlashCrowdBurst* LoadGenActiveBurst(const LoadGenOptions& options,
   return nullptr;
 }
 
+LoadGenDocSamplers::LoadGenDocSamplers(const LoadGenOptions& options,
+                                       std::size_t catalog_size)
+    : catalog(std::max<std::size_t>(catalog_size, 1), options.zipf_s) {
+  hot.reserve(options.bursts.size());
+  for (const FlashCrowdBurst& b : options.bursts) {
+    hot.emplace_back(std::clamp<std::size_t>(b.hot_docs, 1,
+                                             std::max<std::size_t>(
+                                                 catalog_size, 1)),
+                     options.zipf_s);
+  }
+}
+
 std::size_t LoadGenPickDoc(const LoadGenOptions& options,
-                           std::size_t catalog_size, std::size_t session,
-                           std::size_t idx, double t) {
+                           const LoadGenDocSamplers& samplers,
+                           std::size_t session, std::size_t idx, double t) {
   Rng rng(DeriveSeed(options.seed ^ kDocStream, session, idx));
   if (const FlashCrowdBurst* burst = LoadGenActiveBurst(options, t)) {
     if (rng.Bernoulli(burst->hot_fraction)) {
-      const uint64_t n = std::min<uint64_t>(
-          std::max<std::size_t>(burst->hot_docs, 1), catalog_size);
-      return static_cast<std::size_t>(rng.Zipf(n, options.zipf_s));
+      const std::size_t b =
+          static_cast<std::size_t>(burst - options.bursts.data());
+      return static_cast<std::size_t>(samplers.hot[b].Sample(rng));
     }
   }
-  return static_cast<std::size_t>(rng.Zipf(catalog_size, options.zipf_s));
+  return static_cast<std::size_t>(samplers.catalog.Sample(rng));
 }
 
 std::vector<double> LoadGenOpenLoopOffsets(const LoadGenOptions& options,
@@ -115,6 +127,7 @@ SessionLoadGenerator::SessionLoadGenerator(
       algo_(algo),
       options_(std::move(options)),
       docs_(std::move(docs)),
+      doc_samplers_(options_, docs_.size()),
       requesters_(std::move(requesters)),
       latency_hist_(TaggingLatencyHistogram(metrics, algo.name())) {}
 
@@ -128,7 +141,7 @@ const FlashCrowdBurst* SessionLoadGenerator::ActiveBurst(double t) const {
 
 std::size_t SessionLoadGenerator::PickDoc(std::size_t session, std::size_t idx,
                                           double t) const {
-  return LoadGenPickDoc(options_, docs_.size(), session, idx, t);
+  return LoadGenPickDoc(options_, doc_samplers_, session, idx, t);
 }
 
 void SessionLoadGenerator::Run(

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "ml/dataset.h"
 #include "p2pml/p2p_classifier.h"
 #include "p2psim/simulator.h"
@@ -106,11 +107,24 @@ double LoadGenBurstMultiplier(const LoadGenOptions& options, double t);
 const FlashCrowdBurst* LoadGenActiveBurst(const LoadGenOptions& options,
                                           double t);
 
-/// Document index (into a popularity-ordered catalog of `catalog_size`)
-/// for request (session, idx) issued `t` seconds into the replay.
+/// The Zipf samplers document picks draw from: one over the whole catalog
+/// and one per burst over its hot set (`hot[b]` for `options.bursts[b]`).
+/// Each is an O(catalog) inverse-CDF table, so a replay builds them once and
+/// every pick is an O(log n) draw. A catalog of 0 documents builds
+/// one-document tables that are never drawn from.
+struct LoadGenDocSamplers {
+  LoadGenDocSamplers(const LoadGenOptions& options, std::size_t catalog_size);
+
+  ZipfSampler catalog;
+  std::vector<ZipfSampler> hot;
+};
+
+/// Document index (into a popularity-ordered catalog) for request
+/// (session, idx) issued `t` seconds into the replay. `samplers` must have
+/// been built from these `options`.
 std::size_t LoadGenPickDoc(const LoadGenOptions& options,
-                           std::size_t catalog_size, std::size_t session,
-                           std::size_t idx, double t);
+                           const LoadGenDocSamplers& samplers,
+                           std::size_t session, std::size_t idx, double t);
 
 /// The whole open-loop Poisson arrival schedule for one session: offset (in
 /// seconds after replay start) of each of its `session_len` requests. The
@@ -165,6 +179,7 @@ class SessionLoadGenerator {
   P2PClassifier& algo_;
   LoadGenOptions options_;
   std::vector<const SparseVector*> docs_;
+  LoadGenDocSamplers doc_samplers_;
   std::vector<NodeId> requesters_;
   Histogram& latency_hist_;
   std::vector<std::size_t> session_len_;

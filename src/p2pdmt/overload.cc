@@ -89,12 +89,13 @@ Result<OverloadRunStats> RunOverloadExperiment(
   OverloadRunStats stats;
   bool train_done = false;
   Status train_status = Status::OK();
+  const SimTime train_start = env.sim().Now();
   algo.Train([&](Status s) {
     train_status = s;
     train_done = true;
+    stats.train_sim_seconds = env.sim().Now() - train_start;
   });
-  stats.train_sim_seconds =
-      env.RunUntilFlag(train_done, options.max_train_sim_seconds);
+  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
   if (!train_done) {
     return Status::Internal("overload harness: training did not quiesce");
   }

@@ -51,12 +51,13 @@ Result<std::unique_ptr<TrainedService>> BuildTrainedService(
   env.StartDynamics();
   bool train_done = false;
   Status train_status = Status::OK();
+  const SimTime train_start = env.sim().Now();
   algo.Train([&](Status s) {
     train_status = s;
     train_done = true;
+    service->train_sim_seconds = env.sim().Now() - train_start;
   });
-  service->train_sim_seconds =
-      env.RunUntilFlag(train_done, options.max_train_sim_seconds);
+  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
   if (!train_done) {
     return Status::Internal("service harness: training did not quiesce");
   }

@@ -80,7 +80,9 @@ class Replay {
  public:
   Replay(const ServiceLoadOptions& options,
          const std::vector<SparseVector>& catalog)
-      : options_(options), catalog_(catalog) {}
+      : options_(options),
+        catalog_(catalog),
+        doc_samplers_(options.schedule, catalog.size()) {}
 
   Result<ServiceLoadResult> Run();
 
@@ -95,6 +97,7 @@ class Replay {
 
   const ServiceLoadOptions& options_;
   const std::vector<SparseVector>& catalog_;
+  const LoadGenDocSamplers doc_samplers_;
   std::vector<SessionConn> conns_;
   std::vector<std::size_t> lengths_;
   std::priority_queue<IssueEvent, std::vector<IssueEvent>, IssueEventLater>
@@ -127,7 +130,7 @@ Status Replay::IssueOne(const IssueEvent& ev, double now) {
   // Document choice keys off the *scheduled* offset, not the (jittery)
   // wall fire time — identical picks to the in-sim replay of the same
   // schedule.
-  const std::size_t doc = LoadGenPickDoc(options_.schedule, catalog_.size(),
+  const std::size_t doc = LoadGenPickDoc(options_.schedule, doc_samplers_,
                                          ev.session, ev.idx, ev.when);
   PredictRequest request;
   request.id = RequestId(ev.session, ev.idx, ev.attempt);

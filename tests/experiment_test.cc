@@ -133,6 +133,18 @@ TEST(ExperimentTest, ChurnExperimentCompletes) {
   EXPECT_LT(r->failed_predictions, r->test_documents / 2);
 }
 
+TEST(ExperimentTest, TrainSimSecondsIsTheQuiescenceTime) {
+  // These 12 peers quiesce inside the first 1 s slice RunUntilFlag steps;
+  // the result must carry that moment, not the slice end.
+  for (AlgorithmType algo : {AlgorithmType::kCempar, AlgorithmType::kPace}) {
+    Result<ExperimentResult> r =
+        RunExperiment(SharedCorpus(), BaseOptions(algo));
+    ASSERT_TRUE(r.ok());
+    EXPECT_GT(r->train_sim_seconds, 0.0) << AlgorithmTypeToString(algo);
+    EXPECT_LT(r->train_sim_seconds, 1.0) << AlgorithmTypeToString(algo);
+  }
+}
+
 TEST(ExperimentTest, DeterministicInSeed) {
   ExperimentOptions opt = BaseOptions(AlgorithmType::kPace);
   Result<ExperimentResult> a = RunExperiment(SharedCorpus(), opt);

@@ -6,6 +6,8 @@
 #include <map>
 #include <vector>
 
+#include "common/rng.h"
+
 namespace p2pdt {
 namespace {
 
@@ -199,6 +201,80 @@ TEST(LoadGenTest, FlashCrowdTargetsHotDocuments) {
         std::find(catalog.docs.begin(), catalog.docs.end(), doc);
     ASSERT_NE(it, catalog.docs.end());
     EXPECT_LT(static_cast<std::size_t>(it - catalog.docs.begin()), 3u);
+  }
+}
+
+// A ZipfSampler built once draws exactly what a fresh per-draw sampler
+// (the old Rng::Zipf) drew from the same stream.
+TEST(LoadGenTest, SharedSamplerDrawsEqualPerDrawSampler) {
+  for (uint64_t n : {1ull, 2ull, 5ull, 64ull, 1000ull, 13318ull}) {
+    for (double s : {0.0, 0.8, 1.1, 2.0}) {
+      for (uint64_t seed : {1ull, 7ull, 0xF1A5ull, 271828ull}) {
+        const ZipfSampler shared(n, s);
+        Rng a(seed), b(seed);
+        for (int k = 0; k < 32; ++k) {
+          ASSERT_EQ(shared.Sample(a), ZipfSampler(n, s).Sample(b))
+              << "n=" << n << " s=" << s << " seed=" << seed << " k=" << k;
+        }
+      }
+    }
+  }
+}
+
+// The document pick as it was before samplers were shared: one fresh
+// O(catalog) table per draw. kDocStream pins the pick stream's DeriveSeed
+// domain, so changing it fails here too.
+std::size_t PerDrawPickDoc(const LoadGenOptions& options,
+                           std::size_t catalog_size, std::size_t session,
+                           std::size_t idx, double t) {
+  constexpr uint64_t kDocStream = 0xD0Cull;
+  Rng rng(DeriveSeed(options.seed ^ kDocStream, session, idx));
+  if (const FlashCrowdBurst* burst = LoadGenActiveBurst(options, t)) {
+    if (rng.Bernoulli(burst->hot_fraction)) {
+      const uint64_t n = std::min<uint64_t>(
+          std::max<std::size_t>(burst->hot_docs, 1), catalog_size);
+      return static_cast<std::size_t>(ZipfSampler(n, options.zipf_s)
+                                          .Sample(rng));
+    }
+  }
+  return static_cast<std::size_t>(
+      ZipfSampler(catalog_size, options.zipf_s).Sample(rng));
+}
+
+TEST(LoadGenTest, PickDocMatchesPerDrawSampler) {
+  FlashCrowdBurst small_hot;
+  small_hot.start = 1.0;
+  small_hot.duration = 1.0;
+  small_hot.hot_fraction = 0.5;
+  small_hot.hot_docs = 3;
+  FlashCrowdBurst wide_hot;
+  wide_hot.start = 1.5;
+  wide_hot.duration = 2.5;
+  wide_hot.hot_fraction = 0.7;
+  wide_hot.hot_docs = 100;
+  FlashCrowdBurst zero_hot = wide_hot;
+  zero_hot.start = 4.5;
+  zero_hot.hot_docs = 0;
+  for (std::size_t catalog : {1u, 3u, 64u, 13318u}) {
+    for (double s : {0.0, 1.1}) {
+      for (uint64_t seed : {1ull, 0xF1A5ull}) {
+        LoadGenOptions opt;
+        opt.zipf_s = s;
+        opt.seed = seed;
+        opt.bursts = {small_hot, wide_hot, zero_hot};
+        const LoadGenDocSamplers samplers(opt, catalog);
+        for (double t : {0.0, 1.2, 1.7, 3.0, 4.6, 9.0}) {
+          for (std::size_t session = 0; session < 3; ++session) {
+            for (std::size_t idx = 0; idx < 6; ++idx) {
+              ASSERT_EQ(LoadGenPickDoc(opt, samplers, session, idx, t),
+                        PerDrawPickDoc(opt, catalog, session, idx, t))
+                  << "catalog=" << catalog << " s=" << s << " seed=" << seed
+                  << " t=" << t << " session=" << session << " idx=" << idx;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -43,6 +43,15 @@ TEST(SparseVectorTest, PushBackKeepsOrderAndSkipsZero) {
   EXPECT_EQ(v.DimensionBound(), 4u);
 }
 
+TEST(SparseVectorTest, DimensionBoundDoesNotWrapAtMaxId) {
+  EXPECT_EQ(SparseVector().DimensionBound(), 0u);
+  EXPECT_EQ(Make({{0, 1.0}}).DimensionBound(), 1u);
+  EXPECT_EQ(Make({{1u << 30, 1.0}}).DimensionBound(), (uint64_t{1} << 30) + 1);
+  EXPECT_EQ(Make({{3, 1.0}, {0xFFFFFFFEu, 2.0}}).DimensionBound(),
+            uint64_t{0xFFFFFFFF});
+  EXPECT_EQ(Make({{0xFFFFFFFFu, 1.0}}).DimensionBound(), uint64_t{1} << 32);
+}
+
 TEST(SparseVectorTest, DotDisjointIsZero) {
   EXPECT_DOUBLE_EQ(Make({{0, 1}, {2, 1}}).Dot(Make({{1, 5}, {3, 5}})), 0.0);
 }
