@@ -1,10 +1,13 @@
 // CLAIM3 — document preprocessing throughput (paper Sec. 2, "Document
 // preprocessing"): tokenizer, stop-word filter, Porter stemmer, vectorizer
-// and the assembled pipeline, on realistic generated documents.
+// and the assembled pipeline, on realistic generated documents, plus a
+// whole corpus through VectorizeCorpus at 1 and 4 threads.
 
 #include <benchmark/benchmark.h>
 
+#include "common/thread_pool.h"
 #include "corpus/generator.h"
+#include "corpus/vectorize.h"
 #include "text/preprocessor.h"
 
 namespace {
@@ -116,6 +119,35 @@ void BM_PipelineGrowingVsHashedLexicon(benchmark::State& state) {
                           static_cast<int64_t>(texts.size()));
 }
 BENCHMARK(BM_PipelineGrowingVsHashedLexicon)->Arg(0)->Arg(1);
+
+// The whole setup path of servebench's corpus at a quarter of its users:
+// VectorizeCorpus with a fresh Preprocessor per iteration, at a global
+// concurrency of state.range(0) threads (1 runs inline).
+void BM_VectorizeCorpus(benchmark::State& state) {
+  static const GeneratedCorpus corpus = [] {
+    CorpusOptions opt;
+    opt.num_users = 64;
+    opt.min_docs_per_user = 50;
+    opt.max_docs_per_user = 80;
+    opt.num_tags = 12;
+    opt.vocabulary_size = 3000;
+    opt.seed = 20100913;
+    return std::move(GenerateCorpus(opt)).value();
+  }();
+  ThreadPool::SetGlobalConcurrency(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    Preprocessor pre;
+    benchmark::DoNotOptimize(VectorizeCorpus(corpus, pre));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(corpus.documents.size()));
+  ThreadPool::SetGlobalConcurrency(0);
+}
+BENCHMARK(BM_VectorizeCorpus)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

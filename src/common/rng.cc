@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -174,7 +175,7 @@ std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
 Rng Rng::Fork() { return Rng(NextU64() ^ 0x5851F42D4C957F2DULL); }
 
 ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n), s_(s) {
-  assert(n > 0 && s >= 0.0);
+  assert(n > 0 && n <= UINT32_MAX && s >= 0.0);
   cdf_.resize(n);
   double acc = 0.0;
   for (uint64_t k = 0; k < n; ++k) {
@@ -183,21 +184,30 @@ ZipfSampler::ZipfSampler(uint64_t n, double s) : n_(n), s_(s) {
   }
   for (auto& c : cdf_) c /= acc;
   cdf_.back() = 1.0;  // guard against rounding
+  guide_.resize(n);
+  std::size_t k = 0;
+  for (std::size_t j = 0; j < n; ++j) {
+    while (Bucket(cdf_[k]) < j) ++k;  // Bucket(cdf_.back()) == n - 1
+    guide_[j] = static_cast<uint32_t>(k);
+  }
+}
+
+std::size_t ZipfSampler::Bucket(double x) const {
+  return std::min<std::size_t>(
+      static_cast<std::size_t>(x * static_cast<double>(n_)), n_ - 1);
 }
 
 uint64_t ZipfSampler::Sample(Rng& rng) const {
-  double u = rng.NextDouble();
-  // Binary search for the first CDF entry >= u.
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    std::size_t mid = (lo + hi) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+  return InverseCdf(rng.NextDouble());
+}
+
+uint64_t ZipfSampler::InverseCdf(double u) const {
+  // The answer a has cdf_[a] >= u, so Bucket(cdf_[a]) >= Bucket(u) and
+  // guide_[Bucket(u)] <= a; every rank in between has a CDF entry < u.
+  // The scan stops by the last entry, which is 1 > u.
+  std::size_t k = guide_[Bucket(u)];
+  while (cdf_[k] < u) ++k;
+  return k;
 }
 
 double ZipfSampler::Pmf(uint64_t k) const {

@@ -95,24 +95,39 @@ class Rng {
 uint64_t DeriveSeed(uint64_t base, uint64_t key_a, uint64_t key_b = 0);
 
 /// Precomputed inverse-CDF sampler for a Zipf distribution over [0, n).
-/// O(n) setup, O(log n) per sample.
+/// O(n) setup; a sample starts from a guide table (Chen & Asau's index
+/// method) and scans, so it costs O(1) on average.
 class ZipfSampler {
  public:
-  /// `n` > 0; exponent `s` >= 0.
+  /// `n` > 0 and below 2^32; exponent `s` >= 0.
   ZipfSampler(uint64_t n, double s);
 
+  /// InverseCdf(rng.NextDouble()).
   uint64_t Sample(Rng& rng) const;
+
+  /// The first rank k whose CDF entry is >= u, for u in [0, 1) — the index
+  /// a binary search over cdf() returns.
+  uint64_t InverseCdf(double u) const;
 
   /// Probability mass of rank `k` (0-based).
   double Pmf(uint64_t k) const;
 
   uint64_t n() const { return n_; }
   double s() const { return s_; }
+  /// Cumulative masses, nondecreasing; the last entry is exactly 1.
+  const std::vector<double>& cdf() const { return cdf_; }
 
  private:
+  /// Guide bucket of a value in [0, 1]: floor(x * n), clamped to n - 1.
+  /// Monotone in x, which is what makes the guide table exact.
+  std::size_t Bucket(double x) const;
+
   uint64_t n_;
   double s_;
   std::vector<double> cdf_;
+  /// guide_[j] = the first rank whose CDF entry falls in bucket j or later.
+  /// Every u in bucket j has its answer at or after guide_[j].
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace p2pdt

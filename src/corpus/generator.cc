@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <string_view>
 #include <unordered_set>
 
 #include "text/stopwords.h"
@@ -40,40 +41,45 @@ namespace {
 
 /// Inflectional endings the Porter stemmer strips; applied at render time
 /// so stemming has real work to do.
-const char* kInflections[] = {"s", "ing", "ed", "er", "ness", "ation"};
+constexpr std::string_view kInflections[] = {"s",  "ing",  "ed",
+                                             "er", "ness", "ation"};
 
-std::string RenderText(const std::vector<std::string>& content_words,
+std::string RenderText(const std::vector<const std::string*>& content_words,
                        const CorpusOptions& options, Rng& rng) {
   const auto& stops = StopWordFilter::DefaultEnglishStopWords();
   std::string text;
+  // A content word renders to ~10 bytes with its space, inflection and
+  // stop words; reserving 11 avoids regrowing most texts as they grow.
+  text.reserve(content_words.size() * 11);
   std::size_t words_in_sentence = 0;
   std::size_t sentence_target = 6 + rng.NextU64(9);
   bool sentence_start = true;
 
-  auto append_word = [&](const std::string& w, bool capitalize) {
-    if (!text.empty() && !sentence_start) text += ' ';
-    if (sentence_start && !text.empty()) text += ' ';
-    std::size_t at = text.size();
+  // Appends `w` plus `suffix`, capitalized at a sentence start.
+  auto append_word = [&](const std::string& w, std::string_view suffix) {
+    if (!text.empty()) text += ' ';
+    const std::size_t at = text.size();
     text += w;
-    if (capitalize && at < text.size()) {
+    text += suffix;
+    if (sentence_start && at < text.size()) {
       text[at] = static_cast<char>(std::toupper(
           static_cast<unsigned char>(text[at])));
     }
     sentence_start = false;
   };
 
-  for (const std::string& base : content_words) {
+  for (const std::string* base : content_words) {
     // Optional stop word first (filtered out later by the pipeline).
     if (rng.Bernoulli(options.stop_word_probability)) {
-      append_word(stops[rng.NextU64(stops.size())], sentence_start);
+      append_word(stops[rng.NextU64(stops.size())], {});
       ++words_in_sentence;
     }
-    std::string w = base;
+    std::string_view inflection;
     if (rng.Bernoulli(options.inflection_probability)) {
-      w += kInflections[rng.NextU64(sizeof(kInflections) /
-                                    sizeof(kInflections[0]))];
+      inflection = kInflections[rng.NextU64(sizeof(kInflections) /
+                                            sizeof(kInflections[0]))];
     }
-    append_word(w, sentence_start);
+    append_word(*base, inflection);
     if (++words_in_sentence >= sentence_target) {
       text += '.';
       words_in_sentence = 0;
@@ -173,15 +179,15 @@ Result<GeneratedCorpus> GenerateCorpus(const CorpusOptions& options) {
       std::size_t length =
           options.min_doc_words +
           rng.NextU64(options.max_doc_words - options.min_doc_words + 1);
-      std::vector<std::string> content;
+      std::vector<const std::string*> content;
       content.reserve(length);
       for (std::size_t w = 0; w < length; ++w) {
         if (rng.Bernoulli(options.background_word_fraction)) {
-          content.push_back(vocab[background_sampler.Sample(rng)]);
+          content.push_back(&vocab[background_sampler.Sample(rng)]);
         } else {
           std::size_t topic = tags[rng.NextU64(tags.size())];
           std::size_t rank = topic_sampler.Sample(rng);
-          content.push_back(vocab[topic_word_ids[topic][rank]]);
+          content.push_back(&vocab[topic_word_ids[topic][rank]]);
         }
       }
 
@@ -430,15 +436,15 @@ Result<StreamedCorpus> GenerateStream(const StreamOptions& options) {
         std::size_t length =
             base.min_doc_words +
             erng.NextU64(base.max_doc_words - base.min_doc_words + 1);
-        std::vector<std::string> content;
+        std::vector<const std::string*> content;
         content.reserve(length);
         for (std::size_t w = 0; w < length; ++w) {
           if (erng.Bernoulli(base.background_word_fraction)) {
-            content.push_back(vocab[background_sampler.Sample(erng)]);
+            content.push_back(&vocab[background_sampler.Sample(erng)]);
           } else {
             std::size_t topic = tags[erng.NextU64(tags.size())];
             std::size_t rank = topic_sampler.Sample(erng);
-            content.push_back(vocab[topic_word_ids[topic][rank]]);
+            content.push_back(&vocab[topic_word_ids[topic][rank]]);
           }
         }
 

@@ -50,10 +50,10 @@ struct IssueEvent {
   std::size_t session = 0;
   std::size_t idx = 0;
   std::size_t attempt = 0;
-  /// Wall time of the first attempt (< 0: stamp at issue). Retries keep it
-  /// so latency covers the whole reject-backoff-retry arc, like the in-sim
-  /// generator.
-  double first_issued = -1.0;
+  /// Wall time the first attempt was due (< 0: this is the first attempt,
+  /// due at start_ + when). Retries keep it so latency covers the whole
+  /// reject-backoff-retry arc, like the in-sim generator.
+  double first_due = -1.0;
 };
 
 struct IssueEventLater {
@@ -68,7 +68,7 @@ struct Pending {
   std::size_t session = 0;
   std::size_t idx = 0;
   std::size_t attempt = 0;
-  double first_issued = 0.0;
+  double first_due = 0.0;
 };
 
 struct SessionConn {
@@ -87,6 +87,11 @@ class Replay {
   Result<ServiceLoadResult> Run();
 
  private:
+  /// Latency is timed from the due time, not the send, so a stalled
+  /// driver shows up in the latencies instead of hiding in them.
+  double FirstDue(const IssueEvent& ev) const {
+    return ev.first_due < 0.0 ? start_ + ev.when : ev.first_due;
+  }
   Status IssueOne(const IssueEvent& ev, double now);
   void RecordFinal(const Pending& p, int outcome_class,
                    const std::vector<uint32_t>& tags,
@@ -118,8 +123,7 @@ Status Replay::IssueOne(const IssueEvent& ev, double now) {
                                     options_.io_timeout);
     if (!st.ok()) {
       ++result_.io_errors;
-      Pending p{ev.session, ev.idx, ev.attempt,
-                ev.first_issued < 0.0 ? now : ev.first_issued};
+      Pending p{ev.session, ev.idx, ev.attempt, FirstDue(ev)};
       RecordFinal(p, /*outcome_class=*/0, {}, {}, now);
       return Status::OK();
     }
@@ -136,7 +140,7 @@ Status Replay::IssueOne(const IssueEvent& ev, double now) {
   request.id = RequestId(ev.session, ev.idx, ev.attempt);
   request.requester = ev.session;
   request.doc = catalog_[doc];
-  const double first = ev.first_issued < 0.0 ? now : ev.first_issued;
+  const double first = FirstDue(ev);
   if (first_issue_ < 0.0) first_issue_ = now;
   const Status sent = conn.client.SendFrame(FrameType::kPredictRequest,
                                             EncodePredictRequest(request));
@@ -157,7 +161,7 @@ void Replay::RecordFinal(const Pending& p, int outcome_class,
                          const std::vector<double>& scores, double now) {
   ++result_.load.completed;
   last_complete_ = std::max(last_complete_, now);
-  const double latency = now - p.first_issued;
+  const double latency = now - p.first_due;
   switch (outcome_class) {
     case 0:
       ++result_.load.failed;
@@ -244,7 +248,7 @@ Status Replay::HandleFrame(std::size_t /*session*/, const Frame& frame,
         const double delay =
             LoadGenRetryDelay(options_.schedule, p.session, p.idx, p.attempt);
         due_.push(IssueEvent{now - start_ + delay, p.session, p.idx,
-                             p.attempt + 1, p.first_issued});
+                             p.attempt + 1, p.first_due});
       } else {
         RecordFinal(p, /*outcome_class=*/0, {}, {}, now);
       }
@@ -309,9 +313,8 @@ Result<ServiceLoadResult> Replay::Run() {
       while (!due_.empty()) {
         const IssueEvent ev = due_.top();
         due_.pop();
-        RecordFinal(Pending{ev.session, ev.idx, ev.attempt,
-                            ev.first_issued < 0.0 ? now : ev.first_issued},
-                    0, {}, {}, now);
+        RecordFinal(Pending{ev.session, ev.idx, ev.attempt, FirstDue(ev)}, 0,
+                    {}, {}, now);
       }
       break;
     }

@@ -1,49 +1,14 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace p2pdt {
 
 Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
-  std::string current;
-  bool has_digit = false;
-
-  auto flush = [&] {
-    if (!current.empty()) {
-      if ((!has_digit || options_.keep_alphanumeric) && Keep(current)) {
-        tokens.push_back(current);
-      }
-      current.clear();
-    }
-    has_digit = false;
-  };
-
-  for (char raw : text) {
-    unsigned char c = static_cast<unsigned char>(raw);
-    if (std::isalpha(c)) {
-      current += options_.lowercase
-                     ? static_cast<char>(std::tolower(c))
-                     : raw;
-    } else if (std::isdigit(c)) {
-      current += raw;
-      has_digit = true;
-    } else if (raw == '\'' && !current.empty()) {
-      // Intra-word apostrophe ("don't" -> "dont"): strip, keep the run going.
-      continue;
-    } else {
-      flush();
-    }
-  }
-  flush();
+  ForEachToken(text,
+               [&](std::string_view token) { tokens.emplace_back(token); });
   return tokens;
-}
-
-bool Tokenizer::Keep(const std::string& token) const {
-  return token.size() >= options_.min_token_length &&
-         token.size() <= options_.max_token_length;
 }
 
 }  // namespace p2pdt

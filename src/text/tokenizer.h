@@ -1,6 +1,7 @@
 #ifndef P2PDT_TEXT_TOKENIZER_H_
 #define P2PDT_TEXT_TOKENIZER_H_
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,16 +34,69 @@ class Tokenizer {
  public:
   explicit Tokenizer(TokenizerOptions options = {});
 
-  /// Tokenizes `text` into normalized tokens.
+  /// Calls `visit(std::string_view token)` for each normalized token of
+  /// `text`, in order. Tokens are built in one reused buffer, so nothing is
+  /// allocated per token; the view is valid only during the call.
+  template <typename Visit>
+  void ForEachToken(std::string_view text, Visit&& visit) const;
+
+  /// Tokenizes `text` into normalized tokens (ForEachToken, collected).
   std::vector<std::string> Tokenize(std::string_view text) const;
 
   const TokenizerOptions& options() const { return options_; }
 
  private:
-  bool Keep(const std::string& token) const;
+  bool Keep(std::size_t length) const {
+    return length >= options_.min_token_length &&
+           length <= options_.max_token_length;
+  }
 
   TokenizerOptions options_;
 };
+
+template <typename Visit>
+void Tokenizer::ForEachToken(std::string_view text, Visit&& visit) const {
+  // Tokens longer than max_token_length are dropped, so the buffer stops
+  // filling there and `length` alone decides. No token outgrows the text.
+  std::string buffer(std::min(options_.max_token_length, text.size()) + 1,
+                     '\0');
+  char* const token = buffer.data();
+  const std::size_t capacity = buffer.size();
+  std::size_t length = 0;
+  bool has_digit = false;
+
+  auto flush = [&] {
+    if (length > 0 && (!has_digit || options_.keep_alphanumeric) &&
+        Keep(length)) {
+      visit(std::string_view(token, length));
+    }
+    length = 0;
+    has_digit = false;
+  };
+  auto append = [&](char ch) {
+    if (length < capacity) token[length] = ch;
+    ++length;
+  };
+
+  // ASCII classes, as <cctype> gives them in the "C" locale (bytes >= 0x80
+  // are separators); no locale lookup per character.
+  for (char raw : text) {
+    const unsigned char c = static_cast<unsigned char>(raw);
+    const unsigned char lower = c | 0x20;
+    if (static_cast<unsigned char>(lower - 'a') < 26) {
+      append(options_.lowercase ? static_cast<char>(lower) : raw);
+    } else if (static_cast<unsigned char>(c - '0') < 10) {
+      append(raw);
+      has_digit = true;
+    } else if (raw == '\'' && length > 0) {
+      // Intra-word apostrophe ("don't" -> "dont"): strip, keep the run going.
+      continue;
+    } else {
+      flush();
+    }
+  }
+  flush();
+}
 
 }  // namespace p2pdt
 

@@ -1,5 +1,6 @@
 #include "text/vectorizer.h"
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -49,6 +50,24 @@ SparseVector Vectorizer::Finish(
   for (const auto& [id, tf] : v.entries()) {
     weighted.emplace_back(id, WeightFor(id, tf));
   }
+  SparseVector out = SparseVector::FromPairs(std::move(weighted));
+  if (options_.l2_normalize) out.L2Normalize();
+  return out;
+}
+
+SparseVector Vectorizer::VectorizeIds(std::vector<uint32_t>& ids) const {
+  std::sort(ids.begin(), ids.end());
+  std::vector<SparseVector::Entry> weighted;
+  weighted.reserve(ids.size());
+  for (std::size_t i = 0; i < ids.size();) {
+    std::size_t j = i + 1;
+    while (j < ids.size() && ids[j] == ids[i]) ++j;
+    weighted.emplace_back(ids[i],
+                          WeightFor(ids[i], static_cast<double>(j - i)));
+    i = j;
+  }
+  // FromPairs drops zero weights and sizes the vector exactly, as Finish's
+  // second pass does.
   SparseVector out = SparseVector::FromPairs(std::move(weighted));
   if (options_.l2_normalize) out.L2Normalize();
   return out;

@@ -54,6 +54,12 @@ class Vectorizer {
   SparseVector VectorizeConst(const std::vector<std::string>& tokens,
                               const Lexicon& lexicon) const;
 
+  /// Vectorizes one document given as the lexicon ids of its tokens, in
+  /// any order; sorts `ids` in place. Bit-identical to Vectorize over the
+  /// tokens those ids came from: the counts are the same exact integers,
+  /// weighted and normalized in the same id order.
+  SparseVector VectorizeIds(std::vector<uint32_t>& ids) const;
+
   const VectorizerOptions& options() const { return options_; }
   std::size_t num_fitted_documents() const { return num_documents_; }
 

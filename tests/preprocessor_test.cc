@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
+
 namespace p2pdt {
 namespace {
 
@@ -16,14 +18,52 @@ TEST(PreprocessorTest, AnalyzeRunsFullTokenPipeline) {
 
 TEST(PreprocessorTest, SensitiveWordsNeverReachVectors) {
   PreprocessorOptions opt;
-  opt.sensitive_words = {"secretproject"};
-  Preprocessor p(opt);
-  std::vector<std::string> tokens =
-      p.Analyze("budget for secretproject launch");
-  for (const auto& t : tokens) {
-    EXPECT_NE(t, "secretproject");
+  opt.sensitive_words = {"SecretProject"};  // matched case-insensitively
+  {
+    Preprocessor p(opt);
+    std::vector<std::string> tokens =
+        p.Analyze("budget for secretproject launch");
+    for (const auto& t : tokens) {
+      EXPECT_NE(t, "secretproject");
+    }
+    EXPECT_EQ(tokens.size(), 2u);  // budget, launch
   }
-  EXPECT_EQ(tokens.size(), 2u);  // budget, launch
+
+  // The second text repeats the word in other cases, so Process meets it
+  // again as a memo hit, and ProcessAll meets it in every worker.
+  const std::vector<std::string_view> texts = {
+      "budget for secretproject launch",
+      "SecretProject launch, SECRETPROJECT budget secretproject"};
+  const uint32_t width = 1u << 18;
+  const uint32_t secret_id = Lexicon::HashWord("secretproject") % width;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool::SetGlobalConcurrency(threads);
+    for (uint32_t dims : {width, 0u}) {
+      opt.hashed_dimensions = dims;
+      Preprocessor serial(opt), batch(opt);
+      std::vector<SparseVector> vectors;
+      for (std::string_view text : texts) {
+        vectors.push_back(serial.Process(text));
+      }
+      for (SparseVector& v : batch.ProcessAll(texts)) {
+        vectors.push_back(std::move(v));
+      }
+      for (const Preprocessor* p : {&serial, &batch}) {
+        const Lexicon& lex = p->lexicon();
+        EXPECT_EQ(lex.size(), 2u);  // budget, launch
+        if (dims > 0) {
+          EXPECT_FALSE(lex.GetWord(secret_id).ok());
+        } else {
+          EXPECT_FALSE(lex.GetId("secretproject").ok());
+        }
+      }
+      for (const SparseVector& v : vectors) {
+        EXPECT_EQ(v.nnz(), 2u);
+        if (dims > 0) EXPECT_EQ(v.Get(secret_id), 0.0);
+      }
+    }
+  }
+  ThreadPool::SetGlobalConcurrency(0);
 }
 
 TEST(PreprocessorTest, InflectedFormsShareFeatureIds) {

@@ -262,5 +262,57 @@ TEST(ZipfTest, ZeroExponentIsUniform) {
   }
 }
 
+/// The binary search ZipfSampler used before its guide table: the first
+/// CDF entry >= u. The guide table must return the same index for every u.
+uint64_t BinarySearchInverseCdf(const std::vector<double>& cdf, double u) {
+  std::size_t lo = 0, hi = cdf.size() - 1;
+  while (lo < hi) {
+    std::size_t mid = (lo + hi) / 2;
+    if (cdf[mid] < u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(ZipfTest, GuideTableEqualsBinarySearch) {
+  std::size_t checked = 0;
+  for (uint64_t n : {1u, 2u, 3u, 60u, 3000u, 13318u}) {
+    for (double s : {0.0, 0.5, 1.0, 1.1, 2.0}) {
+      ZipfSampler sampler(n, s);
+      const std::vector<double>& cdf = sampler.cdf();
+      ASSERT_EQ(cdf.size(), n);
+      // Every CDF entry and every guide bucket edge j/n, with both float
+      // neighbours: the points where an off-by-one would show.
+      std::vector<double> points(cdf.begin(), cdf.end());
+      for (uint64_t j = 0; j <= n; ++j) {
+        points.push_back(static_cast<double>(j) / static_cast<double>(n));
+      }
+      std::vector<double> us;
+      for (double p : points) {
+        for (double u : {std::nextafter(p, 0.0), p, std::nextafter(p, 1.0)}) {
+          if (u >= 0.0 && u < 1.0) us.push_back(u);
+        }
+      }
+      us.push_back(0.0);
+      us.push_back(std::nextafter(1.0, 0.0));
+      for (double u : us) {
+        ASSERT_EQ(sampler.InverseCdf(u), BinarySearchInverseCdf(cdf, u))
+            << "n=" << n << " s=" << s << " u=" << u;
+      }
+      checked += us.size();
+      // Sample draws exactly one uniform and inverts it.
+      Rng a(n * 31 + static_cast<uint64_t>(s * 10)), b = a;
+      for (int i = 0; i < 20000; ++i) {
+        ASSERT_EQ(sampler.Sample(a),
+                  BinarySearchInverseCdf(cdf, b.NextDouble()));
+      }
+    }
+  }
+  EXPECT_GT(checked, 400000u);
+}
+
 }  // namespace
 }  // namespace p2pdt

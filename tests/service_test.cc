@@ -8,6 +8,13 @@
 // starts a loop thread — that construction is the happens-before edge. The
 // stats are read only after Run() returns (loop joined).
 
+#include <atomic>
+#include <chrono>
+#include <pthread.h>
+#include <signal.h>
+#include <time.h>
+
+#include <chrono>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -393,6 +400,52 @@ TEST(ServiceDaemonTest, SocketLoadgenReplayIsCleanAndDeterministic) {
   Result<ServiceLoadResult> second = RunServiceLoad(load, catalog);
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(second->load.fingerprint, first->load.fingerprint);
+}
+
+constexpr long kDriverStallNanos = 300'000'000;
+
+void StallThisThread(int) {
+  struct timespec ts = {0, kDriverStallNanos};
+  nanosleep(&ts, nullptr);  // async-signal-safe
+}
+
+// The replay's driver thread stalls for 300 ms (a signal handler sleeps on
+// it) while requests fall due. Latency is timed from each request's due
+// time, so the requests due during the stall report the wait: timed from
+// the send, they would report only the ~1 ms the daemon took.
+TEST(ServiceDaemonTest, SocketLoadgenLatencyCoversDriverStall) {
+  DaemonHarness h;
+  std::vector<SparseVector> catalog;
+  for (uint32_t i = 0; i < 8; ++i) catalog.push_back(Doc(i));
+
+  ServiceLoadOptions load;
+  load.port = h.daemon.port();
+  load.schedule.sessions = 1;
+  load.schedule.min_docs = 40;
+  load.schedule.max_docs = 40;
+  load.schedule.arrival_rate = 100.0;  // due over ~0.4 s
+  load.schedule.seed = 20100913;
+
+  struct sigaction stall = {}, previous = {};
+  stall.sa_handler = StallThisThread;
+  sigemptyset(&stall.sa_mask);
+  stall.sa_flags = SA_RESTART;
+  ASSERT_EQ(sigaction(SIGUSR2, &stall, &previous), 0);
+  const pthread_t driver = pthread_self();
+  std::thread staller([driver] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    pthread_kill(driver, SIGUSR2);
+  });
+  Result<ServiceLoadResult> r = RunServiceLoad(load, catalog);
+  staller.join();
+  sigaction(SIGUSR2, &previous, nullptr);
+
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->load.completed, 40u);
+  EXPECT_EQ(r->load.failed, 0u);
+  // The first request due after the stall began waited most of it.
+  EXPECT_GE(r->load.max_latency, 0.2);
+  EXPECT_GE(r->load.p95_latency, 0.1);
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include "text/tokenizer.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace p2pdt {
@@ -36,6 +38,15 @@ TEST(TokenizerTest, DropsOverlongTokens) {
   Tokenizer t(opt);
   EXPECT_EQ(t.Tokenize("short toolongtoken ok"),
             (std::vector<std::string>{"short", "ok"}));
+}
+
+TEST(TokenizerTest, UnboundedMaxLengthKeepsEveryToken) {
+  TokenizerOptions opt;
+  opt.max_token_length = std::numeric_limits<std::size_t>::max();
+  Tokenizer t(opt);
+  const std::string blob(200, 'z');
+  EXPECT_EQ(t.Tokenize("ab " + blob + " cd"),
+            (std::vector<std::string>{"ab", blob, "cd"}));
 }
 
 TEST(TokenizerTest, StripsIntraWordApostrophes) {
