@@ -4,6 +4,7 @@
 #include <string.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <utility>
 
 namespace p2pdt {
@@ -24,8 +25,11 @@ void Connection::CloseFd() {
 Connection::IoResult Connection::ReadIntoDecoder(std::size_t& bytes_read) {
   bytes_read = 0;
   char buf[16384];
-  for (;;) {
-    const ssize_t n = read(fd_, buf, sizeof(buf));
+  // Read no more than the decoder can hold. The caller drains complete
+  // frames before the next read, and the level-triggered loop re-notifies
+  // for whatever is still queued on the socket.
+  for (std::size_t room = decoder_.room(); room > 0; room = decoder_.room()) {
+    const ssize_t n = read(fd_, buf, std::min(sizeof(buf), room));
     if (n > 0) {
       bytes_read += static_cast<std::size_t>(n);
       if (!decoder_.Feed(buf, static_cast<std::size_t>(n))) {
@@ -38,6 +42,7 @@ Connection::IoResult Connection::ReadIntoDecoder(std::size_t& bytes_read) {
     if (errno == EINTR) continue;
     return IoResult::kError;
   }
+  return IoResult::kOk;
 }
 
 void Connection::QueueWrite(const std::string& bytes) {

@@ -43,7 +43,9 @@ class Connection {
   int fd() const { return fd_; }
   const std::string& peer_name() const { return peer_name_; }
 
-  /// Drains the socket into the frame decoder until EAGAIN / EOF / error.
+  /// Reads the socket into the frame decoder until EAGAIN / EOF / error,
+  /// or until the decoder is full (the caller drains frames, then the next
+  /// readiness event reads the rest).
   IoResult ReadIntoDecoder(std::size_t& bytes_read);
 
   FrameDecoder& decoder() { return decoder_; }

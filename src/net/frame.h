@@ -87,8 +87,9 @@ class FrameDecoder {
   };
 
   /// Appends bytes. Returns false when the internal buffer would exceed
-  /// header + max_payload — only possible after a poisoning reject, since a
-  /// healthy stream is drained frame-by-frame below the bound.
+  /// header + max_payload. Readers feed at most room() bytes and drain
+  /// complete frames before feeding more, so a healthy stream never hits
+  /// the bound.
   bool Feed(const char* data, std::size_t n);
 
   /// Extracts the next frame into `out`. On any reject the decoder is
@@ -101,6 +102,10 @@ class FrameDecoder {
   static WireError RejectToError(Next reject);
 
   std::size_t buffered() const { return buffer_.size() - consumed_; }
+  /// Bytes Feed still accepts before the buffer bound.
+  std::size_t room() const {
+    return kFrameHeaderBytes + max_payload_ - buffered();
+  }
   bool poisoned() const { return poisoned_ != Next::kFrame; }
 
  private:

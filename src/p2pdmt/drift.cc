@@ -378,16 +378,8 @@ Result<DriftExperimentResult> RunDriftExperiment(
   result.give_ups = net_stats.give_ups();
   result.total_messages = net_stats.messages_sent();
   result.total_bytes = net_stats.bytes_sent();
-  ReliableTransport* transport = nullptr;
-  if (auto* pace = dynamic_cast<Pace*>(&algo)) {
-    transport = pace->transport();
-  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
-    transport = cempar->transport();
-  }
-  if (transport != nullptr) {
-    for (NodeId n = 0; n < env.net().num_nodes(); ++n) {
-      if (transport->IsSuspected(n)) ++result.suspected_peers;
-    }
+  if (const PeerRuntime* runtime = algo.runtime()) {
+    result.suspected_peers = runtime->NumSuspected();
   }
   digest.Mix(result.retrains);
   digest.Mix(result.total_messages);

@@ -391,17 +391,11 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   result.retransmits = stats.retransmits();
   result.acks_received = stats.acks_received();
   result.give_ups = stats.give_ups();
-  ReliableTransport* transport = nullptr;
   if (auto* pace = dynamic_cast<Pace*>(&algo)) {
     result.model_coverage = pace->ModelCoverage();
-    transport = pace->transport();
-  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
-    transport = cempar->transport();
   }
-  if (transport != nullptr) {
-    for (NodeId n = 0; n < env.net().num_nodes(); ++n) {
-      if (transport->IsSuspected(n)) ++result.suspected_peers;
-    }
+  if (const PeerRuntime* runtime = algo.runtime()) {
+    result.suspected_peers = runtime->NumSuspected();
   }
   const DefenseStats defense = algo.defense_stats();
   result.models_rejected = defense.models_rejected;

@@ -27,23 +27,6 @@ struct Fnv64 {
   }
 };
 
-struct ClassifierLedgers {
-  const ServeQueueSet* serve = nullptr;
-  const PredictCacheSet* cache = nullptr;
-};
-
-ClassifierLedgers Ledgers(P2PClassifier& algo) {
-  ClassifierLedgers l;
-  if (auto* pace = dynamic_cast<Pace*>(&algo)) {
-    l.serve = pace->serve_queue();
-    l.cache = pace->predict_cache();
-  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
-    l.serve = cempar->serve_queue();
-    l.cache = cempar->predict_cache();
-  }
-  return l;
-}
-
 }  // namespace
 
 Result<OverloadRunStats> RunOverloadExperiment(
@@ -158,12 +141,15 @@ Result<OverloadRunStats> RunOverloadExperiment(
     stats.load.fingerprint = digest.state;
   }
 
-  ClassifierLedgers ledgers = Ledgers(algo);
-  if (ledgers.serve != nullptr) stats.requests_shed = ledgers.serve->shed();
-  if (ledgers.cache != nullptr) {
-    stats.cache_hits = ledgers.cache->hits();
-    stats.cache_misses = ledgers.cache->misses();
-    stats.cache_stale = ledgers.cache->stale();
+  const PeerRuntime* runtime = algo.runtime();
+  if (const ServeQueueSet* serve = runtime ? runtime->serve_queue() : nullptr) {
+    stats.requests_shed = serve->shed();
+  }
+  if (const PredictCacheSet* cache =
+          runtime ? runtime->predict_cache() : nullptr) {
+    stats.cache_hits = cache->hits();
+    stats.cache_misses = cache->misses();
+    stats.cache_stale = cache->stale();
   }
   const NetworkStats& net_stats = env.net().stats();
   stats.give_ups = net_stats.give_ups();

@@ -2,20 +2,7 @@
 
 #include <utility>
 
-#include "common/metrics.h"
-#include "common/stopwatch.h"
-
 namespace p2pdt {
-
-namespace {
-
-Histogram* PhaseHistogram(MetricsRegistry* metrics, const char* phase) {
-  if (metrics == nullptr) return nullptr;
-  return &metrics->GetHistogram(
-      "phase_seconds", {{"classifier", "recovery"}, {"phase", phase}});
-}
-
-}  // namespace
 
 RecoveryCoordinator::RecoveryCoordinator(Simulator& sim, PhysicalNetwork& net,
                                          ChurnDriver& churn,
@@ -27,7 +14,8 @@ RecoveryCoordinator::RecoveryCoordinator(Simulator& sim, PhysicalNetwork& net,
       churn_(churn),
       classifier_(classifier),
       checkpoints_(checkpoints),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      phases_(net, "recovery") {}
 
 std::string RecoveryCoordinator::KeyFor(NodeId peer) {
   return "peer-" + std::to_string(peer);
@@ -41,15 +29,12 @@ void RecoveryCoordinator::Attach() {
 }
 
 Status RecoveryCoordinator::CheckpointPeer(NodeId peer) {
-  Stopwatch write_wall;
+  PhaseTimer timer(Phase::kCheckpointWrite, phases_[Phase::kCheckpointWrite]);
   Result<std::string> blob = classifier_.Snapshot(peer);
   if (!blob.ok()) return blob.status();
   P2PDT_RETURN_IF_ERROR(checkpoints_.Write(KeyFor(peer), *blob));
   ++stats_.snapshots_written;
   stats_.snapshot_bytes += blob->size();
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "checkpoint_write")) {
-    hist->Observe(write_wall.ElapsedSeconds());
-  }
   return Status::OK();
 }
 
@@ -81,14 +66,11 @@ void RecoveryCoordinator::HandleRejoin(NodeId node) {
   double latency = 0.0;
   bool warm = false;
   if (options_.warm_rejoin) {
-    Stopwatch restore_wall;
     Result<std::string> blob = checkpoints_.Read(KeyFor(node));
     if (blob.ok()) {
+      PhaseTimer timer(Phase::kCheckpointRestore,
+                       phases_[Phase::kCheckpointRestore]);
       Status restored = classifier_.Restore(node, *blob);
-      if (Histogram* hist =
-              PhaseHistogram(net_.metrics(), "checkpoint_restore")) {
-        hist->Observe(restore_wall.ElapsedSeconds());
-      }
       if (restored.ok()) {
         warm = true;
         latency = options_.warm_restore_latency_sec;
@@ -135,7 +117,7 @@ void RecoveryCoordinator::HandleRejoin(NodeId node) {
       const SimTime resync_started = sim_.Now();
       classifier_.ResyncPeer(node, [this, resync_started] {
         // Sim-time the anti-entropy round took to quiesce.
-        if (Histogram* hist = PhaseHistogram(net_.metrics(), "resync")) {
+        if (Histogram* hist = phases_[Phase::kResync]) {
           hist->Observe(sim_.Now() - resync_started);
         }
       });

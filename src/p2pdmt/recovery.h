@@ -6,6 +6,7 @@
 #include "common/checkpoint.h"
 #include "common/status.h"
 #include "p2pml/p2p_classifier.h"
+#include "p2pml/peer_runtime.h"
 #include "p2psim/churn.h"
 #include "p2psim/network.h"
 #include "p2psim/simulator.h"
@@ -109,6 +110,7 @@ class RecoveryCoordinator {
   CheckpointManager& checkpoints_;
   RecoveryOptions options_;
   RecoveryStats stats_;
+  PhaseHistograms phases_;
   bool attached_ = false;
 };
 

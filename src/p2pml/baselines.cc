@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "p2pml/peer_runtime.h"
 
 namespace p2pdt {
 
@@ -22,6 +23,15 @@ std::size_t PredictionRequestBytes(const SparseVector& x) {
   return x.WireSize() + 16;
 }
 
+/// The baselines train on standalone datasets: copy each shard out.
+std::vector<MultiLabelDataset> Materialize(
+    const std::vector<DatasetShard>& shards) {
+  std::vector<MultiLabelDataset> data;
+  data.reserve(shards.size());
+  for (const DatasetShard& shard : shards) data.push_back(shard.Materialize());
+  return data;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -33,16 +43,13 @@ CentralizedClassifier::CentralizedClassifier(Simulator& sim,
                                              CentralizedOptions options)
     : sim_(sim), net_(net), options_(options) {}
 
-Status CentralizedClassifier::Setup(std::vector<MultiLabelDataset> peer_data,
-                                    TagId num_tags) {
-  if (peer_data.size() != net_.num_nodes()) {
-    return Status::InvalidArgument(
-        "peer_data size must equal the number of underlay nodes");
-  }
+Status CentralizedClassifier::SetupShards(std::vector<DatasetShard> peer_data,
+                                          TagId num_tags) {
+  P2PDT_RETURN_IF_ERROR(CheckOneShardPerNode(peer_data.size(), net_));
   if (options_.coordinator >= peer_data.size()) {
     return Status::InvalidArgument("coordinator node does not exist");
   }
-  peer_data_ = std::move(peer_data);
+  peer_data_ = Materialize(peer_data);
   num_tags_ = num_tags;
   pooled_ = MultiLabelDataset(num_tags);
   trained_ = false;
@@ -50,10 +57,7 @@ Status CentralizedClassifier::Setup(std::vector<MultiLabelDataset> peer_data,
 }
 
 void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, on_complete = std::move(on_complete)] {
-    if (--*pending > 0) return;
+  auto barrier = Barrier::Make([this, on_complete = std::move(on_complete)] {
     if (pooled_.empty()) {
       on_complete(Status::Unavailable("no training data reached the center"));
       return;
@@ -67,7 +71,7 @@ void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
     model_ = std::move(model).value();
     trained_ = true;
     on_complete(Status::OK());
-  };
+  });
 
   for (NodeId peer = 0; peer < peer_data_.size(); ++peer) {
     if (!net_.IsOnline(peer) || peer_data_[peer].empty()) continue;
@@ -75,7 +79,7 @@ void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
       pooled_.Merge(peer_data_[peer]);
       continue;
     }
-    ++*pending;
+    barrier->Join();
     // The whole local corpus travels — this is the data-centralization
     // cost (and privacy exposure) the paper's motivation criticizes.
     net_.Send(
@@ -83,11 +87,11 @@ void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
         MessageType::kDataTransfer,
         [this, peer, barrier] {
           pooled_.Merge(peer_data_[peer]);
-          (*barrier)();
+          barrier->Settle();
         },
-        [barrier] { (*barrier)(); });
+        [barrier] { barrier->Settle(); });
   }
-  (*barrier)();
+  barrier->Settle();
 }
 
 void CentralizedClassifier::Predict(NodeId requester, const SparseVector& x,
@@ -97,8 +101,6 @@ void CentralizedClassifier::Predict(NodeId requester, const SparseVector& x,
     sim_.Schedule(0.0, [done = std::move(done)] { done({{}, {}, false}); });
     return;
   }
-  auto fail = [done](auto&&...) { };
-  (void)fail;
   auto shared_done =
       std::make_shared<std::function<void(P2PPrediction)>>(std::move(done));
 
@@ -138,13 +140,10 @@ LocalOnlyClassifier::LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net,
                                          LocalOnlyOptions options)
     : sim_(sim), net_(net), options_(options) {}
 
-Status LocalOnlyClassifier::Setup(std::vector<MultiLabelDataset> peer_data,
-                                  TagId num_tags) {
-  if (peer_data.size() != net_.num_nodes()) {
-    return Status::InvalidArgument(
-        "peer_data size must equal the number of underlay nodes");
-  }
-  peer_data_ = std::move(peer_data);
+Status LocalOnlyClassifier::SetupShards(std::vector<DatasetShard> peer_data,
+                                        TagId num_tags) {
+  P2PDT_RETURN_IF_ERROR(CheckOneShardPerNode(peer_data.size(), net_));
+  peer_data_ = Materialize(peer_data);
   num_tags_ = num_tags;
   models_.assign(peer_data_.size(), {});
   has_model_.assign(peer_data_.size(), false);
@@ -201,13 +200,10 @@ ModelAveragingClassifier::ModelAveragingClassifier(
     ModelAveragingOptions options)
     : sim_(sim), net_(net), overlay_(overlay), options_(options) {}
 
-Status ModelAveragingClassifier::Setup(
-    std::vector<MultiLabelDataset> peer_data, TagId num_tags) {
-  if (peer_data.size() != net_.num_nodes()) {
-    return Status::InvalidArgument(
-        "peer_data size must equal the number of underlay nodes");
-  }
-  peer_data_ = std::move(peer_data);
+Status ModelAveragingClassifier::SetupShards(
+    std::vector<DatasetShard> peer_data, TagId num_tags) {
+  P2PDT_RETURN_IF_ERROR(CheckOneShardPerNode(peer_data.size(), net_));
+  peer_data_ = Materialize(peer_data);
   num_tags_ = num_tags;
   contributed_.assign(peer_data_.size(), {});
   contributor_valid_.assign(peer_data_.size(), false);
@@ -242,20 +238,17 @@ void ModelAveragingClassifier::Train(std::function<void(Status)> on_complete) {
     contributor_valid_[peer] = true;
   }
 
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, on_complete = std::move(on_complete)] {
-    if (--*pending > 0) return;
+  auto barrier = Barrier::Make([this, on_complete = std::move(on_complete)] {
     trained_ = true;
     on_complete(Status::OK());
-  };
+  });
 
   for (NodeId peer = 0; peer < contributed_.size(); ++peer) {
     if (!contributor_valid_[peer]) continue;
     received_[peer].push_back(peer);
     std::size_t bytes = 0;
     for (const auto& m : contributed_[peer]) bytes += m.WireSize();
-    ++*pending;
+    barrier->Join();
     overlay_.Broadcast(
         peer, bytes, MessageType::kModelBroadcast,
         [this, peer](NodeId receiver) {
@@ -263,9 +256,9 @@ void ModelAveragingClassifier::Train(std::function<void(Status)> on_complete) {
             received_[receiver].push_back(peer);
           }
         },
-        [barrier] { (*barrier)(); });
+        [barrier] { barrier->Settle(); });
   }
-  (*barrier)();
+  barrier->Settle();
 }
 
 void ModelAveragingClassifier::Predict(

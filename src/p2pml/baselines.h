@@ -30,8 +30,8 @@ class CentralizedClassifier final : public P2PClassifier {
   CentralizedClassifier(Simulator& sim, PhysicalNetwork& net,
                         CentralizedOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
+  Status SetupShards(std::vector<DatasetShard> peer_data,
+                     TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
   void Predict(NodeId requester, const SparseVector& x,
                std::function<void(P2PPrediction)> done) override;
@@ -62,8 +62,8 @@ class LocalOnlyClassifier final : public P2PClassifier {
   LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net,
                       LocalOnlyOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
+  Status SetupShards(std::vector<DatasetShard> peer_data,
+                     TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
   void Predict(NodeId requester, const SparseVector& x,
                std::function<void(P2PPrediction)> done) override;
@@ -96,8 +96,8 @@ class ModelAveragingClassifier final : public P2PClassifier {
                            Overlay& overlay,
                            ModelAveragingOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
+  Status SetupShards(std::vector<DatasetShard> peer_data,
+                     TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
   void Predict(NodeId requester, const SparseVector& x,
                std::function<void(P2PPrediction)> done) override;

@@ -7,9 +7,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/profile.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "ml/serialization.h"
 #include "p2psim/sharding.h"
@@ -18,17 +16,18 @@ namespace p2pdt {
 
 namespace {
 
-/// Per-phase latency family shared by both classifiers; resolved once per
-/// call site so recording stays lock-free (see MetricsRegistry).
-Histogram* PhaseHistogram(MetricsRegistry* metrics, const char* phase) {
-  if (metrics == nullptr) return nullptr;
-  return &metrics->GetHistogram(
-      "phase_seconds", {{"classifier", "cempar"}, {"phase", phase}});
-}
+/// With reputation on, a response score deviating more than this from the
+/// per-tag median (3+ votes) is discarded as an outlier — the trimmed vote
+/// that stops under-the-radar spam the magnitude gate admits. Honest
+/// regional models for one tag never disagree by anything close to this
+/// (|decision| is bounded by C · #SV + |bias|), so the trim is inert in
+/// clean runs.
+constexpr double kVoteOutlierThreshold = 1.0e4;
 
-/// Version byte of the CEMPaR peer-snapshot layout (inside the checkpoint
-/// envelope, which already guards integrity; this guards evolution).
-constexpr uint8_t kCemparSnapshotVersion = 1;
+/// How long the first request of a prediction batch waits for companions
+/// (sim seconds), and the batch size that flushes it early.
+constexpr double kBatchWindowSeconds = 0.02;
+constexpr std::size_t kMaxBatch = 16;
 
 /// Wire size of a prediction request: the document vector plus a small
 /// header naming the homes being queried.
@@ -62,76 +61,45 @@ KernelSvmModel GarbageKernelModel(const Kernel& kernel, Rng& rng) {
 
 Cempar::Cempar(Simulator& sim, PhysicalNetwork& net, ChordOverlay& chord,
                CemparOptions options)
-    : sim_(sim), net_(net), chord_(chord), options_(options) {
+    : sim_(sim),
+      net_(net),
+      chord_(chord),
+      options_(options),
+      runtime_(sim, net, "cempar", options.reliable_transport,
+               options.transport, options.serve, options.predict_cache,
+               options.reputation) {
   if (options_.regions_per_tag == 0) options_.regions_per_tag = 1;
-  if (options_.reliable_transport) {
-    transport_ =
-        std::make_unique<ReliableTransport>(sim_, net_, options_.transport);
-    transport_->SetSuspicionListener(
-        [this](NodeId suspect) { OnSuspect(suspect); });
-  }
-  if (options_.serve.enabled) {
-    serve_ = std::make_unique<ServeQueueSet>(options_.serve);
-    if (transport_ != nullptr) {
-      // Wire-level admission control: every fresh prediction request (or
-      // batch) arriving at a super-peer is charged against its serving
-      // queue; rejects travel back as typed overload NACKs.
-      transport_->SetAdmissionHook(
-          [this](NodeId to, MessageType type) -> AdmissionVerdict {
-            AdmissionVerdict v;
-            if (type != MessageType::kPredictionRequest) return v;
-            Admission a = AdmitServe(to);
-            if (a.outcome != AdmitOutcome::kAccept) {
-              v.accept = false;
-              v.retry_after = a.retry_after;
-              return v;
-            }
-            v.delay = a.delay;
-            return v;
-          });
-    }
-  }
-  if (options_.predict_cache.enabled) {
-    cache_ = std::make_unique<PredictCacheSet>(options_.predict_cache);
-  }
+  ReliableTransport* transport = runtime_.transport();
+  if (transport == nullptr) return;
+  transport->SetSuspicionListener(
+      [this](NodeId suspect) { OnSuspect(suspect); });
+  if (runtime_.serve_queue() == nullptr) return;
+  // Wire-level admission control: every fresh prediction request (or batch)
+  // arriving at a super-peer is charged against its serving queue; rejects
+  // travel back as typed overload NACKs.
+  transport->SetAdmissionHook(
+      [this](NodeId to, MessageType type) -> AdmissionVerdict {
+        AdmissionVerdict v;
+        if (type != MessageType::kPredictionRequest) return v;
+        Admission a = runtime_.Admit(to);
+        if (a.outcome != AdmitOutcome::kAccept) {
+          v.accept = false;
+          v.retry_after = a.retry_after;
+          return v;
+        }
+        v.delay = a.delay;
+        return v;
+      });
 }
 
-Admission Cempar::AdmitServe(NodeId owner) {
-  Admission a = serve_->Admit(owner, sim_.Now());
-  if (MetricsRegistry* metrics = net_.metrics()) {
-    metrics->GetGauge("serve_queue_depth", {{"classifier", "cempar"}})
-        .Set(static_cast<double>(a.depth));
-    if (a.outcome != AdmitOutcome::kAccept) {
-      metrics
-          ->GetCounter("requests_shed",
-                       {{"classifier", "cempar"},
-                        {"reason", AdmitOutcomeToString(a.outcome)}})
-          .Increment();
-    }
-  }
-  return a;
-}
-
-uint64_t Cempar::HomeKey(TagId tag, std::size_t region) const {
-  return chord_.HashToKey((uint64_t{tag} << 20) | region);
-}
-
-Status Cempar::Setup(std::vector<MultiLabelDataset> peer_data,
-                     TagId num_tags) {
-  std::vector<DatasetShard> shards;
-  shards.reserve(peer_data.size());
-  for (MultiLabelDataset& data : peer_data) {
-    shards.push_back(DatasetShard::Own(std::move(data)));
-  }
-  return SetupShards(std::move(shards), num_tags);
+uint64_t Cempar::HomeKey(std::size_t h) const {
+  const uint64_t tag = h / options_.regions_per_tag;
+  return chord_.HashToKey((tag << 20) | (h % options_.regions_per_tag));
 }
 
 Status Cempar::SetupShards(std::vector<DatasetShard> peer_data,
                            TagId num_tags) {
-  if (peer_data.size() != net_.num_nodes()) {
-    return Status::InvalidArgument(
-        "peer_data size must equal the number of underlay nodes");
-  }
+  P2PDT_RETURN_IF_ERROR(CheckOneShardPerNode(peer_data.size(), net_));
   peer_data_ = std::move(peer_data);
   num_tags_ = num_tags;
   homes_.assign(static_cast<std::size_t>(num_tags_) *
@@ -141,29 +109,8 @@ Status Cempar::SetupShards(std::vector<DatasetShard> peer_data,
   model_version_.assign(peer_data_.size(), 0);
   owner_cache_.assign(peer_data_.size(), {});
   trained_ = false;
-  models_rejected_ = 0;
-  votes_discarded_ = 0;
-  reputation_.reset();
-  if (options_.reputation.enabled) {
-    reputation_ = std::make_unique<ReputationManager>(
-        options_.reputation, net_.metrics(), "cempar");
-    reputation_->Reset(peer_data_.size());
-    for (NodeId p = 0; p < peer_data_.size(); ++p) {
-      reputation_->SetHoldout(p, peer_data_[p]);
-    }
-  }
+  runtime_.Reset(peer_data_);
   return Status::OK();
-}
-
-void Cempar::RecordRejected(ModelRejectReason reason) {
-  ++models_rejected_;
-  if (MetricsRegistry* metrics = net_.metrics()) {
-    metrics
-        ->GetCounter("models_rejected",
-                     {{"classifier", "cempar"},
-                      {"reason", ModelRejectReasonToString(reason)}})
-        .Increment();
-  }
 }
 
 void Cempar::PurgeContributor(NodeId observer, NodeId contributor) {
@@ -172,40 +119,23 @@ void Cempar::PurgeContributor(NodeId observer, NodeId contributor) {
     if (home.locals.erase(contributor) > 0) home.dirty = true;
     home.local_versions.erase(contributor);
   }
-  BumpPublishEpoch();
+  runtime_.BumpPublishEpoch();
 }
 
-DefenseStats Cempar::defense_stats() const {
-  DefenseStats stats;
-  stats.models_rejected = models_rejected_;
-  stats.votes_discarded = votes_discarded_;
-  if (reputation_ != nullptr) {
-    stats.quarantined = reputation_->num_quarantined();
-    stats.trust_observations = reputation_->observations();
-  }
-  return stats;
-}
-
-void Cempar::UploadModel(NodeId peer, TagId tag, std::size_t region,
-                         KernelSvmModel model, uint32_t version,
-                         std::shared_ptr<std::function<void()>> barrier) {
-  const std::size_t h = HomeIndex(tag, region);
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "sv_upload")) {
-    // Sim-time from issue to settlement (lookup + upload + retries), no
-    // matter which path below settles the barrier.
-    const SimTime started = sim_.Now();
-    auto inner = barrier;
-    barrier = std::make_shared<std::function<void()>>(
-        [this, hist, started, inner] {
-          hist->Observe(sim_.Now() - started);
-          (*inner)();
-        });
-  }
-  chord_.Lookup(peer, HomeKey(tag, region),
+void Cempar::UploadModel(NodeId peer, std::size_t h, KernelSvmModel model,
+                         uint32_t version, std::shared_ptr<Barrier> barrier) {
+  // Records the sim-time from issue to settlement (lookup + upload +
+  // retries), no matter which path below settles the barrier.
+  std::function<void()> settled = [this, started = sim_.Now(), barrier,
+                                   hist = runtime_.phase(Phase::kSvUpload)] {
+    if (hist != nullptr) hist->Observe(sim_.Now() - started);
+    barrier->Settle();
+  };
+  chord_.Lookup(peer, HomeKey(h),
                 [this, peer, h, version, model = std::move(model),
-                 barrier](ChordOverlay::LookupResult res) {
+                 settled](ChordOverlay::LookupResult res) {
     if (!res.success) {
-      (*barrier)();
+      settled();
       return;
     }
     if (options_.cache_super_peer_lookups) {
@@ -220,23 +150,21 @@ void Cempar::UploadModel(NodeId peer, TagId tag, std::size_t region,
       if (home.owner != owner) return;
       // Super-peer intake gate: sanitation first (structural), then
       // reputation (behavioral). Honest models pass both untouched.
-      if (options_.sanitize.enabled) {
-        ModelRejectReason reason = SanitizeKernelModel(model, options_.sanitize);
-        if (reason != ModelRejectReason::kNone) {
-          RecordRejected(reason);
-          return;
-        }
+      if (options_.sanitize.enabled &&
+          runtime_.Rejects(SanitizeKernelModel(model, options_.sanitize))) {
+        return;
       }
-      if (reputation_ != nullptr && owner != peer) {
+      ReputationManager* reputation = runtime_.reputation();
+      if (reputation != nullptr && owner != peer) {
         const TagId tag = static_cast<TagId>(h / options_.regions_per_tag);
-        double score = reputation_->ScoreBinary(owner, model, tag);
-        if (reputation_->Observe(owner, peer, score)) {
+        double score = reputation->ScoreBinary(owner, model, tag);
+        if (reputation->Observe(owner, peer, score)) {
           // Transition into quarantine: drop what this contributor already
           // got merged before the evidence accumulated.
           PurgeContributor(owner, peer);
         }
-        if (reputation_->IsQuarantined(owner, peer)) {
-          RecordRejected(ModelRejectReason::kDistrusted);
+        if (reputation->IsQuarantined(owner, peer)) {
+          runtime_.Rejects(ModelRejectReason::kDistrusted);
           return;
         }
       }
@@ -262,37 +190,40 @@ void Cempar::UploadModel(NodeId peer, TagId tag, std::size_t region,
       }
       home.dirty = true;
     };
-    const std::size_t bytes = model.WireSize() + 16;
-    if (transport_) {
-      // Reliable path: the upload retries until ACKed or the retry budget
-      // is exhausted; the barrier settles on either outcome, never on
-      // receiver-side delivery (idempotent under retransmission).
-      transport_->SendReliable(
-          peer, res.owner, bytes, MessageType::kModelUpload,
-          std::move(install), [barrier] { (*barrier)(); },
-          [barrier] { (*barrier)(); });
-      return;
-    }
-    net_.Send(
-        peer, res.owner, bytes, MessageType::kModelUpload,
-        [install = std::move(install), barrier] {
-          install();
-          (*barrier)();
-        },
-        [barrier] { (*barrier)(); });
+    // Reliably, the upload retries until ACKed or given up and settles on
+    // either outcome, never on receiver-side delivery.
+    runtime_.Deliver(peer, res.owner, model.WireSize() + 16,
+                     MessageType::kModelUpload, std::move(install), settled);
   });
 }
 
+std::size_t Cempar::RefitLocals(NodeId peer, const char* why) {
+  local_models_[peer].clear();
+  const DatasetShard& data = peer_data_[peer];
+  std::vector<std::size_t> counts = data.TagCounts();
+  const std::size_t region = peer % options_.regions_per_tag;
+  std::size_t fitted = 0;
+  for (TagId tag = 0; tag < num_tags_; ++tag) {
+    if (tag >= counts.size() || counts[tag] == 0) continue;
+    Result<KernelSvmModel> model =
+        TrainKernelSvm(data.OneAgainstAll(tag), options_.svm);
+    if (!model.ok()) {
+      P2PDT_LOG(Warning) << "peer " << peer << " tag " << tag << " " << why
+                         << " SVM failed: " << model.status().ToString();
+      continue;
+    }
+    local_models_[peer].emplace(HomeIndex(tag, region),
+                                std::move(model).value());
+    ++fitted;
+  }
+  return fitted;
+}
+
 void Cempar::Train(std::function<void(Status)> on_complete) {
-  auto pending = std::make_shared<std::size_t>(1);  // root token
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, on_complete = std::move(on_complete)] {
-    if (--*pending > 0) return;
-    CascadeAll();
-    ReplicateRegionals();
+  auto barrier = RecascadeAfter([this, on_complete = std::move(on_complete)] {
     trained_ = true;
     on_complete(Status::OK());
-  };
+  });
 
   // Phase 1 — pure compute: fit one local SVM per (peer, tag) cell. The
   // grid fans out across the thread pool; each task reads immutable peer
@@ -325,7 +256,7 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
   }
   // Resolved on the driver thread; workers record wall time per cell
   // lock-free (null when metrics are disabled).
-  Histogram* train_hist = PhaseHistogram(net_.metrics(), "local_train");
+  Histogram* train_hist = runtime_.phase(Phase::kLocalTrain);
 
   // Sharded compute/commit phase. Each grid cell fits its SVM on a pool
   // worker and stages the protocol side as a commit; ShardedPhase then runs
@@ -341,8 +272,7 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
   plan.seed = 0;
   ShardedPhase(grid.size(), plan, [&](std::size_t i, Rng&) -> UniqueFunction {
     const GridCell cell = grid[i];
-    PhaseScope profile("local_train");
-    Stopwatch cell_wall;
+    PhaseTimer timer(Phase::kLocalTrain, train_hist);
     std::vector<Example> train =
         peer_data_[cell.peer].OneAgainstAll(cell.tag);
     if (flip[i] != 0) {
@@ -351,10 +281,7 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
       for (Example& ex : train) ex.y = -ex.y;
     }
     Result<KernelSvmModel> model = TrainKernelSvm(train, options_.svm);
-    if (train_hist != nullptr) {
-      train_hist->Observe(cell_wall.ElapsedSeconds());
-    }
-    return [this, cell, adversaries, pending, barrier,
+    return [this, cell, adversaries, barrier,
             model = std::move(model)]() mutable {
       if (!model.ok()) {
         P2PDT_LOG(Warning) << "peer " << cell.peer << " tag " << cell.tag
@@ -393,21 +320,28 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
       }
       // Adversaries keep their corrupted model locally too: repair rounds
       // re-upload the same poison (and get re-rejected at the gate).
-      local_models_[cell.peer].emplace(HomeIndex(cell.tag, cell.region),
-                                       upload);
-      ++*pending;
-      UploadModel(cell.peer, cell.tag, cell.region, std::move(upload),
-                  model_version_[cell.peer], barrier);
+      const std::size_t h = HomeIndex(cell.tag, cell.region);
+      local_models_[cell.peer].emplace(h, upload);
+      barrier->Join();
+      UploadModel(cell.peer, h, std::move(upload), model_version_[cell.peer],
+                  barrier);
     };
   });
-  (*barrier)();  // consume the root token
+  barrier->Settle();  // release the root token
+}
+
+std::shared_ptr<Barrier> Cempar::RecascadeAfter(std::function<void()> done) {
+  return Barrier::Make([this, done = std::move(done)] {
+    CascadeAll();
+    ReplicateRegionals();
+    done();
+  });
 }
 
 void Cempar::CascadeAll() {
   // Regional models are about to change: every cached prediction computed
   // against the old cascade is stale.
-  BumpPublishEpoch();
-  Histogram* cascade_hist = PhaseHistogram(net_.metrics(), "cascade_merge");
+  runtime_.BumpPublishEpoch();
   for (Home& home : homes_) {
     if (home.locals.empty() || !home.dirty) continue;
     home.dirty = false;
@@ -422,8 +356,8 @@ void Cempar::CascadeAll() {
               ModelRejectReason::kNone) {
         continue;
       }
-      if (reputation_ != nullptr && home.owner != kInvalidNode &&
-          reputation_->IsQuarantined(home.owner, peer)) {
+      if (runtime_.reputation() != nullptr && home.owner != kInvalidNode &&
+          runtime_.reputation()->IsQuarantined(home.owner, peer)) {
         continue;
       }
       locals.push_back(&model);
@@ -434,13 +368,9 @@ void Cempar::CascadeAll() {
       home.weight = 0.0;
       continue;
     }
-    Stopwatch merge_wall;
-    PhaseScope profile("cascade_merge");
+    PhaseTimer timer = runtime_.Time(Phase::kCascadeMerge);
     Result<KernelSvmModel> regional =
         CascadeTree(locals, options_.svm, options_.cascade_fan_in);
-    if (cascade_hist != nullptr) {
-      cascade_hist->Observe(merge_wall.ElapsedSeconds());
-    }
     if (!regional.ok()) {
       P2PDT_LOG(Warning) << "cascade failed: " << regional.status().ToString();
       continue;
@@ -452,10 +382,11 @@ void Cempar::CascadeAll() {
   }
 }
 
-std::vector<Cempar::PredictVote> Cempar::EvaluateHomes(
-    NodeId owner, const std::vector<std::size_t>& home_list,
-    const SparseVector& x) {
-  std::vector<PredictVote> partials;
+void Cempar::EvaluateHomes(NodeId owner,
+                           const std::vector<std::size_t>& home_list,
+                           const SparseVector& x,
+                           std::vector<PredictVote>& votes,
+                           const TraceContext* trace) {
   // A vote-spam super-peer answers every queried tag with a huge
   // constant score under an inflated weight — the classic
   // drown-the-honest-votes attack the requester-side gate exists for.
@@ -467,17 +398,17 @@ std::vector<Cempar::PredictVote> Cempar::EvaluateHomes(
     if (home.owner != owner || !home.has_regional) continue;
     TagId tag = static_cast<TagId>(h / options_.regions_per_tag);
     if (spam) {
-      partials.push_back({tag, 1.0e9, 1.0e3});
+      votes.push_back({tag, 1.0e9, 1.0e3});
     } else {
-      partials.push_back({tag, home.regional.Decision(x), home.weight});
+      votes.push_back({tag, home.regional.Decision(x), home.weight});
     }
   }
   if (Tracer* tracer = net_.tracer()) {
-    // Runs inside the request message's delivery, so the marker lands
-    // in the prediction's trace at the super-peer.
-    tracer->Instant("super_peer_vote", sim_.Now(), owner, tracer->current());
+    // Runs inside the request message's delivery, so the marker lands in
+    // the prediction's trace at the super-peer.
+    tracer->Instant("super_peer_vote", sim_.Now(), owner,
+                    trace != nullptr ? *trace : tracer->current());
   }
-  return partials;
 }
 
 void Cempar::EnqueueBatch(NodeId requester, NodeId owner, BatchMember member) {
@@ -489,12 +420,12 @@ void Cempar::EnqueueBatch(NodeId requester, NodeId owner, BatchMember member) {
     const uint64_t gen = batch.generation;
     // First member opens the window; companions queued before it closes
     // ride the same round-trip.
-    sim_.Schedule(options_.batch_window_seconds, [this, key, gen] {
+    sim_.Schedule(kBatchWindowSeconds, [this, key, gen] {
       auto it = batches_.find(key);
       if (it == batches_.end() || it->second.generation != gen) return;
       FlushBatch(key.first, key.second);
     });
-  } else if (batch.members.size() >= options_.max_batch) {
+  } else if (batch.members.size() >= kMaxBatch) {
     FlushBatch(requester, owner);
   }
 }
@@ -516,19 +447,24 @@ void Cempar::FlushBatch(NodeId requester, NodeId owner) {
   }
   // One coalesced round-trip: the batch pays a single admission charge and
   // a single ACK exchange for every member.
-  transport_->SendReliable(
+  ReliableTransport* transport = runtime_.transport();
+  auto fail_all = [members] {
+    for (const BatchMember& m : *members) m.fail();
+  };
+  transport->SendReliable(
       requester, owner, request_bytes, MessageType::kPredictionRequest,
       /*on_deliver=*/
-      [this, owner, requester, members] {
+      [this, transport, owner, requester, members, fail_all] {
         auto all =
             std::make_shared<std::vector<std::vector<PredictVote>>>();
         std::size_t response_bytes = 0;
         all->reserve(members->size());
         for (const BatchMember& m : *members) {
-          all->push_back(EvaluateHomes(owner, m.home_list, m.x));
+          all->emplace_back();
+          EvaluateHomes(owner, m.home_list, m.x, all->back());
           response_bytes += ResponseBytes(all->back().size());
         }
-        transport_->SendReliable(
+        transport->SendReliable(
             owner, requester, response_bytes, MessageType::kPredictionResponse,
             /*on_deliver=*/
             [members, all] {
@@ -536,63 +472,85 @@ void Cempar::FlushBatch(NodeId requester, NodeId owner) {
                 (*members)[i].deliver((*all)[i]);
               }
             },
-            /*on_acked=*/nullptr,
-            /*on_give_up=*/
-            [members] {
-              for (const BatchMember& m : *members) m.fail();
-            });
+            /*on_acked=*/nullptr, /*on_give_up=*/fail_all);
       },
-      /*on_acked=*/nullptr,
-      /*on_give_up=*/
-      [members] {
-        for (const BatchMember& m : *members) m.fail();
-      });
+      /*on_acked=*/nullptr, /*on_give_up=*/fail_all);
+}
+
+void Cempar::AggregateVotes(const std::vector<PredictVote>& votes,
+                            std::vector<double>& scores) {
+  // Requester-side robust voting. Two layers, both inert on honest
+  // traffic: (1) the sanitation gate drops non-finite or absurdly large
+  // scores (the vote-spam signature), (2) with reputation on, a per-tag
+  // median trim drops outliers that stayed under the magnitude bound.
+  std::vector<char> keep(votes.size(), 1);
+  uint64_t discarded = 0;
+  if (options_.sanitize.enabled) {
+    for (std::size_t i = 0; i < votes.size(); ++i) {
+      const PredictVote& v = votes[i];
+      if (!std::isfinite(v.score) || !std::isfinite(v.weight) ||
+          std::fabs(v.score) > options_.sanitize.max_abs_value ||
+          v.weight < 0.0 || v.weight > options_.sanitize.max_abs_value) {
+        keep[i] = 0;
+        ++discarded;
+      }
+    }
+  }
+  if (runtime_.reputation() != nullptr && !votes.empty()) {
+    std::vector<std::vector<double>> per_tag(num_tags_);
+    for (std::size_t i = 0; i < votes.size(); ++i) {
+      if (keep[i] != 0 && votes[i].tag < num_tags_) {
+        per_tag[votes[i].tag].push_back(votes[i].score);
+      }
+    }
+    std::vector<double> median(num_tags_, 0.0);
+    std::vector<char> trimmable(num_tags_, 0);
+    for (TagId t = 0; t < num_tags_; ++t) {
+      if (per_tag[t].size() < 3) continue;  // no majority to trim against
+      std::sort(per_tag[t].begin(), per_tag[t].end());
+      median[t] = per_tag[t][per_tag[t].size() / 2];
+      trimmable[t] = 1;
+    }
+    for (std::size_t i = 0; i < votes.size(); ++i) {
+      const PredictVote& v = votes[i];
+      if (keep[i] == 0 || v.tag >= num_tags_ || trimmable[v.tag] == 0) {
+        continue;
+      }
+      if (std::fabs(v.score - median[v.tag]) > kVoteOutlierThreshold) {
+        keep[i] = 0;
+        ++discarded;
+      }
+    }
+  }
+  if (discarded > 0) runtime_.RecordDiscarded(discarded);
+  // Surviving votes are summed in arrival order.
+  std::vector<double> weight_sum(num_tags_, 0.0);
+  std::vector<double> score_sum(num_tags_, 0.0);
+  for (std::size_t i = 0; i < votes.size(); ++i) {
+    const PredictVote& v = votes[i];
+    if (keep[i] == 0 || v.tag >= num_tags_) continue;
+    score_sum[v.tag] += v.weight * v.score;
+    weight_sum[v.tag] += v.weight;
+  }
+  for (TagId t = 0; t < num_tags_; ++t) {
+    if (weight_sum[t] > 0.0) scores[t] = score_sum[t] / weight_sum[t];
+  }
 }
 
 void Cempar::Predict(NodeId requester, const SparseVector& x,
                      std::function<void(P2PPrediction)> done) {
-  if (!trained_ || requester >= peer_data_.size() ||
-      !net_.IsOnline(requester)) {
-    sim_.Schedule(0.0, [done = std::move(done)] {
-      done({{}, {}, false});
-    });
-    return;
-  }
-
   // Requester-side versioned cache: a hit answers instantly with zero
   // network traffic and zero super-peer load — how a flash crowd on a hot
   // document set is absorbed before it reaches the serving queues.
-  if (cache_ != nullptr) {
-    PredictionCache& cache = cache_->ForNode(requester);
-    const uint64_t key = FingerprintVector(x);
-    CacheOutcome oc = CacheOutcome::kMiss;
-    const P2PPrediction* hit =
-        cache.Lookup(key, publish_epoch_, sim_.Now(), &oc);
-    if (MetricsRegistry* metrics = net_.metrics()) {
-      const char* family = oc == CacheOutcome::kHit     ? "cache_hits"
-                           : oc == CacheOutcome::kStale ? "cache_stale"
-                                                        : "cache_misses";
-      metrics->GetCounter(family, {{"classifier", "cempar"}}).Increment();
-    }
-    if (hit != nullptr) {
-      P2PPrediction out = *hit;
-      out.cached = true;
-      sim_.Schedule(0.0, [done = std::move(done), out = std::move(out)] {
-        done(std::move(out));
-      });
-      return;
-    }
-  }
+  const bool ready = trained_ && requester < peer_data_.size();
+  if (runtime_.AnswerEarly(ready, requester, x, done)) return;
 
   struct PredictCtx {
-    using Vote = PredictVote;
     /// Every vote in arrival order. Aggregation happens at finalize so the
     /// requester can gate and trim; surviving votes are summed in exactly
     /// this order, which keeps clean runs bit-identical to the old
     /// accumulate-on-arrival code.
-    std::vector<Vote> votes;
-    std::vector<double> weight_sum;
-    std::vector<double> score_sum;
+    std::vector<PredictVote> votes;
     std::size_t remaining = 0;
     std::size_t responded = 0;
     /// Request groups shed by admission control (fire-and-forget or local
@@ -605,8 +563,6 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
     SimTime started = 0.0;
   };
   auto ctx = std::make_shared<PredictCtx>();
-  ctx->weight_sum.assign(num_tags_, 0.0);
-  ctx->score_sum.assign(num_tags_, 0.0);
   ctx->done = std::move(done);
   ctx->started = sim_.Now();
   if (Tracer* tracer = net_.tracer()) {
@@ -618,93 +574,24 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
     if (--ctx->remaining > 0) return;
     P2PPrediction out;
     out.scores.assign(num_tags_, 0.0);
-    PhaseScope profile("vote");
-    Stopwatch vote_wall;
-    // Requester-side robust voting. Two layers, both inert on honest
-    // traffic: (1) the sanitation gate drops non-finite or absurdly large
-    // scores (the vote-spam signature), (2) with reputation on, a per-tag
-    // median trim drops outliers that stayed under the magnitude bound.
-    std::vector<char> keep(ctx->votes.size(), 1);
-    uint64_t discarded = 0;
-    if (options_.sanitize.enabled) {
-      for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-        const PredictCtx::Vote& v = ctx->votes[i];
-        if (!std::isfinite(v.score) || !std::isfinite(v.weight) ||
-            std::fabs(v.score) > options_.sanitize.max_abs_value ||
-            v.weight < 0.0 || v.weight > options_.sanitize.max_abs_value) {
-          keep[i] = 0;
-          ++discarded;
-        }
+    {
+      PhaseTimer timer = runtime_.Time(Phase::kVote);
+      AggregateVotes(ctx->votes, out.scores);
+      out.success = ctx->responded > 0;
+      if (!out.success && runtime_.transport() != nullptr &&
+          LocalScores(requester, x, out.scores)) {
+        // Every remote path exhausted its retry budget: degrade to the
+        // requester's own local models rather than failing outright.
+        out.success = true;
+        out.degraded = true;
       }
+      out.tags = out.success ? DecideTags(out.scores, options_.policy)
+                             : std::vector<TagId>{};
     }
-    if (reputation_ != nullptr && !ctx->votes.empty()) {
-      std::vector<std::vector<double>> per_tag(num_tags_);
-      for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-        if (keep[i] != 0 && ctx->votes[i].tag < num_tags_) {
-          per_tag[ctx->votes[i].tag].push_back(ctx->votes[i].score);
-        }
-      }
-      std::vector<double> median(num_tags_, 0.0);
-      std::vector<char> trimmable(num_tags_, 0);
-      for (TagId t = 0; t < num_tags_; ++t) {
-        if (per_tag[t].size() < 3) continue;  // no majority to trim against
-        std::sort(per_tag[t].begin(), per_tag[t].end());
-        median[t] = per_tag[t][per_tag[t].size() / 2];
-        trimmable[t] = 1;
-      }
-      for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-        const PredictCtx::Vote& v = ctx->votes[i];
-        if (keep[i] == 0 || v.tag >= num_tags_ || trimmable[v.tag] == 0) {
-          continue;
-        }
-        if (std::fabs(v.score - median[v.tag]) >
-            options_.vote_outlier_threshold) {
-          keep[i] = 0;
-          ++discarded;
-        }
-      }
+    if (Histogram* hist = runtime_.phase(Phase::kPredict)) {
+      hist->Observe(sim_.Now() - ctx->started);
     }
-    if (discarded > 0) {
-      votes_discarded_ += discarded;
-      if (MetricsRegistry* metrics = net_.metrics()) {
-        metrics
-            ->GetCounter("votes_discarded", {{"classifier", "cempar"}})
-            .Increment(discarded);
-      }
-    }
-    for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-      const PredictCtx::Vote& v = ctx->votes[i];
-      if (keep[i] == 0 || v.tag >= num_tags_) continue;
-      ctx->score_sum[v.tag] += v.weight * v.score;
-      ctx->weight_sum[v.tag] += v.weight;
-    }
-    for (TagId t = 0; t < num_tags_; ++t) {
-      if (ctx->weight_sum[t] > 0.0) {
-        out.scores[t] = ctx->score_sum[t] / ctx->weight_sum[t];
-      }
-    }
-    out.success = ctx->responded > 0;
-    if (!out.success && transport_ != nullptr &&
-        LocalScores(requester, x, out.scores)) {
-      // Every remote path exhausted its retry budget: degrade to the
-      // requester's own local models rather than failing outright.
-      out.success = true;
-      out.degraded = true;
-    }
-    out.tags = out.success ? DecideTags(out.scores, options_.policy)
-                           : std::vector<TagId>{};
-    if (MetricsRegistry* metrics = net_.metrics()) {
-      PhaseHistogram(metrics, "vote")->Observe(vote_wall.ElapsedSeconds());
-      PhaseHistogram(metrics, "predict")
-          ->Observe(sim_.Now() - ctx->started);
-      metrics
-          ->GetCounter("predictions",
-                       {{"classifier", "cempar"},
-                        {"outcome", !out.success  ? "failed"
-                                    : out.degraded ? "degraded"
-                                                   : "ok"}})
-          .Increment();
-    }
+    runtime_.CountPrediction(out);
     if (Tracer* tracer = net_.tracer()) {
       tracer->AddArg(ctx->span, "responded", std::to_string(ctx->responded));
       tracer->AddArg(ctx->span, "success", out.success ? "true" : "false");
@@ -715,21 +602,12 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
     // was shed — the caller may retry with backoff rather than treat this
     // as a reachability failure.
     if (!out.success && ctx->shed > 0) out.overloaded = true;
-    if (cache_ != nullptr && out.success && !out.degraded) {
-      cache_->ForNode(requester)
-          .Insert(FingerprintVector(x), publish_epoch_, sim_.Now(), out);
-    }
+    runtime_.CacheAnswer(requester, x, out);
     ctx->done(std::move(out));
   };
 
   // Resolve the owner of every home (from cache when allowed), then group
   // homes by owner so the document vector travels once per super-peer.
-  struct Resolution {
-    std::vector<std::pair<std::size_t, NodeId>> resolved;  // (home, owner)
-    std::size_t outstanding = 0;
-  };
-  auto res = std::make_shared<Resolution>();
-
   auto dispatch = [this, ctx, requester, x, finalize_one](
                       const std::vector<std::pair<std::size_t, NodeId>>&
                           resolved) {
@@ -745,13 +623,14 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
       return;
     }
     ctx->remaining = groups.size();
+    ReliableTransport* transport = runtime_.transport();
     for (const auto& [owner, home_list] : groups) {
       if (owner == requester) {
         // Local super-peer: evaluate without network traffic — but the
         // evaluation itself still occupies the serving queue.
         double local_delay = 0.0;
-        if (serve_ != nullptr) {
-          Admission a = AdmitServe(owner);
+        if (runtime_.serve_queue() != nullptr) {
+          Admission a = runtime_.Admit(owner);
           if (a.outcome != AdmitOutcome::kAccept) {
             ++ctx->shed;
             sim_.Schedule(0.0, finalize_one);
@@ -763,22 +642,7 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
         // behavior belongs to the responding super-peer, whoever that is.)
         sim_.Schedule(local_delay,
                       [this, ctx, owner, home_list, x, finalize_one] {
-          const AdversaryDirectory* adv = net_.adversaries();
-          const bool spam =
-              adv != nullptr && adv->BehaviorAt(owner, sim_.Now()) ==
-                                    AdversaryBehavior::kVoteSpam;
-          for (std::size_t h : home_list) {
-            const Home& home = homes_[h];
-            if (home.owner != owner || !home.has_regional) continue;
-            TagId tag =
-                static_cast<TagId>(h / options_.regions_per_tag);
-            if (spam) {
-              ctx->votes.push_back({tag, 1.0e9, 1.0e3});
-            } else {
-              ctx->votes.push_back(
-                  {tag, home.regional.Decision(x), home.weight});
-            }
-          }
+          EvaluateHomes(owner, home_list, x, ctx->votes, &ctx->span);
           ++ctx->responded;
           finalize_one();
         });
@@ -786,14 +650,14 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
       }
       // Super-peer evaluates all queried homes it actually hosts.
       auto evaluate = [this, owner, home_list, x] {
-        return std::make_shared<std::vector<PredictCtx::Vote>>(
-            EvaluateHomes(owner, home_list, x));
+        auto partials = std::make_shared<std::vector<PredictVote>>();
+        EvaluateHomes(owner, home_list, x, *partials);
+        return partials;
       };
-      auto accumulate =
-          [ctx](std::shared_ptr<std::vector<PredictCtx::Vote>> partials) {
-            for (const auto& p : *partials) ctx->votes.push_back(p);
-            ++ctx->responded;
-          };
+      auto accumulate = [ctx](const std::vector<PredictVote>& partials) {
+        for (const auto& p : partials) ctx->votes.push_back(p);
+        ++ctx->responded;
+      };
       auto invalidate = [this, requester, home_list] {
         // Request lost: invalidate cached owners so the next prediction
         // re-resolves through the DHT.
@@ -803,33 +667,8 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
           }
         }
       };
-      if (transport_ && options_.batch_predictions) {
-        // Batched reliable path: park this group in the (requester, owner)
-        // batch; the flush sends one coalesced round-trip for every member.
-        auto settle = [finalize_one,
-                       flag = std::make_shared<bool>(false)]() mutable {
-          if (*flag) return;
-          *flag = true;
-          finalize_one();
-        };
-        BatchMember m;
-        m.x = x;
-        m.home_list = home_list;
-        m.deliver = [ctx,
-                     settle](const std::vector<PredictVote>& partials) mutable {
-          for (const auto& p : partials) ctx->votes.push_back(p);
-          ++ctx->responded;
-          settle();
-        };
-        m.fail = [invalidate, settle]() mutable {
-          invalidate();
-          settle();
-        };
-        EnqueueBatch(requester, owner, std::move(m));
-        continue;
-      }
-      if (transport_) {
-        // Reliable path. A group can settle through several routes
+      if (transport != nullptr) {
+        // Reliable paths. A group can settle through several routes
         // (response delivered, response given up at the responder, request
         // given up after the data still slipped through) — the flag makes
         // the group's finalize idempotent.
@@ -839,28 +678,42 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
           *flag = true;
           finalize_one();
         };
-        transport_->SendReliable(
+        auto fail = [invalidate, settle]() mutable {
+          invalidate();
+          settle();
+        };
+        if (options_.batch_predictions) {
+          // Batched: park this group in the (requester, owner) batch; the
+          // flush sends one coalesced round-trip for every member.
+          BatchMember m;
+          m.x = x;
+          m.home_list = home_list;
+          m.deliver = [accumulate, settle](
+                          const std::vector<PredictVote>& partials) mutable {
+            accumulate(partials);
+            settle();
+          };
+          m.fail = fail;
+          EnqueueBatch(requester, owner, std::move(m));
+          continue;
+        }
+        transport->SendReliable(
             requester, owner, RequestBytes(x), MessageType::kPredictionRequest,
             /*on_deliver=*/
-            [this, owner, requester, evaluate, accumulate, settle] {
+            [transport, owner, requester, evaluate, accumulate, settle] {
               auto partials = evaluate();
-              transport_->SendReliable(
+              transport->SendReliable(
                   owner, requester, ResponseBytes(partials->size()),
                   MessageType::kPredictionResponse,
                   /*on_deliver=*/
                   [accumulate, partials, settle]() mutable {
-                    accumulate(partials);
+                    accumulate(*partials);
                     settle();
                   },
                   /*on_acked=*/nullptr,
                   /*on_give_up=*/settle);
             },
-            /*on_acked=*/nullptr,
-            /*on_give_up=*/
-            [invalidate, settle]() mutable {
-              invalidate();
-              settle();
-            });
+            /*on_acked=*/nullptr, /*on_give_up=*/fail);
         continue;
       }
       net_.Send(
@@ -870,8 +723,8 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
             // a response (the sender cannot be NACKed without a reliable
             // channel), so the requester's group finalizes empty.
             double serve_delay = 0.0;
-            if (serve_ != nullptr) {
-              Admission a = AdmitServe(owner);
+            if (runtime_.serve_queue() != nullptr) {
+              Admission a = runtime_.Admit(owner);
               if (a.outcome != AdmitOutcome::kAccept) {
                 net_.stats().RecordDrop(MessageType::kPredictionRequest,
                                         DropReason::kOverloadShed);
@@ -888,7 +741,7 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
                   owner, requester, ResponseBytes(partials->size()),
                   MessageType::kPredictionResponse,
                   [accumulate, partials, finalize_one] {
-                    accumulate(partials);
+                    accumulate(*partials);
                     finalize_one();
                   },
                   finalize_one);
@@ -910,35 +763,32 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
   // lookup (and the request/response traffic its continuation sends) stays
   // in the prediction's trace.
   ScopedTraceContext predict_scope(net_.tracer(), ctx->span);
-  res->outstanding = 1;  // root token
-  auto res_done = std::make_shared<std::function<void()>>();
-  *res_done = [res, dispatch]() {
-    if (--res->outstanding > 0) return;
-    dispatch(res->resolved);
-  };
+  // (home, owner) pairs in resolution order.
+  auto resolved =
+      std::make_shared<std::vector<std::pair<std::size_t, NodeId>>>();
+  auto lookups =
+      Barrier::Make([resolved, dispatch] { dispatch(*resolved); });
   for (std::size_t h = 0; h < homes_.size(); ++h) {
     auto& cache = owner_cache_[requester];
     auto it = cache.find(h);
     if (options_.cache_super_peer_lookups && it != cache.end()) {
-      res->resolved.emplace_back(h, it->second);
+      resolved->emplace_back(h, it->second);
       continue;
     }
-    ++res->outstanding;
-    TagId tag = static_cast<TagId>(h / options_.regions_per_tag);
-    std::size_t region = h % options_.regions_per_tag;
-    chord_.Lookup(requester, HomeKey(tag, region),
-                  [this, requester, h, res, res_done](
+    lookups->Join();
+    chord_.Lookup(requester, HomeKey(h),
+                  [this, requester, h, resolved, lookups](
                       ChordOverlay::LookupResult lr) {
       if (lr.success) {
-        res->resolved.emplace_back(h, lr.owner);
+        resolved->emplace_back(h, lr.owner);
         if (options_.cache_super_peer_lookups) {
           owner_cache_[requester][h] = lr.owner;
         }
       }
-      (*res_done)();
+      lookups->Settle();
     });
   }
-  (*res_done)();  // consume the root token
+  lookups->Settle();  // release the root token
 }
 
 void Cempar::RepairRound(std::function<void()> on_complete) {
@@ -946,50 +796,26 @@ void Cempar::RepairRound(std::function<void()> on_complete) {
   std::vector<bool> stale(homes_.size(), false);
   for (std::size_t h = 0; h < homes_.size(); ++h) {
     Home& home = homes_[h];
-    bool dead = home.owner == kInvalidNode || !net_.IsOnline(home.owner);
-    if (dead && home.standby_ready && home.standby != kInvalidNode &&
-        net_.IsOnline(home.standby)) {
-      // A live standby holds the replica: promote it instead of
-      // discarding the cascade and forcing a full re-upload.
-      home.owner = home.standby;
-      home.standby = kInvalidNode;
-      home.standby_ready = false;
-      dead = false;
-    }
-    if (dead) {
-      stale[h] = true;
-      // Models held at the dead node are gone.
-      home.locals.clear();
-      home.local_versions.clear();
-      home.has_regional = false;
-      home.weight = 0.0;
-      home.owner = kInvalidNode;
-      home.standby = kInvalidNode;
-      home.standby_ready = false;
-    }
+    // A live standby holds the replica: promote it instead of discarding
+    // the cascade and forcing a full re-upload.
+    if (home.owner != kInvalidNode && net_.IsOnline(home.owner)) continue;
+    if (PromoteStandby(home)) continue;
+    stale[h] = true;
+    home = Home{};  // models held at the dead node are gone
   }
 
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, on_complete = std::move(on_complete)] {
-    if (--*pending > 0) return;
-    CascadeAll();
-    ReplicateRegionals();
-    on_complete();
-  };
+  auto barrier = RecascadeAfter(std::move(on_complete));
 
   for (NodeId peer = 0; peer < local_models_.size(); ++peer) {
     if (!net_.IsOnline(peer)) continue;
     for (const auto& [h, model] : local_models_[peer]) {
       if (!stale[h]) continue;
-      TagId tag = static_cast<TagId>(h / options_.regions_per_tag);
-      std::size_t region = h % options_.regions_per_tag;
       owner_cache_[peer].erase(h);
-      ++*pending;
-      UploadModel(peer, tag, region, model, model_version_[peer], barrier);
+      barrier->Join();
+      UploadModel(peer, h, model, model_version_[peer], barrier);
     }
   }
-  (*barrier)();
+  barrier->Settle();
 }
 
 std::size_t Cempar::NumLiveHomes() const {
@@ -1042,23 +868,20 @@ void Cempar::ReplicateHome(std::size_t h) {
   if (home.standby == standby && home.standby_ready) return;
   home.standby = standby;
   home.standby_ready = false;
-  const std::size_t bytes = home.regional.WireSize() + 16;
   // The replica snapshot only becomes usable once it is *delivered*;
   // promotion checks standby_ready.
-  auto install = [this, h, standby] {
-    if (homes_[h].standby == standby) homes_[h].standby_ready = true;
-  };
-  if (transport_) {
-    transport_->SendReliable(home.owner, standby, bytes,
-                             MessageType::kModelReplicate, std::move(install));
-  } else {
-    net_.Send(home.owner, standby, bytes, MessageType::kModelReplicate,
-              std::move(install));
-  }
+  runtime_.Deliver(home.owner, standby, home.regional.WireSize() + 16,
+                   MessageType::kModelReplicate, [this, h, standby] {
+                     if (homes_[h].standby == standby) {
+                       homes_[h].standby_ready = true;
+                     }
+                   });
 }
 
 void Cempar::ReplicateRegionals() {
-  if (transport_ == nullptr || !options_.replicate_regional_models) return;
+  if (runtime_.transport() == nullptr || !options_.replicate_regional_models) {
+    return;
+  }
   for (std::size_t h = 0; h < homes_.size(); ++h) ReplicateHome(h);
 }
 
@@ -1072,29 +895,28 @@ void Cempar::OnSuspect(NodeId suspect) {
   }
   if (!options_.replicate_regional_models) return;
   for (std::size_t h = 0; h < homes_.size(); ++h) {
-    Home& home = homes_[h];
-    if (home.owner != suspect) continue;
-    if (!home.standby_ready || home.standby == kInvalidNode ||
-        !net_.IsOnline(home.standby)) {
-      continue;  // no usable replica; RepairRound can rebuild later
-    }
-    home.owner = home.standby;
-    home.standby = kInvalidNode;
-    home.standby_ready = false;
+    // Without a usable replica, RepairRound can rebuild the home later.
+    if (homes_[h].owner != suspect || !PromoteStandby(homes_[h])) continue;
     // Restore the replication invariant under the new primary.
     ReplicateHome(h);
   }
 }
 
-Result<std::string> Cempar::Snapshot(NodeId peer) const {
-  if (peer >= local_models_.size()) {
-    return Status::InvalidArgument("snapshot of unknown peer " +
-                                   std::to_string(peer));
+bool Cempar::PromoteStandby(Home& home) {
+  if (!home.standby_ready || home.standby == kInvalidNode ||
+      !net_.IsOnline(home.standby)) {
+    return false;
   }
+  home.owner = home.standby;
+  home.standby = kInvalidNode;
+  home.standby_ready = false;
+  return true;
+}
+
+Result<std::string> Cempar::Snapshot(NodeId peer) const {
+  if (peer >= local_models_.size()) return UnknownPeer("snapshot", peer);
   std::string out;
-  wire::PutU8(kCemparSnapshotVersion, out);
-  wire::PutU32(num_tags_, out);
-  wire::PutU32(static_cast<uint32_t>(options_.regions_per_tag), out);
+  PeerRuntime::PutSnapshotHeader(num_tags_, options_.regions_per_tag, out);
   wire::PutU32(static_cast<uint32_t>(local_models_[peer].size()), out);
   for (const auto& [home, model] : local_models_[peer]) {
     wire::PutU64(home, out);
@@ -1104,26 +926,10 @@ Result<std::string> Cempar::Snapshot(NodeId peer) const {
 }
 
 Status Cempar::Restore(NodeId peer, const std::string& blob) {
-  if (peer >= local_models_.size()) {
-    return Status::InvalidArgument("restore of unknown peer " +
-                                   std::to_string(peer));
-  }
+  if (peer >= local_models_.size()) return UnknownPeer("restore", peer);
   std::size_t offset = 0;
-  Result<uint8_t> version = wire::GetU8(blob, offset);
-  if (!version.ok()) return version.status();
-  if (version.value() != kCemparSnapshotVersion) {
-    return Status::InvalidArgument("unsupported cempar snapshot version " +
-                                   std::to_string(version.value()));
-  }
-  Result<uint32_t> num_tags = wire::GetU32(blob, offset);
-  if (!num_tags.ok()) return num_tags.status();
-  Result<uint32_t> regions = wire::GetU32(blob, offset);
-  if (!regions.ok()) return regions.status();
-  if (num_tags.value() != num_tags_ ||
-      regions.value() != options_.regions_per_tag) {
-    return Status::InvalidArgument(
-        "cempar snapshot was taken under a different configuration");
-  }
+  P2PDT_RETURN_IF_ERROR(runtime_.GetSnapshotHeader(
+      blob, offset, num_tags_, options_.regions_per_tag));
   Result<uint32_t> count = wire::GetU32(blob, offset);
   if (!count.ok()) return count.status();
   // Every entry needs at least a home id (8) and a length prefix (4); a
@@ -1146,16 +952,13 @@ Status Cempar::Restore(NodeId peer, const std::string& blob) {
     if (!bytes.ok()) return bytes.status();
     Result<KernelSvmModel> model = DeserializeKernelSvm(bytes.value());
     if (!model.ok()) return model.status();
-    if (options_.sanitize.enabled) {
-      // A checkpoint is an ingestion point like any other: a tampered blob
-      // that parses cleanly must still pass content sanitation.
-      ModelRejectReason reason =
-          SanitizeKernelModel(model.value(), options_.sanitize);
-      if (reason != ModelRejectReason::kNone) {
-        RecordRejected(reason);
-        return RejectedModelStatus(reason);
-      }
-    }
+    // A checkpoint is an ingestion point like any other: a tampered blob
+    // that parses cleanly must still pass content sanitation.
+    const ModelRejectReason reason =
+        options_.sanitize.enabled
+            ? SanitizeKernelModel(model.value(), options_.sanitize)
+            : ModelRejectReason::kNone;
+    if (runtime_.Rejects(reason)) return RejectedModelStatus(reason);
     restored.emplace(static_cast<std::size_t>(home.value()),
                      std::move(model).value());
   }
@@ -1164,7 +967,7 @@ Status Cempar::Restore(NodeId peer, const std::string& blob) {
   }
   // Commit only after the whole blob parsed: restore is all-or-nothing.
   local_models_[peer] = std::move(restored);
-  BumpPublishEpoch();
+  runtime_.BumpPublishEpoch();
   return Status::OK();
 }
 
@@ -1172,37 +975,16 @@ void Cempar::EvictPeer(NodeId peer) {
   if (peer >= local_models_.size()) return;
   local_models_[peer].clear();
   owner_cache_[peer].clear();
-  BumpPublishEpoch();
+  runtime_.BumpPublishEpoch();
 }
 
 std::size_t Cempar::ColdRestart(NodeId peer) {
   if (peer >= peer_data_.size()) return 0;
-  local_models_[peer].clear();
-  owner_cache_[peer].clear();
-  BumpPublishEpoch();
-  const DatasetShard& data = peer_data_[peer];
-  if (data.empty()) return 0;
-  std::vector<std::size_t> counts = data.TagCounts();
-  const std::size_t region = peer % options_.regions_per_tag;
-  std::size_t examples_refit = 0;
-  for (TagId tag = 0; tag < num_tags_; ++tag) {
-    if (tag >= counts.size() || counts[tag] == 0) continue;
-    // Same trainer, same data, same options as the original fit: SMO is
-    // deterministic, so the recovered models are bit-identical and only
-    // the work is different from a warm restore.
-    Result<KernelSvmModel> model =
-        TrainKernelSvm(data.OneAgainstAll(tag), options_.svm);
-    if (!model.ok()) {
-      P2PDT_LOG(Warning) << "peer " << peer << " tag " << tag
-                         << " cold-restart SVM failed: "
-                         << model.status().ToString();
-      continue;
-    }
-    local_models_[peer].emplace(HomeIndex(tag, region),
-                                std::move(model).value());
-    examples_refit += data.size();
-  }
-  return examples_refit;
+  EvictPeer(peer);
+  // Same trainer, same data, same options as the original fit: SMO is
+  // deterministic, so the recovered models are bit-identical and only the
+  // work is different from a warm restore.
+  return RefitLocals(peer, "cold-restart") * peer_data_[peer].size();
 }
 
 void Cempar::ResyncPeer(NodeId peer, std::function<void()> done) {
@@ -1211,16 +993,13 @@ void Cempar::ResyncPeer(NodeId peer, std::function<void()> done) {
 }
 
 Status Cempar::ReplacePeerData(NodeId peer, DatasetShard window) {
-  if (peer >= peer_data_.size()) {
-    return Status::InvalidArgument("replace data of unknown peer " +
-                                   std::to_string(peer));
-  }
+  if (peer >= peer_data_.size()) return UnknownPeer("replace data", peer);
   window.set_num_tags(num_tags_);
   peer_data_[peer] = std::move(window);
-  if (reputation_ != nullptr) {
-    // Trust scoring cross-validates against the peer's current window, so
-    // refreshed contributors are judged on the data regime they now model.
-    reputation_->SetHoldout(peer, peer_data_[peer]);
+  // Trust scoring cross-validates against the peer's current window, so
+  // refreshed contributors are judged on the data regime they now model.
+  if (ReputationManager* reputation = runtime_.reputation()) {
+    reputation->SetHoldout(peer, peer_data_[peer]);
   }
   return Status::OK();
 }
@@ -1237,47 +1016,21 @@ void Cempar::RefreshPeer(NodeId peer, std::function<void()> done) {
   const uint32_t version = ++model_version_[peer];
   // The version bump invalidates cached predictions immediately, before
   // any re-upload lands (the coherence rule: never serve across a bump).
-  BumpPublishEpoch();
-  Stopwatch refresh_wall;
-  local_models_[peer].clear();
-  const DatasetShard& data = peer_data_[peer];
-  std::vector<std::size_t> counts = data.TagCounts();
-  const std::size_t region = peer % options_.regions_per_tag;
-  for (TagId tag = 0; tag < num_tags_; ++tag) {
-    if (tag >= counts.size() || counts[tag] == 0) continue;
-    Result<KernelSvmModel> model =
-        TrainKernelSvm(data.OneAgainstAll(tag), options_.svm);
-    if (!model.ok()) {
-      P2PDT_LOG(Warning) << "peer " << peer << " tag " << tag
-                         << " refresh SVM failed: "
-                         << model.status().ToString();
-      continue;
-    }
-    local_models_[peer].emplace(HomeIndex(tag, region),
-                                std::move(model).value());
-  }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "model_refresh")) {
-    hist->Observe(refresh_wall.ElapsedSeconds());
+  runtime_.BumpPublishEpoch();
+  {
+    PhaseTimer timer = runtime_.Time(Phase::kModelRefresh);
+    RefitLocals(peer, "refresh");
   }
 
   // Re-upload through the normal (possibly reliable) upload path; each
   // home's version-guarded intake evicts the stored old-version local and
   // re-cascades once the traffic quiesces — same barrier shape as Train.
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, done = std::move(done)] {
-    if (--*pending > 0) return;
-    CascadeAll();
-    ReplicateRegionals();
-    done();
-  };
+  auto barrier = RecascadeAfter(std::move(done));
   for (const auto& [h, model] : local_models_[peer]) {
-    TagId tag = static_cast<TagId>(h / options_.regions_per_tag);
-    std::size_t home_region = h % options_.regions_per_tag;
-    ++*pending;
-    UploadModel(peer, tag, home_region, model, version, barrier);
+    barrier->Join();
+    UploadModel(peer, h, model, version, barrier);
   }
-  sim_.Schedule(0.0, [barrier] { (*barrier)(); });  // consume root token
+  sim_.Schedule(0.0, [barrier] { barrier->Settle(); });  // root token
 }
 
 uint64_t Cempar::ModelVersion(NodeId peer) const {

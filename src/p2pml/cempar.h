@@ -10,11 +10,8 @@
 #include "ml/multilabel.h"
 #include "ml/sanitize.h"
 #include "p2pml/p2p_classifier.h"
-#include "p2pml/predict_cache.h"
-#include "p2pml/reputation.h"
+#include "p2pml/peer_runtime.h"
 #include "p2psim/chord.h"
-#include "p2psim/serve_queue.h"
-#include "p2psim/transport.h"
 
 namespace p2pdt {
 
@@ -64,15 +61,8 @@ struct CemparOptions {
   /// bit-identical.
   SanitizeOptions sanitize;
   /// Cross-validation reputation + quarantine at super-peers (opt-in
-  /// defense layer).
+  /// defense layer). With it on, the requester also trims outlier votes.
   ReputationOptions reputation;
-  /// With reputation on, a response score deviating more than this from the
-  /// per-tag median (3+ votes) is discarded as an outlier — the trimmed
-  /// vote that stops under-the-radar spam the magnitude gate admits. Honest
-  /// regional models for one tag never disagree by anything close to this
-  /// (|decision| is bounded by C · #SV + |bias|), so the trim is inert in
-  /// clean runs.
-  double vote_outlier_threshold = 1.0e4;
   /// Finite serving capacity + admission control at super-peers: accepted
   /// prediction requests queue behind the super-peer's evaluations, shed
   /// ones come back as a typed overload reject the requester handles by
@@ -83,12 +73,9 @@ struct CemparOptions {
   PredictCacheOptions predict_cache;
   /// Coalesce prediction requests queued for the same super-peer into one
   /// round-trip (reliable transport only). A batch pays one admission
-  /// charge and one ACK exchange for up to max_batch documents — the
-  /// flash-crowd amortization. Off by default.
+  /// charge and one ACK exchange for up to 16 documents — the flash-crowd
+  /// amortization. Off by default.
   bool batch_predictions = false;
-  /// How long the first queued request waits for companions (sim seconds).
-  double batch_window_seconds = 0.02;
-  std::size_t max_batch = 16;
 };
 
 /// CEMPaR (Ang et al., ECML/PKDD 2009): communication-efficient P2P
@@ -114,12 +101,10 @@ class Cempar final : public P2PClassifier {
   Cempar(Simulator& sim, PhysicalNetwork& net, ChordOverlay& chord,
          CemparOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
-  /// Native flyweight path: stores the shard views directly — per-peer
-  /// training data is never copied, only indexed. Training is lazy: the
-  /// one-against-all reductions materialize per (peer, tag) cell at fit
-  /// time and are dropped right after.
+  /// Stores the shard views directly — per-peer training data is never
+  /// copied, only indexed. Training is lazy: the one-against-all reductions
+  /// materialize per (peer, tag) cell at fit time and are dropped right
+  /// after.
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
@@ -175,27 +160,11 @@ class Cempar final : public P2PClassifier {
   /// experiments to kill exactly the super-peers.
   std::vector<NodeId> HomeOwners() const;
 
-  /// Non-null when options.reliable_transport is set. Exposed so tests and
-  /// harnesses can inspect suspicion state.
-  ReliableTransport* transport() { return transport_.get(); }
-
   /// Number of homes whose regional model currently has a standby replica.
   std::size_t NumReplicatedHomes() const;
 
-  /// Byzantine-defense counters (sanitation rejections, quarantines, ...).
-  DefenseStats defense_stats() const override;
-
-  /// Non-null when options.reputation.enabled (test access).
-  ReputationManager* reputation() { return reputation_.get(); }
-
-  /// Non-null when options.serve.enabled / options.predict_cache.enabled
-  /// (test access).
-  ServeQueueSet* serve_queue() { return serve_.get(); }
-  PredictCacheSet* predict_cache() { return cache_.get(); }
-
-  /// Model-publish epoch: bumped whenever any regional model (or a peer's
-  /// visibility of them) changes. The prediction cache's version key.
-  uint64_t publish_epoch() const { return publish_epoch_; }
+  /// Transport, serving queues, prediction cache and defense counters.
+  const PeerRuntime* runtime() const override { return &runtime_; }
 
  private:
   struct Home {
@@ -220,13 +189,20 @@ class Cempar final : public P2PClassifier {
   std::size_t HomeIndex(TagId tag, std::size_t region) const {
     return static_cast<std::size_t>(tag) * options_.regions_per_tag + region;
   }
-  uint64_t HomeKey(TagId tag, std::size_t region) const;
-  /// Uploads `model` (publish version `version`) to the (tag, region)
-  /// home. The install intake replaces the peer's stored local iff the
-  /// incoming version is strictly newer than the held one.
-  void UploadModel(NodeId peer, TagId tag, std::size_t region,
-                   KernelSvmModel model, uint32_t version,
-                   std::shared_ptr<std::function<void()>> barrier);
+  /// DHT key of home `h`: Hash(tag, region).
+  uint64_t HomeKey(std::size_t h) const;
+  /// Uploads `model` (publish version `version`) to home `h`, settling one
+  /// `barrier` token. The install intake replaces the peer's stored local
+  /// iff the incoming version is strictly newer than the held one.
+  void UploadModel(NodeId peer, std::size_t h, KernelSvmModel model,
+                   uint32_t version, std::shared_ptr<Barrier> barrier);
+  /// Refits every per-tag local SVM of `peer` from its current data into
+  /// local_models_[peer] (replacing what was there); returns the number of
+  /// tags fitted. `why` names the caller in failure logs.
+  std::size_t RefitLocals(NodeId peer, const char* why);
+  /// A barrier for upload traffic: once it settles, every home re-cascades
+  /// and re-replicates, then `done` runs.
+  std::shared_ptr<Barrier> RecascadeAfter(std::function<void()> done);
   void CascadeAll();
   /// Pushes a replica of home `h`'s regional model from its owner to the
   /// owner's first live successor.
@@ -235,13 +211,13 @@ class Cempar final : public P2PClassifier {
   /// Suspicion hook: promote standbys of every home owned by `suspect` and
   /// drop cached resolutions pointing at it.
   void OnSuspect(NodeId suspect);
+  /// Makes `home`'s standby its owner if the standby holds a delivered
+  /// replica and is online; returns whether it did.
+  bool PromoteStandby(Home& home);
   /// Degraded-mode scoring from the peer's own local models; returns false
   /// when the peer trained nothing.
   bool LocalScores(NodeId peer, const SparseVector& x,
                    std::vector<double>& scores) const;
-  /// Bumps models_rejected_ and the models_rejected{classifier,reason}
-  /// counter.
-  void RecordRejected(ModelRejectReason reason);
   /// Drops every local model `contributor` uploaded to homes collected at
   /// `observer` (called once, on the quarantine transition edge) and marks
   /// those homes dirty so the next CascadeAll rebuilds without them.
@@ -254,20 +230,20 @@ class Cempar final : public P2PClassifier {
     double weight;
   };
 
-  /// Super-peer side of a prediction: evaluates the queried homes `owner`
-  /// actually hosts against document `x` (honoring the vote-spam
-  /// adversary). Shared by the single-request and batched paths.
-  std::vector<PredictVote> EvaluateHomes(
-      NodeId owner, const std::vector<std::size_t>& home_list,
-      const SparseVector& x);
+  /// Requester-side robust vote over `votes` (arrival order): drops gated
+  /// and outlier votes, counting them as discarded, then writes each tag's
+  /// weight-averaged score into `scores`.
+  void AggregateVotes(const std::vector<PredictVote>& votes,
+                      std::vector<double>& scores);
 
-  /// Charges one request against `owner`'s serving queue and surfaces the
-  /// queue-health metrics. serve_ must be non-null.
-  Admission AdmitServe(NodeId owner);
-
-  /// Bumps the model-publish epoch (cache invalidation). Cheap and
-  /// unconditional; over-invalidation is safe, serving stale is not.
-  void BumpPublishEpoch() { ++publish_epoch_; }
+  /// Super-peer side of a prediction: appends to `votes` the scores of the
+  /// queried homes `owner` actually hosts for document `x` (honoring the
+  /// vote-spam adversary). Shared by the local, single-request and batched
+  /// paths. The super_peer_vote trace marker joins `trace` when given (a
+  /// local evaluation passes the prediction's span), else the delivery's.
+  void EvaluateHomes(NodeId owner, const std::vector<std::size_t>& home_list,
+                     const SparseVector& x, std::vector<PredictVote>& votes,
+                     const TraceContext* trace = nullptr);
 
   /// One queued request awaiting a coalesced super-peer round-trip.
   struct BatchMember {
@@ -292,16 +268,12 @@ class Cempar final : public P2PClassifier {
   PhysicalNetwork& net_;
   ChordOverlay& chord_;
   CemparOptions options_;
-  std::unique_ptr<ReliableTransport> transport_;
-  std::unique_ptr<ServeQueueSet> serve_;
-  std::unique_ptr<PredictCacheSet> cache_;
-  uint64_t publish_epoch_ = 0;
+  PeerRuntime runtime_;
   /// Batches being assembled, keyed by (requester, owner).
   std::map<std::pair<NodeId, NodeId>, PendingBatch> batches_;
   uint64_t batch_generation_ = 0;
 
-  /// Per-peer flyweight views into the shared training corpus (legacy
-  /// Setup wraps its materialized datasets into single-peer shards).
+  /// Per-peer flyweight views into the shared training corpus.
   std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   std::vector<Home> homes_;  // indexed by HomeIndex
@@ -313,11 +285,6 @@ class Cempar final : public P2PClassifier {
   /// Per-requester cache: home index -> last known owner.
   std::vector<std::unordered_map<std::size_t, NodeId>> owner_cache_;
   bool trained_ = false;
-
-  /// Non-null when options_.reputation.enabled.
-  std::unique_ptr<ReputationManager> reputation_;
-  uint64_t models_rejected_ = 0;
-  uint64_t votes_discarded_ = 0;
 };
 
 }  // namespace p2pdt

@@ -36,6 +36,8 @@ struct P2PPrediction {
   bool cached = false;
 };
 
+class PeerRuntime;
+
 /// Aggregate counters from the Byzantine-defense stack (sanitation +
 /// reputation), surfaced uniformly so the experiment harness and the
 /// poisoning sweep can report them per run. All zero when the defenses are
@@ -65,25 +67,22 @@ class P2PClassifier {
   virtual ~P2PClassifier() = default;
 
   /// Installs the per-peer training datasets; peer_data[i] belongs to
-  /// underlay node i. Must be called once before Train.
-  virtual Status Setup(std::vector<MultiLabelDataset> peer_data,
-                       TagId num_tags) = 0;
-
-  /// Flyweight setup: per-peer DatasetShard views into a shared immutable
-  /// corpus (see DistributeDataShared). The default materializes each shard
-  /// and delegates to Setup, so every protocol accepts shards; protocols
-  /// built for scale (CEMPaR, PACE) override this to store the views
-  /// directly and never copy a document. Results are bit-identical either
-  /// way.
-  virtual Status SetupShards(std::vector<DatasetShard> peer_data,
-                             TagId num_tags) {
-    std::vector<MultiLabelDataset> materialized;
-    materialized.reserve(peer_data.size());
-    for (const DatasetShard& shard : peer_data) {
-      materialized.push_back(shard.Materialize());
+  /// underlay node i. Must be called once before Train. Each dataset
+  /// becomes a single-peer shard (DatasetShard::Own) for SetupShards.
+  Status Setup(std::vector<MultiLabelDataset> peer_data, TagId num_tags) {
+    std::vector<DatasetShard> shards;
+    shards.reserve(peer_data.size());
+    for (MultiLabelDataset& data : peer_data) {
+      shards.push_back(DatasetShard::Own(std::move(data)));
     }
-    return Setup(std::move(materialized), num_tags);
+    return SetupShards(std::move(shards), num_tags);
   }
+
+  /// The one setup entry point: per-peer DatasetShard views into a shared
+  /// immutable corpus (see DistributeDataShared). CEMPaR and PACE store the
+  /// views and never copy a document.
+  virtual Status SetupShards(std::vector<DatasetShard> peer_data,
+                             TagId num_tags) = 0;
 
   /// Starts the distributed training protocol. `on_complete` fires (in
   /// simulated time) when the protocol quiesces.
@@ -97,9 +96,12 @@ class P2PClassifier {
   /// Protocol name for reports ("cempar", "pace", ...).
   virtual std::string name() const = 0;
 
-  /// Byzantine-defense counters; all-zero default for protocols without a
-  /// defense stack.
-  virtual DefenseStats defense_stats() const { return {}; }
+  /// The shared peer runtime (transport, serving queues, prediction cache,
+  /// defense bookkeeping); null for protocols without one.
+  virtual const PeerRuntime* runtime() const { return nullptr; }
+
+  /// Byzantine-defense counters; all zero for protocols without a runtime.
+  DefenseStats defense_stats() const;
 
   // --- Durability hooks (optional) -----------------------------------------
   //
@@ -188,6 +190,21 @@ class P2PClassifier {
   virtual uint64_t ModelVersion(NodeId peer) const {
     (void)peer;
     return 0;
+  }
+
+ protected:
+  /// SetupShards' precondition: one shard per underlay node.
+  static Status CheckOneShardPerNode(std::size_t shards,
+                                     const PhysicalNetwork& net) {
+    if (shards == net.num_nodes()) return Status::OK();
+    return Status::InvalidArgument(
+        "peer_data size must equal the number of underlay nodes");
+  }
+  /// The error for a per-peer call (`op` names it) on a peer id outside
+  /// the installed data.
+  static Status UnknownPeer(const char* op, NodeId peer) {
+    return Status::InvalidArgument(std::string(op) + " of unknown peer " +
+                                   std::to_string(peer));
   }
 };
 

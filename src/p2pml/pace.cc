@@ -5,10 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "common/metrics.h"
-#include "common/profile.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "ml/serialization.h"
 #include "p2psim/sharding.h"
@@ -17,49 +14,23 @@ namespace p2pdt {
 
 namespace {
 
-/// Version byte of the PACE peer-snapshot layout (the checkpoint envelope
-/// already guards integrity; this guards format evolution).
-constexpr uint8_t kPaceSnapshotVersion = 1;
-
-/// Per-phase latency family; resolved once per call site so recording
-/// stays lock-free (see MetricsRegistry).
-Histogram* PhaseHistogram(MetricsRegistry* metrics, const char* phase) {
-  if (metrics == nullptr) return nullptr;
-  return &metrics->GetHistogram(
-      "phase_seconds", {{"classifier", "pace"}, {"phase", phase}});
-}
+/// Reliable fill-in passes after a broadcast (Train's or a refresh's).
+constexpr std::size_t kMaxRepairRounds = 3;
 
 }  // namespace
 
 Pace::Pace(Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
            PaceOptions options)
-    : sim_(sim), net_(net), overlay_(overlay), options_(options) {
-  if (options_.reliable_dissemination) {
-    transport_ =
-        std::make_unique<ReliableTransport>(sim_, net_, options_.transport);
-  }
-  if (options_.serve.enabled) {
-    serve_ = std::make_unique<ServeQueueSet>(options_.serve);
-  }
-  if (options_.predict_cache.enabled) {
-    cache_ = std::make_unique<PredictCacheSet>(options_.predict_cache);
-  }
-}
-
-Status Pace::Setup(std::vector<MultiLabelDataset> peer_data, TagId num_tags) {
-  std::vector<DatasetShard> shards;
-  shards.reserve(peer_data.size());
-  for (MultiLabelDataset& data : peer_data) {
-    shards.push_back(DatasetShard::Own(std::move(data)));
-  }
-  return SetupShards(std::move(shards), num_tags);
-}
+    : sim_(sim),
+      net_(net),
+      overlay_(overlay),
+      options_(options),
+      runtime_(sim, net, "pace", options.reliable_dissemination,
+               options.transport, options.serve, options.predict_cache,
+               options.reputation) {}
 
 Status Pace::SetupShards(std::vector<DatasetShard> peer_data, TagId num_tags) {
-  if (peer_data.size() != net_.num_nodes()) {
-    return Status::InvalidArgument(
-        "peer_data size must equal the number of underlay nodes");
-  }
+  P2PDT_RETURN_IF_ERROR(CheckOneShardPerNode(peer_data.size(), net_));
   peer_data_ = std::move(peer_data);
   num_tags_ = num_tags;
   models_.assign(peer_data_.size(), {});
@@ -78,19 +49,7 @@ Status Pace::SetupShards(std::vector<DatasetShard> peer_data, TagId num_tags) {
   trained_ = false;
   bundle_verdict_.assign(peer_data_.size(), -1);
   predict_count_.assign(peer_data_.size(), 0);
-  models_rejected_ = 0;
-  votes_discarded_ = 0;
-  reputation_.reset();
-  if (options_.reputation.enabled) {
-    reputation_ = std::make_unique<ReputationManager>(options_.reputation,
-                                                      net_.metrics(), "pace");
-    reputation_->Reset(peer_data_.size());
-    // Holdouts are subsamples of (not carve-outs from) the local data, so
-    // trained models are unchanged by enabling reputation.
-    for (NodeId p = 0; p < peer_data_.size(); ++p) {
-      reputation_->SetHoldout(p, peer_data_[p]);
-    }
-  }
+  runtime_.Reset(peer_data_);
   return Status::OK();
 }
 
@@ -278,17 +237,6 @@ ModelRejectReason Pace::BundleVerdict(NodeId contributor) {
   return r;
 }
 
-void Pace::RecordRejected(ModelRejectReason reason) {
-  ++models_rejected_;
-  if (MetricsRegistry* metrics = net_.metrics()) {
-    metrics
-        ->GetCounter("models_rejected",
-                     {{"classifier", "pace"},
-                      {"reason", ModelRejectReasonToString(reason)}})
-        .Increment();
-  }
-}
-
 void Pace::AcceptBundle(NodeId receiver, NodeId contributor) {
   if (receiver >= received_.size() || contributor >= models_.size()) return;
   const uint32_t rank = contributor_rank_[contributor];
@@ -299,31 +247,24 @@ void Pace::AcceptBundle(NodeId receiver, NodeId contributor) {
   // [0, 1] (NaN -> 0) the moment a bundle arrives, reputation or not.
   // Identity for honest values, idempotent across repeat deliveries.
   for (double& a : pm.tag_accuracy) a = ClampAccuracy(a);
-  if (options_.sanitize.enabled) {
-    ModelRejectReason reason = BundleVerdict(contributor);
-    if (reason != ModelRejectReason::kNone) {
-      RecordRejected(reason);
-      return;  // refused: the bundle never becomes visible to this receiver
-    }
+  if (options_.sanitize.enabled &&
+      runtime_.Rejects(BundleVerdict(contributor))) {
+    return;  // refused: the bundle never becomes visible to this receiver
   }
-  if (reputation_ != nullptr && receiver != contributor) {
+  ReputationManager* reputation = runtime_.reputation();
+  if (reputation != nullptr && receiver != contributor) {
     double score =
-        reputation_->ScoreOneVsAll(receiver, pm.model, &pm.tag_informed);
-    if (score >= 0.0) reputation_->Observe(receiver, contributor, score);
-    if (reputation_->IsQuarantined(receiver, contributor)) {
-      RecordRejected(ModelRejectReason::kDistrusted);
+        reputation->ScoreOneVsAll(receiver, pm.model, &pm.tag_informed);
+    if (score >= 0.0) reputation->Observe(receiver, contributor, score);
+    if (reputation->IsQuarantined(receiver, contributor)) {
+      runtime_.Rejects(ModelRejectReason::kDistrusted);
       return;
     }
   }
-  received_[receiver][rank] = true;
-  // Monotonic version stamp: a late delivery of a superseded bundle can
-  // never downgrade a receiver that already ingested the fresh one.
-  if (pm.version > HeldVersion(receiver, rank)) {
-    SetHeldVersion(receiver, rank, pm.version);
-  }
+  MarkHeld(receiver, contributor);
   // The receiver's visible ensemble changed: cached predictions computed
   // without this bundle are now stale.
-  BumpPublishEpoch();
+  runtime_.BumpPublishEpoch();
 }
 
 void Pace::ProbeQuarantined(NodeId requester) {
@@ -331,37 +272,23 @@ void Pace::ProbeQuarantined(NodeId requester) {
   // honestly (trust climbs past readmit_threshold) and keeps decaying ones
   // out. Honest runs have no quarantined pairs, so this is a strict no-op
   // there — the bit-identical-baseline requirement.
+  ReputationManager* reputation = runtime_.reputation();
   for (NodeId p : contributors_) {
     if (p == requester || !models_[p].valid) continue;
-    if (!reputation_->IsQuarantined(requester, p)) continue;
+    if (!reputation->IsQuarantined(requester, p)) continue;
     if (options_.sanitize.enabled &&
         BundleVerdict(p) != ModelRejectReason::kNone) {
       continue;  // still malformed; nothing to re-evaluate
     }
-    double score = reputation_->ScoreOneVsAll(requester, models_[p].model,
-                                              &models_[p].tag_informed);
+    double score = reputation->ScoreOneVsAll(requester, models_[p].model,
+                                             &models_[p].tag_informed);
     if (score < 0.0) continue;
-    reputation_->Observe(requester, p, score);
-    if (!reputation_->IsQuarantined(requester, p)) {
+    reputation->Observe(requester, p, score);
+    if (!reputation->IsQuarantined(requester, p)) {
       // Re-admitted: re-ingest the retained bundle copy (current version).
-      const uint32_t rank = contributor_rank_[p];
-      received_[requester][rank] = true;
-      if (models_[p].version > HeldVersion(requester, rank)) {
-        SetHeldVersion(requester, rank, models_[p].version);
-      }
+      MarkHeld(requester, p);
     }
   }
-}
-
-DefenseStats Pace::defense_stats() const {
-  DefenseStats s;
-  s.models_rejected = models_rejected_;
-  s.votes_discarded = votes_discarded_;
-  if (reputation_ != nullptr) {
-    s.quarantined = reputation_->num_quarantined();
-    s.trust_observations = reputation_->observations();
-  }
-  return s;
 }
 
 void Pace::Train(std::function<void(Status)> on_complete) {
@@ -377,26 +304,21 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   }
   // Resolved on the driver thread; workers record wall time per peer
   // lock-free (null when metrics are disabled).
-  Histogram* train_hist = PhaseHistogram(net_.metrics(), "local_train");
+  Histogram* train_hist = runtime_.phase(Phase::kLocalTrain);
   ShardPlanOptions plan;
   plan.shards = options_.sim_shards;
   plan.num_threads = options_.num_threads;
   plan.seed = options_.svm.seed;
   ShardedPhase(training_peers.size(), plan,
                [&](std::size_t i, Rng&) -> UniqueFunction {
-                 PhaseScope profile("local_train");
-                 Stopwatch peer_wall;
+                 PhaseTimer timer(Phase::kLocalTrain, train_hist);
                  TrainLocal(training_peers[i]);
-                 if (train_hist != nullptr) {
-                   train_hist->Observe(peer_wall.ElapsedSeconds());
-                 }
                  return {};  // all protocol traffic is issued below
                });
 
   // Build the shared LSH index over all contributed centroids.
-  Stopwatch index_wall;
   {
-    PhaseScope profile("lsh_index");
+    PhaseTimer timer = runtime_.Time(Phase::kLshIndex);
     for (NodeId peer = 0; peer < models_.size(); ++peer) {
       if (!models_[peer].valid) continue;
       for (std::size_t c = 0; c < models_[peer].centroids.size(); ++c) {
@@ -405,26 +327,18 @@ void Pace::Train(std::function<void(Status)> on_complete) {
       }
     }
   }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "lsh_index")) {
-    hist->Observe(index_wall.ElapsedSeconds());
-  }
 
   // Dissemination phase: every contributor broadcasts its bundle; each
   // delivery marks visibility at the receiver. Everyone trivially "has"
   // its own model. With reliable dissemination on, the broadcast stays
   // best-effort and the repair passes afterwards close the gaps.
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, on_complete = std::move(on_complete)] {
-    if (--*pending > 0) return;
+  auto barrier = Barrier::Make([this, on_complete = std::move(on_complete)] {
     repair_rounds_run_ = 0;
-    if (transport_ != nullptr) {
-      RepairRound(0, std::move(on_complete));
-      return;
-    }
-    trained_ = true;
-    on_complete(Status::OK());
-  };
+    RepairRound(0, kInvalidNode, [this, on_complete] {
+      trained_ = true;
+      on_complete(Status::OK());
+    });
+  });
 
   // Broadcasts launch in contributor order through a sliding window: each
   // completion launches the next contributor. With the window unlimited
@@ -432,7 +346,7 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   // runs — byte-for-byte the legacy schedule; a finite window only bounds
   // how many dissemination trees the event queue materializes at once,
   // which is what keeps the 100k-peer run inside memory.
-  Histogram* bcast_hist = PhaseHistogram(net_.metrics(), "model_broadcast");
+  Histogram* bcast_hist = runtime_.phase(Phase::kModelBroadcast);
   struct BroadcastWindow {
     std::vector<NodeId> order;
     std::size_t next = 0;
@@ -441,7 +355,7 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   for (NodeId peer : contributors_) {
     if (!models_[peer].valid) continue;
     window->order.push_back(peer);
-    ++*pending;
+    barrier->Join();
   }
   auto launch = std::make_shared<std::function<void()>>();
   // The launcher holds only a weak self-reference (no shared_ptr cycle);
@@ -462,7 +376,7 @@ void Pace::Train(std::function<void(Status)> on_complete) {
             bcast_hist->Observe(sim_.Now() - bcast_started);
           }
           if (self != nullptr) (*self)();
-          (*barrier)();
+          barrier->Settle();
         });
   };
   const std::size_t in_flight = options_.max_concurrent_broadcasts == 0
@@ -471,17 +385,19 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   for (std::size_t i = 0; i < in_flight && i < window->order.size(); ++i) {
     (*launch)();
   }
-  (*barrier)();
+  barrier->Settle();
 }
 
-void Pace::RepairRound(std::size_t round,
-                       std::function<void(Status)> on_complete) {
+void Pace::RepairRound(std::size_t round, NodeId only,
+                       std::function<void()> done) {
+  // Best-effort dissemination runs no repair passes.
+  if (runtime_.transport() == nullptr) return done();
   // Pairs still missing: contributor's bundle never reached the receiver.
   // Realistically receivers piggyback have-lists on gossip; the simulation
   // reads received_ directly and charges the full repair traffic.
   std::vector<std::pair<NodeId, NodeId>> missing;  // (contributor, receiver)
   for (NodeId p : contributors_) {
-    if (!models_[p].valid) continue;
+    if ((only != kInvalidNode && p != only) || !models_[p].valid) continue;
     for (NodeId q = 0; q < received_.size(); ++q) {
       // Holds is version-aware: a receiver stuck on a superseded bundle
       // counts as missing and gets the fresh one.
@@ -489,94 +405,46 @@ void Pace::RepairRound(std::size_t round,
       missing.emplace_back(p, q);
     }
   }
-  if (missing.empty() || round >= options_.max_repair_rounds) {
-    trained_ = true;
-    on_complete(Status::OK());
+  if (missing.empty() || round >= kMaxRepairRounds) {
+    done();
     return;
   }
   ++repair_rounds_run_;
 
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, pending, round,
-              on_complete = std::move(on_complete)]() mutable {
-    if (--*pending > 0) return;
-    RepairRound(round + 1, std::move(on_complete));
-  };
-
+  auto barrier =
+      Barrier::Make([this, round, only, done = std::move(done)]() mutable {
+        RepairRound(round + 1, only, std::move(done));
+      });
   for (const auto& [p, q] : missing) {
-    ++*pending;
-    transport_->SendReliable(
+    barrier->Join();
+    runtime_.transport()->SendReliable(
         p, q, models_[p].wire_size, MessageType::kModelBroadcast,
         /*on_deliver=*/
         [this, p, q] { AcceptBundle(q, p); },
-        /*on_acked=*/[barrier] { (*barrier)(); },
-        /*on_give_up=*/[barrier] { (*barrier)(); });
+        /*on_acked=*/[barrier] { barrier->Settle(); },
+        /*on_give_up=*/[barrier] { barrier->Settle(); });
   }
-  (*barrier)();
+  barrier->Settle();
 }
 
 void Pace::Predict(NodeId requester, const SparseVector& x,
                    std::function<void(P2PPrediction)> done) {
-  if (!trained_ || requester >= peer_data_.size() ||
-      !net_.IsOnline(requester)) {
-    sim_.Schedule(0.0, [done = std::move(done)] {
-      done({{}, {}, false});
-    });
-    return;
-  }
-
   // Requester-side versioned cache: a hit answers instantly with zero
   // compute and zero queue pressure — how a flash crowd on a hot document
   // set is absorbed.
-  uint64_t cache_key = 0;
-  PredictionCache* cache = nullptr;
-  if (cache_ != nullptr) {
-    cache = &cache_->ForNode(requester);
-    cache_key = FingerprintVector(x);
-    CacheOutcome oc = CacheOutcome::kMiss;
-    const P2PPrediction* hit =
-        cache->Lookup(cache_key, publish_epoch_, sim_.Now(), &oc);
-    if (MetricsRegistry* metrics = net_.metrics()) {
-      const char* family = oc == CacheOutcome::kHit     ? "cache_hits"
-                           : oc == CacheOutcome::kStale ? "cache_stale"
-                                                        : "cache_misses";
-      metrics->GetCounter(family, {{"classifier", "pace"}}).Increment();
-    }
-    if (hit != nullptr) {
-      P2PPrediction out = *hit;
-      out.cached = true;
-      sim_.Schedule(0.0, [done = std::move(done), out = std::move(out)] {
-        done(std::move(out));
-      });
-      return;
-    }
-  }
+  const bool ready = trained_ && requester < peer_data_.size();
+  if (runtime_.AnswerEarly(ready, requester, x, done)) return;
 
   // PACE serves locally, so the requester's own serving queue is the
   // bottleneck a burst saturates. Shed requests get the typed overloaded
   // reject without consuming any capacity.
   double serve_delay = 0.0;
-  if (serve_ != nullptr) {
-    Admission a = serve_->Admit(requester, sim_.Now());
-    if (MetricsRegistry* metrics = net_.metrics()) {
-      metrics->GetGauge("serve_queue_depth", {{"classifier", "pace"}})
-          .Set(static_cast<double>(a.depth));
-    }
+  if (runtime_.serve_queue() != nullptr) {
+    Admission a = runtime_.Admit(requester);
     if (a.outcome != AdmitOutcome::kAccept) {
-      if (MetricsRegistry* metrics = net_.metrics()) {
-        metrics
-            ->GetCounter("requests_shed",
-                         {{"classifier", "pace"},
-                          {"reason", AdmitOutcomeToString(a.outcome)}})
-            .Increment();
-      }
-      P2PPrediction out;
-      out.success = false;
-      out.overloaded = true;
-      sim_.Schedule(0.0, [done = std::move(done), out = std::move(out)] {
-        done(std::move(out));
-      });
+      runtime_.Answer(0.0, std::move(done),
+                      {.tags = {}, .scores = {}, .success = false,
+                       .overloaded = true});
       return;
     }
     serve_delay = a.delay;
@@ -589,7 +457,8 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
     tracer->AddArg(span, "requester", std::to_string(requester));
   }
 
-  if (reputation_ != nullptr) {
+  ReputationManager* reputation = runtime_.reputation();
+  if (reputation != nullptr) {
     // Probation cadence: every Nth prediction this requester re-examines
     // its quarantined contributors (no-op when there are none).
     ++predict_count_[requester];
@@ -602,32 +471,27 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
     // vote; count each exclusion per prediction served.
     for (NodeId p : contributors_) {
       if (received_[requester][contributor_rank_[p]] && models_[p].valid &&
-          reputation_->IsQuarantined(requester, p)) {
-        ++votes_discarded_;
-        if (MetricsRegistry* metrics = net_.metrics()) {
-          metrics->GetCounter("votes_discarded", {{"classifier", "pace"}})
-              .Increment();
-        }
+          reputation->IsQuarantined(requester, p)) {
+        runtime_.RecordDiscarded(1);
       }
     }
   }
-  auto eligible = [this, requester](NodeId peer) {
+  auto eligible = [this, requester, reputation](NodeId peer) {
     if (!Holds(requester, peer) || !models_[peer].valid) return false;
-    return reputation_ == nullptr ||
-           !reputation_->IsQuarantined(requester, peer);
+    return reputation == nullptr ||
+           !reputation->IsQuarantined(requester, peer);
   };
 
   // Entirely local: retrieve candidate models via LSH (multi-probe until we
   // have enough), filter to models this peer actually received, rank by
   // true centroid distance, keep top-k.
-  Stopwatch retrieve_wall;
   struct Scored {
     NodeId peer;
     double dist2;
   };
   std::vector<Scored> nearest;
   {
-    PhaseScope profile("top_k_retrieve");
+    PhaseTimer timer = runtime_.Time(Phase::kTopKRetrieve);
     std::vector<std::size_t> candidates =
         index_->QueryAtLeast(x, options_.top_k * 4);
 
@@ -671,98 +535,64 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
     });
     if (nearest.size() > options_.top_k) nearest.resize(options_.top_k);
   }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "top_k_retrieve")) {
-    hist->Observe(retrieve_wall.ElapsedSeconds());
-  }
 
   P2PPrediction out;
   out.scores.assign(num_tags_, 0.0);
-  if (nearest.empty()) {
-    out.success = false;
-    if (MetricsRegistry* metrics = net_.metrics()) {
-      metrics
-          ->GetCounter("predictions",
-                       {{"classifier", "pace"}, {"outcome", "failed"}})
-          .Increment();
+  out.success = !nearest.empty();
+  if (out.success) {
+    PhaseTimer timer = runtime_.Time(Phase::kVote);
+    std::vector<double> weight_sum(num_tags_, 0.0);
+    for (const Scored& s : nearest) {
+      const PeerModel& pm = models_[s.peer];
+      const double dist_w = 1.0 / (1.0 + std::sqrt(s.dist2));
+      // Suspect contributors (low but not quarantine-level trust) vote with
+      // min(self-reported, observed) accuracy, scaled by trust — the
+      // reputation-weighted replacement for PACE's self-reported weighting.
+      // Never triggers for honest contributors, whose trust stays high.
+      const bool suspect =
+          reputation != nullptr && reputation->IsSuspect(requester, s.peer);
+      for (TagId t = 0; t < num_tags_; ++t) {
+        const BinaryClassifier* m = pm.model.model(t);
+        // Explicit bounds guards: a dimension-mismatch adversary ships
+        // per-tag vectors shorter than num_tags_, which must degrade to "no
+        // vote", never to an out-of-bounds read.
+        if (m == nullptr || t >= pm.tag_informed.size() ||
+            t >= pm.tag_accuracy.size() || !pm.tag_informed[t]) {
+          continue;
+        }
+        double acc = ClampAccuracy(pm.tag_accuracy[t]);
+        if (suspect) {
+          acc = std::min(acc,
+                         reputation->ObservedAccuracy(requester, s.peer));
+        }
+        double w = std::max(acc, 1e-6) * dist_w;
+        if (suspect) w *= reputation->Trust(requester, s.peer);
+        out.scores[t] += w * m->Decision(x);
+        weight_sum[t] += w;
+      }
     }
-    if (tracer != nullptr) {
-      tracer->AddArg(span, "success", "false");
-      tracer->EndSpan(span, sim_.Now());
-    }
-    sim_.Schedule(serve_delay, [done = std::move(done), out = std::move(out)] {
-      done(std::move(out));
-    });
-    return;
-  }
-
-  Stopwatch vote_wall;
-  PhaseScope vote_profile("vote");
-  std::vector<double> weight_sum(num_tags_, 0.0);
-  for (const Scored& s : nearest) {
-    const PeerModel& pm = models_[s.peer];
-    double dist_w =
-        1.0 / std::pow(1.0 + std::sqrt(s.dist2), options_.distance_exponent);
-    // Suspect contributors (low but not quarantine-level trust) vote with
-    // min(self-reported, observed) accuracy, scaled by trust — the
-    // reputation-weighted replacement for PACE's self-reported weighting.
-    // Never triggers for honest contributors, whose trust stays high.
-    const bool suspect =
-        reputation_ != nullptr && reputation_->IsSuspect(requester, s.peer);
     for (TagId t = 0; t < num_tags_; ++t) {
-      const BinaryClassifier* m = pm.model.model(t);
-      // Explicit bounds guards: a dimension-mismatch adversary ships per-tag
-      // vectors shorter than num_tags_, which must degrade to "no vote",
-      // never to an out-of-bounds read.
-      if (m == nullptr || t >= pm.tag_informed.size() ||
-          t >= pm.tag_accuracy.size() || !pm.tag_informed[t]) {
-        continue;
-      }
-      double acc = ClampAccuracy(pm.tag_accuracy[t]);
-      if (suspect) {
-        acc = std::min(acc, reputation_->ObservedAccuracy(requester, s.peer));
-      }
-      double w =
-          std::pow(std::max(acc, 1e-6), options_.accuracy_exponent) * dist_w;
-      if (suspect) w *= reputation_->Trust(requester, s.peer);
-      out.scores[t] += w * m->Decision(x);
-      weight_sum[t] += w;
+      if (weight_sum[t] > 0.0) out.scores[t] /= weight_sum[t];
     }
+    out.tags = DecideTags(out.scores, options_.policy);
   }
-  for (TagId t = 0; t < num_tags_; ++t) {
-    if (weight_sum[t] > 0.0) out.scores[t] /= weight_sum[t];
-  }
-  out.tags = DecideTags(out.scores, options_.policy);
-  out.success = true;
-  if (MetricsRegistry* metrics = net_.metrics()) {
-    PhaseHistogram(metrics, "vote")->Observe(vote_wall.ElapsedSeconds());
-    metrics
-        ->GetCounter("predictions",
-                     {{"classifier", "pace"}, {"outcome", "ok"}})
-        .Increment();
-  }
+  runtime_.CountPrediction(out);
   if (tracer != nullptr) {
-    tracer->AddArg(span, "voters", std::to_string(nearest.size()));
-    tracer->AddArg(span, "success", "true");
+    if (out.success) {
+      tracer->AddArg(span, "voters", std::to_string(nearest.size()));
+    }
+    tracer->AddArg(span, "success", out.success ? "true" : "false");
     tracer->EndSpan(span, sim_.Now());
   }
-  if (cache != nullptr) {
-    cache->Insert(cache_key, publish_epoch_, sim_.Now(), out);
-  }
-  sim_.Schedule(serve_delay, [done = std::move(done), out = std::move(out)] {
-    done(std::move(out));
-  });
+  runtime_.CacheAnswer(requester, x, out);
+  runtime_.Answer(serve_delay, std::move(done), std::move(out));
 }
 
 Result<std::string> Pace::Snapshot(NodeId peer) const {
-  if (peer >= models_.size()) {
-    return Status::InvalidArgument("snapshot of unknown peer " +
-                                   std::to_string(peer));
-  }
+  if (peer >= models_.size()) return UnknownPeer("snapshot", peer);
   const PeerModel& pm = models_[peer];
   std::string out;
-  wire::PutU8(kPaceSnapshotVersion, out);
-  wire::PutU32(num_tags_, out);
-  wire::PutU32(static_cast<uint32_t>(models_.size()), out);
+  PeerRuntime::PutSnapshotHeader(num_tags_, models_.size(), out);
   wire::PutU8(pm.valid ? 1 : 0, out);
   if (pm.valid) {
     wire::PutBytes(SerializeOneVsAll(pm.model), out);
@@ -784,25 +614,10 @@ Result<std::string> Pace::Snapshot(NodeId peer) const {
 }
 
 Status Pace::Restore(NodeId peer, const std::string& blob) {
-  if (peer >= models_.size()) {
-    return Status::InvalidArgument("restore of unknown peer " +
-                                   std::to_string(peer));
-  }
+  if (peer >= models_.size()) return UnknownPeer("restore", peer);
   std::size_t offset = 0;
-  Result<uint8_t> version = wire::GetU8(blob, offset);
-  if (!version.ok()) return version.status();
-  if (version.value() != kPaceSnapshotVersion) {
-    return Status::InvalidArgument("unsupported pace snapshot version " +
-                                   std::to_string(version.value()));
-  }
-  Result<uint32_t> num_tags = wire::GetU32(blob, offset);
-  if (!num_tags.ok()) return num_tags.status();
-  Result<uint32_t> num_peers = wire::GetU32(blob, offset);
-  if (!num_peers.ok()) return num_peers.status();
-  if (num_tags.value() != num_tags_ || num_peers.value() != models_.size()) {
-    return Status::InvalidArgument(
-        "pace snapshot was taken under a different configuration");
-  }
+  P2PDT_RETURN_IF_ERROR(
+      runtime_.GetSnapshotHeader(blob, offset, num_tags_, models_.size()));
   Result<uint8_t> valid = wire::GetU8(blob, offset);
   if (!valid.ok()) return valid.status();
 
@@ -876,10 +691,7 @@ Status Pace::Restore(NodeId peer, const std::string& blob) {
     if (reason == ModelRejectReason::kNone) {
       reason = SanitizeCentroids(restored.centroids, options_.sanitize);
     }
-    if (reason != ModelRejectReason::kNone) {
-      RecordRejected(reason);
-      return RejectedModelStatus(reason);
-    }
+    if (runtime_.Rejects(reason)) return RejectedModelStatus(reason);
   }
   // Commit only after the whole blob parsed: restore is all-or-nothing.
   // The version counter is store-side publish metadata, not checkpoint
@@ -891,15 +703,13 @@ Status Pace::Restore(NodeId peer, const std::string& blob) {
   // versions reset to 0 (the snapshot predates versioning): any contributor
   // that refreshed since is honestly treated as missing until resync.
   models_[peer] = std::move(restored);
-  received_[peer].assign(contributors_.size(), false);
-  received_version_[peer].clear();
+  EvictPeer(peer);
   for (NodeId p = 0; p < row.size(); ++p) {
     if (row[p] && contributor_rank_[p] != kNoRank) {
       received_[peer][contributor_rank_[p]] = true;
     }
   }
   bundle_verdict_[peer] = -1;
-  BumpPublishEpoch();
   return Status::OK();
 }
 
@@ -911,25 +721,21 @@ void Pace::EvictPeer(NodeId peer) {
   // destroy; visibility is entirely received_[q][rank(peer)].
   received_[peer].assign(contributors_.size(), false);
   received_version_[peer].clear();
-  BumpPublishEpoch();
+  runtime_.BumpPublishEpoch();
 }
 
 std::size_t Pace::ColdRestart(NodeId peer) {
   if (peer >= peer_data_.size()) return 0;
-  received_[peer].assign(contributors_.size(), false);
-  received_version_[peer].clear();
-  BumpPublishEpoch();
+  EvictPeer(peer);
   const DatasetShard& data = peer_data_[peer];
   if (data.empty()) return 0;
   TrainLocal(peer);
   if (!models_[peer].valid) return 0;
   AcceptBundle(peer, peer);
-  std::vector<std::size_t> counts = data.TagCounts();
-  std::size_t informed_tags = 0;
-  for (std::size_t c : counts) {
-    if (c > 0) ++informed_tags;
-  }
-  return data.size() * informed_tags;
+  const std::vector<std::size_t> counts = data.TagCounts();
+  return data.size() * static_cast<std::size_t>(std::count_if(
+                           counts.begin(), counts.end(),
+                           [](std::size_t c) { return c > 0; }));
 }
 
 void Pace::ResyncPeer(NodeId peer, std::function<void()> done) {
@@ -937,55 +743,27 @@ void Pace::ResyncPeer(NodeId peer, std::function<void()> done) {
     sim_.Schedule(0.0, std::move(done));
     return;
   }
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [pending, done = std::move(done)] {
-    if (--*pending > 0) return;
-    done();
-  };
+  auto barrier = Barrier::Make(std::move(done));
   for (NodeId p : contributors_) {
     if (p == peer || !models_[p].valid || Holds(peer, p)) continue;
     // SRM-style repair: *any* online peer holding p's bundle can serve it,
     // not only the contributor — so a bundle stays recoverable as long as
     // one live copy exists, even while its contributor is offline.
-    NodeId sender = kInvalidNode;
-    if (net_.IsOnline(p)) {
-      sender = p;
-    } else {
-      for (NodeId q = 0; q < received_.size(); ++q) {
-        if (q != peer && Holds(q, p) && net_.IsOnline(q)) {
-          sender = q;
-          break;
-        }
-      }
+    NodeId sender = net_.IsOnline(p) ? p : kInvalidNode;
+    for (NodeId q = 0; sender == kInvalidNode && q < received_.size(); ++q) {
+      if (q != peer && Holds(q, p) && net_.IsOnline(q)) sender = q;
     }
     if (sender == kInvalidNode) continue;  // no live copy anywhere
-    ++*pending;
-    auto deliver = [this, p, peer] { AcceptBundle(peer, p); };
-    if (transport_ != nullptr) {
-      transport_->SendReliable(
-          sender, peer, models_[p].wire_size, MessageType::kModelBroadcast,
-          std::move(deliver), /*on_acked=*/[barrier] { (*barrier)(); },
-          /*on_give_up=*/[barrier] { (*barrier)(); });
-    } else {
-      net_.Send(
-          sender, peer, models_[p].wire_size, MessageType::kModelBroadcast,
-          [deliver = std::move(deliver), barrier] {
-            deliver();
-            (*barrier)();
-          },
-          [barrier] { (*barrier)(); });
-    }
+    barrier->Join();
+    runtime_.Deliver(
+        sender, peer, models_[p].wire_size, MessageType::kModelBroadcast,
+        [this, p, peer] { AcceptBundle(peer, p); },
+        [barrier] { barrier->Settle(); });
   }
-  sim_.Schedule(0.0, [barrier] { (*barrier)(); });  // consume root token
+  sim_.Schedule(0.0, [barrier] { barrier->Settle(); });  // root token
 }
 
 double Pace::ModelCoverage() const {
-  std::size_t contributors = 0;
-  for (const auto& m : models_) {
-    if (m.valid) ++contributors;
-  }
-  if (contributors == 0) return 0.0;
   std::size_t have = 0, want = 0;
   for (NodeId q = 0; q < received_.size(); ++q) {
     if (!net_.IsOnline(q)) continue;
@@ -1000,10 +778,7 @@ double Pace::ModelCoverage() const {
 }
 
 Status Pace::ReplacePeerData(NodeId peer, DatasetShard window) {
-  if (peer >= peer_data_.size()) {
-    return Status::InvalidArgument("replace data of unknown peer " +
-                                   std::to_string(peer));
-  }
+  if (peer >= peer_data_.size()) return UnknownPeer("replace data", peer);
   if (contributor_rank_[peer] == kNoRank && !window.empty()) {
     // The receipt matrix is rank-compressed over setup-time contributors;
     // a peer that contributed nothing then cannot start publishing mid-run.
@@ -1014,10 +789,10 @@ Status Pace::ReplacePeerData(NodeId peer, DatasetShard window) {
   window.set_num_tags(num_tags_);
   peer_data_[peer] = std::move(window);
   bundle_verdict_[peer] = -1;  // next publish is a different bundle
-  if (reputation_ != nullptr) {
-    // The cross-validation holdout tracks the peer's current window, so
-    // trust scoring reflects the data regime models are judged against.
-    reputation_->SetHoldout(peer, peer_data_[peer]);
+  // The cross-validation holdout tracks the peer's current window, so trust
+  // scoring reflects the data regime models are judged against.
+  if (ReputationManager* reputation = runtime_.reputation()) {
+    reputation->SetHoldout(peer, peer_data_[peer]);
   }
   return Status::OK();
 }
@@ -1030,8 +805,10 @@ void Pace::RefreshPeer(NodeId peer, std::function<void()> done) {
     return;
   }
   const uint32_t next_version = models_[peer].version + 1;
-  Stopwatch refresh_wall;
-  TrainLocal(peer);  // deterministic per-(peer,tag) seeds, like Train
+  {
+    PhaseTimer timer = runtime_.Time(Phase::kModelRefresh);
+    TrainLocal(peer);  // deterministic per-(peer,tag) seeds, like Train
+  }
   if (!models_[peer].valid) {
     sim_.Schedule(0.0, std::move(done));
     return;
@@ -1039,15 +816,12 @@ void Pace::RefreshPeer(NodeId peer, std::function<void()> done) {
   models_[peer].version = next_version;
   // The version bump invalidates cached predictions even if the refreshed
   // bundle is later refused at some ingestion gate.
-  BumpPublishEpoch();
+  runtime_.BumpPublishEpoch();
   // Index the refreshed centroids under the new stamp; the superseded
   // version's entries are now dead at query time (version mismatch).
   for (std::size_t c = 0; c < models_[peer].centroids.size(); ++c) {
     index_->Insert(index_items_.size(), models_[peer].centroids[c]);
     index_items_.push_back({peer, c, next_version});
-  }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "model_refresh")) {
-    hist->Observe(refresh_wall.ElapsedSeconds());
   }
 
   // Re-broadcast through the normal dissemination path; every delivery
@@ -1059,40 +833,15 @@ void Pace::RefreshPeer(NodeId peer, std::function<void()> done) {
       peer, models_[peer].wire_size, MessageType::kModelBroadcast,
       [this, peer](NodeId receiver) { AcceptBundle(receiver, peer); },
       [this, peer, done = std::move(done)]() mutable {
-        if (transport_ != nullptr) {
-          RefreshRepair(peer, 0, std::move(done));
-        } else {
+        if (runtime_.transport() == nullptr) {
           done();
+          return;
         }
+        // Refresh completes one event after the last fill-in settles.
+        RepairRound(0, peer, [this, done = std::move(done)]() mutable {
+          sim_.Schedule(0.0, std::move(done));
+        });
       });
-}
-
-void Pace::RefreshRepair(NodeId peer, std::size_t round,
-                         std::function<void()> done) {
-  std::vector<NodeId> missing;
-  for (NodeId q = 0; q < received_.size(); ++q) {
-    if (q == peer || Holds(q, peer) || !net_.IsOnline(q)) continue;
-    missing.push_back(q);
-  }
-  if (missing.empty() || round >= options_.max_repair_rounds) {
-    sim_.Schedule(0.0, std::move(done));
-    return;
-  }
-  auto pending = std::make_shared<std::size_t>(1);
-  auto barrier = std::make_shared<std::function<void()>>();
-  *barrier = [this, peer, round, pending, done = std::move(done)]() mutable {
-    if (--*pending > 0) return;
-    RefreshRepair(peer, round + 1, std::move(done));
-  };
-  for (NodeId q : missing) {
-    ++*pending;
-    transport_->SendReliable(
-        peer, q, models_[peer].wire_size, MessageType::kModelBroadcast,
-        /*on_deliver=*/[this, peer, q] { AcceptBundle(q, peer); },
-        /*on_acked=*/[barrier] { (*barrier)(); },
-        /*on_give_up=*/[barrier] { (*barrier)(); });
-  }
-  (*barrier)();
 }
 
 uint64_t Pace::ModelVersion(NodeId peer) const {

@@ -11,12 +11,9 @@
 #include "ml/multilabel.h"
 #include "ml/sanitize.h"
 #include "p2pml/p2p_classifier.h"
-#include "p2pml/predict_cache.h"
-#include "p2pml/reputation.h"
+#include "p2pml/peer_runtime.h"
 #include "p2psim/overlay.h"
-#include "p2psim/serve_queue.h"
 #include "p2psim/simulator.h"
-#include "p2psim/transport.h"
 
 namespace p2pdt {
 
@@ -29,11 +26,9 @@ struct PaceOptions {
   LshOptions lsh;
   /// Number of nearest models consulted per prediction.
   std::size_t top_k = 12;
-  /// Tag-assignment policy over the ensemble scores.
+  /// Tag-assignment policy over the ensemble scores. A consulted model
+  /// votes with weight accuracy / (1 + distance).
   TagDecisionPolicy policy;
-  /// Weighting of a consulted model: accuracy^a / (1 + dist)^b.
-  double accuracy_exponent = 1.0;
-  double distance_exponent = 1.0;
   /// Threads for the local-training phase (0 = global P2PDT_THREADS
   /// setting, 1 = serial). Only the pure compute of SVM fitting, accuracy
   /// estimation and clustering fans out, across peers; all simulator and
@@ -58,12 +53,10 @@ struct PaceOptions {
   /// Reliable dissemination: after the best-effort overlay broadcast, each
   /// contributor reliably unicasts its bundle to every online peer the
   /// broadcast missed (ACK / timeout / backoff / bounded retries), in up to
-  /// `max_repair_rounds` passes — the SRM-style repair that makes
-  /// `received_` converge under loss. Off by default (fire-and-forget
-  /// baseline).
+  /// three passes — the SRM-style repair that makes `received_` converge
+  /// under loss. Off by default (fire-and-forget baseline).
   bool reliable_dissemination = false;
   ReliableTransportOptions transport;
-  std::size_t max_repair_rounds = 3;
   /// Model sanitation at every bundle-ingestion point (broadcast receipt,
   /// repair, resync, self-ingest, checkpoint restore). On by default:
   /// honest bundles always pass, so baseline runs are bit-identical.
@@ -101,11 +94,9 @@ class Pace final : public P2PClassifier {
   Pace(Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
        PaceOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
-  /// Native flyweight path: stores the shard views directly — per-peer
-  /// training data is never copied. Training materializes each binary
-  /// reduction lazily, per (peer, tag), and drops it right after the fit.
+  /// Stores the shard views directly — per-peer training data is never
+  /// copied. Training materializes each binary reduction lazily, per
+  /// (peer, tag), and drops it right after the fit.
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
@@ -117,27 +108,11 @@ class Pace final : public P2PClassifier {
   /// contributor's model — 1.0 on a stable network, lower under churn.
   double ModelCoverage() const;
 
-  /// Non-null when options.reliable_dissemination is set.
-  ReliableTransport* transport() { return transport_.get(); }
-
-  /// Repair passes actually run during Train (diagnostics).
+  /// Repair passes run since Train's dissemination finished (diagnostics).
   std::size_t repair_rounds_run() const { return repair_rounds_run_; }
 
-  /// Byzantine-defense counters (sanitation rejections, quarantines, ...).
-  DefenseStats defense_stats() const override;
-
-  /// Non-null when options.reputation.enabled (test access).
-  ReputationManager* reputation() { return reputation_.get(); }
-
-  /// Non-null when options.serve.enabled / options.predict_cache.enabled
-  /// (test access).
-  ServeQueueSet* serve_queue() { return serve_.get(); }
-  PredictCacheSet* predict_cache() { return cache_.get(); }
-
-  /// Model-publish epoch: bumped whenever any peer's published model state
-  /// changes (train, refresh, restore, eviction, cold restart). The
-  /// prediction cache's version key.
-  uint64_t publish_epoch() const { return publish_epoch_; }
+  /// Transport, serving queues, prediction cache and defense counters.
+  const PeerRuntime* runtime() const override { return &runtime_; }
 
   // Durability: a PACE peer's crash-volatile state is its own trained
   // bundle (one-vs-all linear models, centroids, accuracy weights) plus
@@ -187,9 +162,10 @@ class Pace final : public P2PClassifier {
 
   void TrainLocal(NodeId peer);
   /// One reliable fill-in pass over every (contributor, receiver) pair the
-  /// dissemination missed so far; recurses until converged or the round
-  /// budget is spent, then completes training.
-  void RepairRound(std::size_t round, std::function<void(Status)> on_complete);
+  /// dissemination missed so far — only `only`'s pairs when it is a peer,
+  /// after a refresh. Recurses until converged or the round budget is
+  /// spent, then runs `done`.
+  void RepairRound(std::size_t round, NodeId only, std::function<void()> done);
 
   /// The single bundle-ingestion gate: every delivery (broadcast, repair,
   /// resync, self-ingest) lands here. Clamps the contributor's self-reported
@@ -200,25 +176,16 @@ class Pace final : public P2PClassifier {
   /// Memoized sanitation verdict for a contributor's current bundle (the
   /// verdict depends only on the bundle, so N receivers share one scan).
   ModelRejectReason BundleVerdict(NodeId contributor);
-  void RecordRejected(ModelRejectReason reason);
   /// Probation pass: re-scores the requester's *quarantined* contributors
   /// (only — honest runs have none, keeping the fast path untouched) and
   /// re-admits any whose trust recovered.
   void ProbeQuarantined(NodeId requester);
 
-  /// Bumps the model-publish epoch (cheap unconditional increment; callers
-  /// are the points where any published model changes). Over-invalidation
-  /// of the cache is safe — serving stale is not.
-  void BumpPublishEpoch() { ++publish_epoch_; }
-
   Simulator& sim_;
   PhysicalNetwork& net_;
   Overlay& overlay_;
   PaceOptions options_;
-  std::unique_ptr<ReliableTransport> transport_;
-  std::unique_ptr<ServeQueueSet> serve_;
-  std::unique_ptr<PredictCacheSet> cache_;
-  uint64_t publish_epoch_ = 0;
+  PeerRuntime runtime_;
   std::size_t repair_rounds_run_ = 0;
 
   /// Rank value for peers that contributed no data (and so can never have a
@@ -235,15 +202,18 @@ class Pace final : public P2PClassifier {
     }
     return received_version_[receiver][rank];
   }
-  void SetHeldVersion(NodeId receiver, uint32_t rank, uint32_t version) {
-    if (version == 0 && (receiver >= received_version_.size() ||
-                         received_version_[receiver].empty())) {
-      return;  // stationary fast path: nothing ever allocated
-    }
-    if (received_version_[receiver].empty()) {
-      received_version_[receiver].assign(contributors_.size(), 0);
-    }
-    received_version_[receiver][rank] = version;
+  /// `receiver` now holds `contributor`'s current bundle. The version stamp
+  /// is monotonic: a late delivery of a superseded bundle can never
+  /// downgrade a receiver that already ingested the fresh one. A version
+  /// row is allocated only once a refreshed (nonzero) version lands.
+  void MarkHeld(NodeId receiver, NodeId contributor) {
+    const uint32_t rank = contributor_rank_[contributor];
+    received_[receiver][rank] = true;
+    const uint32_t version = models_[contributor].version;
+    if (version <= HeldVersion(receiver, rank)) return;
+    std::vector<uint32_t>& row = received_version_[receiver];
+    if (row.empty()) row.assign(contributors_.size(), 0);
+    row[rank] = version;
   }
 
   /// True when `receiver` holds `contributor`'s *current* bundle. A copy of
@@ -257,13 +227,7 @@ class Pace final : public P2PClassifier {
            HeldVersion(receiver, rank) == models_[contributor].version;
   }
 
-  /// One reliable fill-in pass delivering `peer`'s refreshed bundle to the
-  /// receivers the re-broadcast missed; recurses up to max_repair_rounds.
-  void RefreshRepair(NodeId peer, std::size_t round,
-                     std::function<void()> done);
-
-  /// Per-peer flyweight views into the shared training corpus (legacy
-  /// Setup wraps its materialized datasets into single-peer shards).
+  /// Per-peer flyweight views into the shared training corpus.
   std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   std::vector<PeerModel> models_;  // one per underlay node
@@ -301,15 +265,11 @@ class Pace final : public P2PClassifier {
   std::vector<IndexItem> index_items_;
   bool trained_ = false;
 
-  /// Non-null when options_.reputation.enabled.
-  std::unique_ptr<ReputationManager> reputation_;
   /// Cached sanitation verdict per contributor (-1 = not yet scanned;
   /// invalidated by retraining/restore). Workers only touch their own slot.
   std::vector<int8_t> bundle_verdict_;
   /// Predictions served per requester, the probation clock.
   std::vector<uint32_t> predict_count_;
-  uint64_t models_rejected_ = 0;
-  uint64_t votes_discarded_ = 0;
 };
 
 }  // namespace p2pdt

@@ -21,7 +21,7 @@ class StubClassifier : public P2PClassifier {
   StubClassifier(Simulator& sim, double delay, StubMode mode = StubMode::kEcho)
       : sim_(sim), delay_(delay), mode_(mode) {}
 
-  Status Setup(std::vector<MultiLabelDataset>, TagId) override {
+  Status SetupShards(std::vector<DatasetShard>, TagId) override {
     return Status::OK();
   }
   void Train(std::function<void(Status)> done) override { done(Status::OK()); }

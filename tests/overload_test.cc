@@ -97,13 +97,7 @@ struct Trained {
   }
 
   const PredictCacheSet* cache() const {
-    if (auto* pace = dynamic_cast<Pace*>(algo.get())) {
-      return pace->predict_cache();
-    }
-    if (auto* cempar = dynamic_cast<Cempar*>(algo.get())) {
-      return cempar->predict_cache();
-    }
-    return nullptr;
+    return algo->runtime()->predict_cache();
   }
 };
 

@@ -122,25 +122,50 @@ TEST(ServiceDaemonTest, PredictRoundTripEchoesIdAndAnswer) {
   EXPECT_EQ(out.response.scores, want.scores);
 }
 
-TEST(ServiceDaemonTest, PipelinedRequestsAllAnswered) {
-  DaemonHarness h;
-  ServiceClient client = h.Connect();
-  constexpr int kCount = 50;
-  for (int i = 0; i < kCount; ++i) {
-    ASSERT_TRUE(client
-                    .SendFrame(FrameType::kPredictRequest,
-                               EncodePredictRequest(MakeRequest(
-                                   1000 + i, i % 8, i)))
-                    .ok());
+/// A document whose request frame is about `kib` KiB on the wire.
+SparseVector BigDoc(uint32_t salt, std::size_t kib) {
+  SparseVector v;
+  const std::size_t entries = kib * 1024 / 12;
+  for (std::size_t i = 0; i < entries; ++i) {
+    v.PushBack(static_cast<uint32_t>(salt + 2 * i), 0.5 + (i % 7));
   }
-  for (int i = 0; i < kCount; ++i) {
-    Frame frame;
-    ASSERT_TRUE(client.ReadFrame(frame, 10.0).ok()) << "reply " << i;
-    ASSERT_EQ(frame.type, FrameType::kPredictResponse);
-    Result<PredictResponse> resp = DecodePredictResponse(frame.payload);
-    ASSERT_TRUE(resp.ok());
-    // Responses come back in request order on one connection.
-    EXPECT_EQ(resp->id, static_cast<uint64_t>(1000 + i));
+  return v;
+}
+
+TEST(ServiceDaemonTest, PipelinedRequestsAllAnswered) {
+  // Every request is written before the first answer is read; responses
+  // come back in request order on one connection. The second input puts
+  // more than one frame bound (1 MiB) of healthy requests on the socket at
+  // once, which the daemon must drain frame by frame instead of rejecting
+  // as an overflow.
+  std::vector<PredictRequest> small;
+  for (int i = 0; i < 50; ++i) small.push_back(MakeRequest(1000 + i, i % 8, i));
+  std::vector<PredictRequest> large;
+  for (int i = 0; i < 2; ++i) {
+    PredictRequest req = MakeRequest(2000 + i, i, 0);
+    req.doc = BigDoc(3 + i, 700);
+    large.push_back(std::move(req));
+  }
+  for (const std::vector<PredictRequest>* input : {&small, &large}) {
+    DaemonHarness h;
+    ServiceClient client = h.Connect();
+    std::string burst;
+    for (const PredictRequest& req : *input) {
+      burst += EncodeFrame(FrameType::kPredictRequest,
+                           EncodePredictRequest(req));
+    }
+    ASSERT_TRUE(client.SendRaw(burst).ok());
+    for (const PredictRequest& req : *input) {
+      Frame frame;
+      ASSERT_TRUE(client.ReadFrame(frame, 10.0).ok()) << "reply " << req.id;
+      ASSERT_EQ(frame.type, FrameType::kPredictResponse) << "reply " << req.id;
+      Result<PredictResponse> resp = DecodePredictResponse(frame.payload);
+      ASSERT_TRUE(resp.ok());
+      EXPECT_EQ(resp->id, req.id);
+      EXPECT_EQ(resp->scores, FakeDispatch(static_cast<NodeId>(req.requester),
+                                           req.doc)
+                                  .scores);
+    }
   }
 }
 
