@@ -10,17 +10,25 @@
 // quarantines anti-correlated contributors before they vote.
 //
 // `--smoke` runs a small clean + 30 %-label-flip grid (both algorithms,
-// both arms) and writes the same CSV schema for CI validation.
+// both arms) and writes the same CSV schema for CI validation
+// (tools/check_csv.py).
 
 #include <cstdio>
 #include <cstring>
+#include <memory>
+#include <utility>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "p2pdmt/byzantine.h"
 
 using namespace p2pdt_bench;
 
 namespace {
+
+/// Label-flip is the headline attack, swept across fractions (the paper of
+/// record for poisoning curves); the other behaviors run at this fraction.
+constexpr double kOtherFraction = 0.3;
 
 void ApplyDefenseTuning(ExperimentOptions& opt) {
   // Three regions per tag give every prediction three regional votes — the
@@ -34,72 +42,105 @@ void ApplyDefenseTuning(ExperimentOptions& opt) {
   opt.distribution.cls = ClassDistribution::kIid;
 }
 
-void PrintHeader() {
-  std::printf("%-8s %-18s %5s %4s %4s %8s %8s %9s %9s %7s\n", "algo",
-              "adversary", "frac", "bad", "def", "macroF1", "microF1",
-              "rejected", "discarded", "quarant");
-}
-
-ByzantineSweepOptions CommonSweep(ExperimentOptions base) {
-  ByzantineSweepOptions sweep;
-  sweep.base = std::move(base);
-  ApplyDefenseTuning(sweep.base);
-  sweep.on_point = [](const ByzantineRow& row) {
-    std::printf(
-        "%-8s %-18s %5.2f %4zu %4s %8.4f %8.4f %9llu %9llu %7llu\n",
-        row.algorithm.c_str(), row.adversary.c_str(), row.malicious_fraction,
-        row.malicious_peers, row.defended ? "on" : "off", row.macro_f1,
-        row.micro_f1, static_cast<unsigned long long>(row.models_rejected),
-        static_cast<unsigned long long>(row.votes_discarded),
-        static_cast<unsigned long long>(row.quarantined_pairs));
-  };
-  return sweep;
-}
-
-int RunSmoke() {
-  std::printf("=== BYZ1 smoke: clean + 30%% label-flip for CI ===\n");
-  CorpusOptions copt;
-  copt.num_users = 10;
-  copt.min_docs_per_user = 30;
-  copt.max_docs_per_user = 40;
-  copt.num_tags = 5;
-  copt.vocabulary_size = 1000;
-  copt.seed = 4242;
-  Result<VectorizedCorpus> corpus = MakeVectorizedCorpus(copt);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "corpus: %s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-
-  ByzantineSweepOptions sweep = CommonSweep(MacroDefaults(
-      AlgorithmType::kPace, /*num_peers=*/10));
-  sweep.base.max_test_documents = 40;
-  sweep.flip_fractions = {0.3};
-  sweep.other_behaviors = {AdversaryBehavior::kGarbageModel};
-  PrintHeader();
-  std::vector<ByzantineRow> rows = RunByzantineSweep(corpus.value(), sweep);
-  if (rows.empty()) {
-    std::fprintf(stderr, "smoke sweep produced no rows\n");
-    return 1;
-  }
-  WriteResults(ByzantineCsv(rows), "byzantine.csv");
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  std::unique_ptr<VectorizedCorpus> smoke_corpus;
+  ExperimentOptions base;
+  std::vector<double> flip_fractions = {0.1, 0.2, 0.3, 0.4};
+  std::vector<AdversaryBehavior> other_behaviors = {
+      AdversaryBehavior::kGarbageModel, AdversaryBehavior::kDimensionMismatch,
+      AdversaryBehavior::kAccuracyInflate, AdversaryBehavior::kVoteSpam};
+  if (smoke) {
+    std::printf("=== BYZ1 smoke: clean + 30%% label-flip for CI ===\n");
+    CorpusOptions copt;
+    copt.num_users = 10;
+    copt.min_docs_per_user = 30;
+    copt.max_docs_per_user = 40;
+    copt.num_tags = 5;
+    copt.vocabulary_size = 1000;
+    copt.seed = 4242;
+    Result<VectorizedCorpus> generated = MakeVectorizedCorpus(copt);
+    if (!generated.ok()) {
+      std::fprintf(stderr, "corpus: %s\n",
+                   generated.status().ToString().c_str());
+      return 1;
+    }
+    smoke_corpus =
+        std::make_unique<VectorizedCorpus>(std::move(generated).value());
+    base = MacroDefaults(AlgorithmType::kPace, /*num_peers=*/10);
+    base.max_test_documents = 40;
+    flip_fractions = {0.3};
+    other_behaviors = {AdversaryBehavior::kGarbageModel};
+  } else {
+    std::printf("=== BYZ1: adversary fraction x behavior x defense ===\n\n");
+    base = MacroDefaults(AlgorithmType::kPace, /*num_peers=*/64);
+    base.max_test_documents = 200;
+  }
+  const VectorizedCorpus& corpus =
+      smoke ? *smoke_corpus
+            : SharedCorpus(/*num_users=*/128, /*num_tags=*/12);
+  ApplyDefenseTuning(base);
 
-  std::printf("=== BYZ1: adversary fraction x behavior x defense ===\n\n");
-  const VectorizedCorpus& corpus = SharedCorpus(/*num_users=*/128,
-                                                /*num_tags=*/12);
+  // Per arm: the clean baseline every degradation is measured against,
+  // then label-flip at each fraction, then the other behaviors.
+  std::vector<std::pair<AdversaryBehavior, double>> attacks = {
+      {AdversaryBehavior::kHonest, 0.0}};
+  for (double f : flip_fractions) {
+    attacks.push_back({AdversaryBehavior::kLabelFlip, f});
+  }
+  for (AdversaryBehavior b : other_behaviors) {
+    attacks.push_back({b, kOtherFraction});
+  }
 
-  ByzantineSweepOptions sweep = CommonSweep(MacroDefaults(
-      AlgorithmType::kPace, /*num_peers=*/64));
-  sweep.base.max_test_documents = 200;
-  PrintHeader();
-  std::vector<ByzantineRow> rows = RunByzantineSweep(corpus, sweep);
-  WriteResults(ByzantineCsv(rows), "byzantine.csv");
+  CsvWriter csv;
+  for (AlgorithmType algo : {AlgorithmType::kCempar, AlgorithmType::kPace}) {
+    for (bool defended : {true, false}) {
+      for (const auto& [behavior, fraction] : attacks) {
+        ExperimentOptions opt = base;
+        opt.algorithm = algo;
+        opt.env.fault = MakeAdversaryPlan(opt.env.num_peers, behavior,
+                                          fraction, opt.seed);
+        opt.cempar.sanitize.enabled = defended;
+        opt.pace.sanitize.enabled = defended;
+        opt.cempar.reputation.enabled = defended;
+        opt.pace.reputation.enabled = defended;
+        const std::string label = behavior == AdversaryBehavior::kHonest
+                                      ? "none"
+                                      : AdversaryBehaviorToString(behavior);
+        Result<ExperimentResult> r = RunExperiment(corpus, opt);
+        if (!r.ok()) {
+          P2PDT_LOG(Warning)
+              << AlgorithmTypeToString(algo) << " adversary=" << label
+              << " fraction=" << fraction << " defended=" << defended
+              << " failed: " << r.status().ToString();
+          continue;
+        }
+        CsvWriter::Row row;
+        row.Add("algorithm", r->algorithm)
+            .Add("adversary", label)
+            .Add("malicious_fraction", fraction)
+            .Add("malicious_peers", opt.env.fault.adversaries.size())
+            .Flag("defended", defended)
+            .Add("micro_f1", r->metrics.micro_f1)
+            .Add("macro_f1", r->metrics.macro_f1)
+            .Add("prediction_success_rate", PredictionSuccessRate(*r))
+            .Add("attempted", r->test_documents)
+            .Add("models_rejected", r->models_rejected)
+            .Add("votes_discarded", r->votes_discarded)
+            .Add("quarantined_pairs", r->quarantined_pairs)
+            .Add("trust_observations", r->trust_observations)
+            .Add("train_bytes", r->train_bytes)
+            .Add("train_sim_seconds", r->train_sim_seconds);
+        if (!EmitRow(csv, row)) return 1;
+      }
+    }
+  }
+  if (smoke && csv.num_rows() == 0) {
+    std::fprintf(stderr, "smoke sweep produced no rows\n");
+    return 1;
+  }
+  WriteResults(csv, "byzantine.csv");
   return 0;
 }

@@ -17,12 +17,15 @@
 // (self-healing; the frozen arm stays degraded).
 //
 // `--smoke` runs a small PACE-only grid and writes the same CSV schema for
-// CI validation.
+// CI validation (tools/check_csv.py).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
 #include "bench/bench_util.h"
+#include "common/logging.h"
 #include "p2pdmt/drift.h"
 
 using namespace p2pdt_bench;
@@ -73,73 +76,121 @@ DriftExperimentOptions BaseOptions() {
   return base;
 }
 
-void PrintHeader() {
-  std::printf("%-8s %-16s %-10s %5s %5s %8s %8s %8s %5s %8s %7s\n", "algo",
-              "scenario", "policy", "loss", "churn", "preF1", "minF1",
-              "finalF1", "recov", "retrains", "giveups");
-}
-
-DriftSweepOptions CommonSweep() {
-  DriftSweepOptions sweep;
-  sweep.stream = BaseStream();
-  sweep.base = BaseOptions();
-  sweep.on_point = [](const DriftRow& row) {
-    std::printf("%-8s %-16s %-10s %5.2f %5s %8.4f %8.4f %8.4f %5zu %8llu "
-                "%7llu\n",
-                row.algorithm.c_str(), row.scenario.c_str(),
-                row.policy.c_str(), row.loss_rate, row.churn ? "on" : "off",
-                row.pre_drift_f1, row.min_post_drift_f1, row.final_f1,
-                row.recovery_epochs,
-                static_cast<unsigned long long>(row.retrains),
-                static_cast<unsigned long long>(row.give_ups));
-  };
-  return sweep;
-}
-
-int RunSweep(DriftSweepOptions sweep) {
-  PrintHeader();
-  Result<std::vector<DriftRow>> rows = RunDriftSweep(sweep);
-  if (!rows.ok()) {
-    std::fprintf(stderr, "sweep failed: %s\n",
-                 rows.status().ToString().c_str());
-    return 1;
-  }
-  if (rows.value().empty()) {
-    std::fprintf(stderr, "sweep produced no rows\n");
-    return 1;
-  }
-  WriteResults(DriftCsv(rows.value()), "drift.csv");
-  return 0;
-}
-
-int RunSmoke() {
-  std::printf("=== DRIFT1 smoke: stationary + sudden vocab shift for CI "
-              "===\n");
-  DriftSweepOptions sweep = CommonSweep();
-  sweep.stream.base.num_users = 10;
-  sweep.stream.base.num_tags = 4;
-  sweep.stream.base.vocabulary_size = 800;
-  sweep.stream.num_epochs = 6;
-  sweep.stream.min_docs_per_user_per_epoch = 3;
-  sweep.stream.max_docs_per_user_per_epoch = 5;
-  // The smoke stream is smaller and harder (baseline Jaccard ~0.42), which
-  // compresses both the noise ceiling (~0.034 across 10 peers) and the
-  // drift signal (~0.06-0.16) — recalibrate the threshold to its scale.
-  sweep.base.staleness.drift_threshold = 0.06;
-  sweep.algorithms = {AlgorithmType::kPace};
-  sweep.scenarios = {"none", "sudden_vocab"};
-  sweep.policies = {RetrainPolicy::kFrozen, RetrainPolicy::kDriftTriggered};
-  sweep.loss_rates = {0.2};
-  sweep.churn_arm = false;
-  return RunSweep(std::move(sweep));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  StreamOptions stream = BaseStream();
+  DriftExperimentOptions base = BaseOptions();
+  std::vector<AlgorithmType> algorithms = {AlgorithmType::kPace,
+                                           AlgorithmType::kCempar};
+  std::vector<std::string> scenarios = {"none", "sudden_vocab",
+                                        "gradual_rotation", "popularity_spike",
+                                        "new_tag"};
+  std::vector<RetrainPolicy> policies = {
+      RetrainPolicy::kFrozen, RetrainPolicy::kPeriodic,
+      RetrainPolicy::kStalenessTriggered, RetrainPolicy::kDriftTriggered};
+  std::vector<double> loss_rates = {0.0, 0.2};
+  // A churn-on arm (exponential churn, every policy) at the headline
+  // scenario and the highest loss rate.
+  bool churn_arm = true;
+  if (smoke) {
+    std::printf("=== DRIFT1 smoke: stationary + sudden vocab shift for CI "
+                "===\n");
+    stream.base.num_users = 10;
+    stream.base.num_tags = 4;
+    stream.base.vocabulary_size = 800;
+    stream.num_epochs = 6;
+    stream.min_docs_per_user_per_epoch = 3;
+    stream.max_docs_per_user_per_epoch = 5;
+    // The smoke stream is smaller and harder (baseline Jaccard ~0.42), which
+    // compresses both the noise ceiling (~0.034 across 10 peers) and the
+    // drift signal (~0.06-0.16) — recalibrate the threshold to its scale.
+    base.staleness.drift_threshold = 0.06;
+    algorithms = {AlgorithmType::kPace};
+    scenarios = {"none", "sudden_vocab"};
+    policies = {RetrainPolicy::kFrozen, RetrainPolicy::kDriftTriggered};
+    loss_rates = {0.2};
+    churn_arm = false;
+  } else {
+    std::printf("=== DRIFT1: drift scenario x retrain policy x loss x churn "
+                "===\n\n");
+  }
+  const double max_loss =
+      *std::max_element(loss_rates.begin(), loss_rates.end());
 
-  std::printf("=== DRIFT1: drift scenario x retrain policy x loss x churn "
-              "===\n\n");
-  return RunSweep(CommonSweep());
+  CsvWriter csv;
+  for (const std::string& scenario : scenarios) {
+    // One stream per scenario, shared by every arm (generation dominates
+    // setup).
+    Result<std::vector<DriftEvent>> events = ScenarioEvents(scenario, stream);
+    if (!events.ok()) {
+      std::fprintf(stderr, "sweep failed: %s\n",
+                   events.status().ToString().c_str());
+      return 1;
+    }
+    StreamOptions scenario_stream = stream;
+    scenario_stream.events = std::move(events).value();
+    Result<VectorizedStream> vectorized =
+        MakeVectorizedStream(scenario_stream);
+    if (!vectorized.ok()) {
+      std::fprintf(stderr, "sweep failed: %s\n",
+                   vectorized.status().ToString().c_str());
+      return 1;
+    }
+    // (loss, churn) arms: every loss rate without churn, then the churn arm.
+    std::vector<std::pair<double, bool>> arms;
+    for (double loss : loss_rates) arms.push_back({loss, false});
+    if (churn_arm && scenario == "sudden_vocab") arms.push_back({max_loss, true});
+
+    for (AlgorithmType algo : algorithms) {
+      for (const auto& [loss, churn] : arms) {
+        for (RetrainPolicy policy : policies) {
+          DriftExperimentOptions opt = base;
+          opt.algorithm = algo;
+          opt.policy = policy;
+          opt.env.physical.loss_rate = loss;
+          opt.env.churn = churn ? ChurnType::kExponential : ChurnType::kNone;
+          Result<DriftExperimentResult> r =
+              RunDriftExperiment(vectorized.value(), opt);
+          if (!r.ok()) {
+            P2PDT_LOG(Warning)
+                << AlgorithmTypeToString(algo) << " scenario=" << scenario
+                << " policy=" << RetrainPolicyToString(policy)
+                << " loss=" << loss << " churn=" << churn
+                << " failed: " << r.status().ToString();
+            continue;
+          }
+          CsvWriter::Row row;
+          row.Add("algorithm", r->algorithm)
+              .Add("scenario", scenario)
+              .Add("policy", r->policy)
+              .Add("loss_rate", loss)
+              .Flag("churn", churn)
+              .Add("num_epochs", r->num_epochs)
+              .Add("first_drift_epoch", r->first_drift_epoch)
+              .Add("pre_drift_f1", r->pre_drift_f1)
+              .Add("min_post_drift_f1", r->min_post_drift_f1)
+              .Add("final_f1", r->final_f1)
+              .Add("max_dip", r->max_dip)
+              .Add("recovery_epochs", r->recovery_epochs)
+              .Flag("reconverged", r->reconverged)
+              .Add("retrains", r->retrains)
+              .Add("drift_detections", r->drift_detections)
+              .Add("give_ups", r->give_ups)
+              .Add("suspected_peers", r->suspected_peers)
+              .Add("total_messages", r->total_messages)
+              .Add("total_bytes", r->total_bytes)
+              .Hex("fingerprint", r->fingerprint);
+          if (!EmitRow(csv, row)) return 1;
+        }
+      }
+    }
+  }
+  if (csv.num_rows() == 0) {
+    std::fprintf(stderr, "sweep produced no rows\n");
+    return 1;
+  }
+  WriteResults(csv, "drift.csv");
+  return 0;
 }

@@ -6,39 +6,134 @@
 // Expected shape: without retries, macro-F1 and prediction success fall
 // roughly linearly with loss; with retries, delivery converges (PACE model
 // coverage → 1.0, CEMPaR success ≈ 1.0) at the cost of the retransmission
-// overhead column.
+// overhead column. Writes bench_results/fault.csv, one row per point;
+// tools/check_csv.py validates it.
 
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "p2pdmt/robustness.h"
+#include "common/logging.h"
+#include "p2psim/fault.h"
 
 using namespace p2pdt_bench;
+
+namespace {
+
+/// A fault plan with a human-readable label, so sweep output stays
+/// interpretable ("burst", "partition", ...).
+struct NamedFaultPlan {
+  std::string label;
+  FaultPlanSpec plan;
+};
+
+/// The canonical fault plans, scaled to a protocol run that trains within
+/// the first `horizon` simulated seconds:
+///  - "none":       no injected faults (baseline loss only)
+///  - "burst":      50 % loss for the middle third of the horizon
+///  - "partition":  the first half of the peers is cut off from the second
+///                  for the middle third
+///  - "spike":      +2 s latency for the middle third (stress timers, not
+///                  delivery)
+///  - "crash":      the first `num_peers / 8` peers crash at horizon/4 and
+///                  recover at 3·horizon/4
+std::vector<NamedFaultPlan> CanonicalFaultPlans(std::size_t num_peers,
+                                                double horizon) {
+  std::vector<NamedFaultPlan> plans;
+  plans.push_back({"none", {}});
+
+  const double third = horizon / 3.0;
+  {
+    NamedFaultPlan p{"burst", {}};
+    p.plan.burst_loss.push_back({third, 2.0 * third, 0.5});
+    plans.push_back(std::move(p));
+  }
+  {
+    NamedFaultPlan p{"partition", {}};
+    FaultPlanSpec::Partition part;
+    part.start = third;
+    part.end = 2.0 * third;
+    for (NodeId n = 0; n < num_peers; ++n) {
+      (n < num_peers / 2 ? part.group_a : part.group_b).push_back(n);
+    }
+    p.plan.partitions.push_back(std::move(part));
+    plans.push_back(std::move(p));
+  }
+  {
+    NamedFaultPlan p{"spike", {}};
+    p.plan.latency_spikes.push_back({third, 2.0 * third, 2.0});
+    plans.push_back(std::move(p));
+  }
+  {
+    NamedFaultPlan p{"crash", {}};
+    std::size_t victims = num_peers < 8 ? 1 : num_peers / 8;
+    for (NodeId n = 0; n < victims; ++n) {
+      p.plan.crashes.push_back({horizon / 4.0, n});
+      p.plan.recoveries.push_back({3.0 * horizon / 4.0, n});
+    }
+    plans.push_back(std::move(p));
+  }
+  return plans;
+}
+
+}  // namespace
 
 int main() {
   std::printf("=== ROBUST1: loss x fault plan x reliability ===\n\n");
   const VectorizedCorpus& corpus = SharedCorpus(/*num_users=*/128,
                                                 /*num_tags=*/12);
+  ExperimentOptions base = MacroDefaults(AlgorithmType::kPace, 64);
+  base.max_test_documents = 200;
+  const std::vector<NamedFaultPlan> plans =
+      CanonicalFaultPlans(base.env.num_peers, /*horizon=*/120.0);
 
-  RobustnessSweepOptions sweep;
-  sweep.base = MacroDefaults(AlgorithmType::kPace, 64);
-  sweep.base.max_test_documents = 200;
-  sweep.loss_rates = {0.0, 0.1, 0.2};
-  sweep.plans = CanonicalFaultPlans(sweep.base.env.num_peers,
-                                    /*horizon=*/120.0);
-
-  std::printf("%-8s %-10s %5s %4s %8s %8s %8s %8s %8s\n", "algo", "plan",
-              "loss", "rel", "macroF1", "success", "deliv", "retxovh",
-              "coverage");
-  sweep.on_point = [](const RobustnessRow& row) {
-    std::printf("%-8s %-10s %5.2f %4s %8.4f %8.4f %8.4f %8.4f %8.4f\n",
-                row.algorithm.c_str(), row.plan.c_str(), row.loss_rate,
-                row.reliable ? "on" : "off", row.macro_f1,
-                row.prediction_success_rate, row.delivery_rate,
-                row.retry_overhead, row.model_coverage);
-  };
-
-  std::vector<RobustnessRow> rows = RunRobustnessSweep(corpus, sweep);
-  WriteResults(RobustnessCsv(rows), "fault.csv");
+  CsvWriter csv;
+  for (AlgorithmType algo : {AlgorithmType::kCempar, AlgorithmType::kPace}) {
+    for (double loss : {0.0, 0.1, 0.2}) {
+      for (const NamedFaultPlan& plan : plans) {
+        // Fire-and-forget and reliable side by side, so the delta the
+        // retries buy is in the same table.
+        for (bool reliable : {false, true}) {
+          ExperimentOptions opt = base;
+          opt.algorithm = algo;
+          opt.env.physical.loss_rate = loss;
+          opt.env.fault = plan.plan;
+          opt.cempar.reliable_transport = reliable;
+          opt.pace.reliable_dissemination = reliable;
+          Result<ExperimentResult> r = RunExperiment(corpus, opt);
+          if (!r.ok()) {
+            P2PDT_LOG(Warning)
+                << AlgorithmTypeToString(algo) << " loss=" << loss
+                << " plan=" << plan.label << " reliable=" << reliable
+                << " failed: " << r.status().ToString();
+            continue;
+          }
+          CsvWriter::Row row;
+          row.Add("algorithm", r->algorithm)
+              .Add("plan", plan.label)
+              .Add("loss_rate", loss)
+              .Flag("reliable", reliable)
+              .Add("micro_f1", r->metrics.micro_f1)
+              .Add("macro_f1", r->metrics.macro_f1)
+              .Add("prediction_success_rate", PredictionSuccessRate(*r))
+              .Add("failed", r->failed_predictions)
+              .Add("degraded", r->degraded_predictions)
+              .Add("attempted", r->test_documents)
+              .Add("delivery_rate", r->delivery_rate)
+              // Retransmissions per non-maintenance protocol message: the
+              // price the transport pays for its delivery guarantee.
+              .Add("retry_overhead",
+                   Ratio(r->retransmits,
+                         r->train_messages + r->predict_messages))
+              .Add("retransmits", r->retransmits)
+              .Add("give_ups", r->give_ups)
+              .Add("injected_drops", r->injected_drops)
+              // PACE dissemination convergence (-1 for other algorithms).
+              .Add("model_coverage", r->model_coverage);
+          if (!EmitRow(csv, row)) return 1;
+        }
+      }
+    }
+  }
+  WriteResults(csv, "fault.csv");
   return 0;
 }

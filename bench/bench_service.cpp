@@ -14,7 +14,8 @@
 // fingerprints are comparable by construction. Every arm ends with a
 // graceful drain that must complete inside the deadline.
 //
-// `--smoke` runs a small grid and writes the same CSV schema for CI.
+// `--smoke` runs a small grid and writes the same CSV schema for CI
+// (tools/check_csv.py).
 
 #include <cstdio>
 #include <cstring>
@@ -30,15 +31,6 @@ using namespace p2pdt_bench;
 
 namespace {
 
-struct ServiceRow {
-  std::string algorithm;
-  std::string arm;
-  ServiceLoadResult replay;
-  SocketFaultReport faults;  // zero-initialised on the clean arm
-  DaemonStats daemon;
-  double train_wall_s = 0.0;
-};
-
 struct ServiceBenchOptions {
   std::size_t num_peers = 24;
   std::size_t num_tags = 6;
@@ -51,38 +43,14 @@ struct ServiceBenchOptions {
   double max_wall_seconds = 300.0;
 };
 
-void PrintHeader() {
-  std::printf("%-8s %-8s %8s %8s %7s %7s %7s %8s %8s %7s %6s %6s\n", "algo",
-              "arm", "offered", "ok", "failed", "shed", "io_err", "p95_s",
-              "rate/s", "reaped", "drain", "alive");
-}
-
-void PrintRow(const ServiceRow& row) {
-  std::printf(
-      "%-8s %-8s %8llu %8llu %7llu %7llu %7llu %8.4f %8.1f %7llu %6d %6d\n",
-      row.algorithm.c_str(), row.arm.c_str(),
-      static_cast<unsigned long long>(row.replay.load.offered),
-      static_cast<unsigned long long>(row.replay.load.ok),
-      static_cast<unsigned long long>(row.replay.load.failed),
-      static_cast<unsigned long long>(row.replay.load.shed),
-      static_cast<unsigned long long>(row.replay.io_errors),
-      row.replay.load.p95_latency, row.replay.achieved_rate,
-      static_cast<unsigned long long>(row.daemon.reaped_idle),
-      row.daemon.drain_completed ? 1 : 0, row.faults.liveness_ok ? 1 : 0);
-}
-
 /// One trained daemon, one replay, optional concurrent fault script, then a
 /// graceful drain. The daemon runs on its own thread; it is fully
 /// constructed before the thread starts (that construction is the
 /// happens-before edge handing the classifier to the loop thread), and
 /// after Run() returns only this thread reads the stats.
-Result<ServiceRow> RunArm(const VectorizedCorpus& corpus,
-                          AlgorithmType algorithm, bool faulted,
-                          const ServiceBenchOptions& bench) {
-  ServiceRow row;
-  row.algorithm = algorithm == AlgorithmType::kCempar ? "cempar" : "pace";
-  row.arm = faulted ? "faulted" : "clean";
-
+Result<CsvWriter::Row> RunArm(const VectorizedCorpus& corpus,
+                              AlgorithmType algorithm, bool faulted,
+                              const ServiceBenchOptions& bench) {
   ServiceHarnessOptions harness;
   harness.algorithm = algorithm;
   harness.env.num_peers = bench.num_peers;
@@ -92,7 +60,7 @@ Result<ServiceRow> RunArm(const VectorizedCorpus& corpus,
   Result<std::unique_ptr<TrainedService>> service =
       BuildTrainedService(corpus, harness);
   P2PDT_RETURN_IF_ERROR(service.status());
-  row.train_wall_s = MonotonicSeconds() - t0;
+  const double train_wall_s = MonotonicSeconds() - t0;
   TrainedService& trained = **service;
 
   DaemonOptions options;
@@ -105,7 +73,7 @@ Result<ServiceRow> RunArm(const VectorizedCorpus& corpus,
   P2PDT_RETURN_IF_ERROR(daemon.Start());
   std::thread loop([&daemon] { daemon.Run(); });
 
-  SocketFaultReport faults;
+  SocketFaultReport faults;  // zero-initialised on the clean arm
   Status fault_status = Status::OK();
   std::thread abuse;
   if (faulted) {
@@ -139,78 +107,61 @@ Result<ServiceRow> RunArm(const VectorizedCorpus& corpus,
 
   P2PDT_RETURN_IF_ERROR(replay.status());
   P2PDT_RETURN_IF_ERROR(fault_status);
-  row.replay = *replay;
-  row.faults = faults;
-  row.daemon = daemon.stats();
+  const LoadGenResult& r = replay->load;
+  const DaemonStats& d = daemon.stats();
+  CsvWriter::Row row;
+  row.Add("algorithm", AlgorithmTypeToString(algorithm))
+      .Add("arm", faulted ? "faulted" : "clean")
+      .Add("offered", r.offered)
+      .Add("completed", r.completed)
+      .Add("ok", r.ok)
+      .Add("degraded", r.degraded)
+      .Add("cached", r.cached)
+      .Add("failed", r.failed)
+      .Add("shed", r.shed)
+      .Add("retries", r.retries)
+      .Add("within_slo", r.within_slo)
+      .Add("io_errors", replay->io_errors)
+      .Add("p50_s", r.p50_latency)
+      .Add("p95_s", r.p95_latency)
+      .Add("p99_s", r.p99_latency)
+      .Add("achieved_rate", replay->achieved_rate)
+      .Add("wall_s", replay->wall_seconds)
+      .Add("train_wall_s", train_wall_s)
+      .Hex("fingerprint", r.fingerprint)
+      .Add("daemon_accepted", d.accepted)
+      .Add("daemon_requests", d.requests)
+      .Add("daemon_malformed", d.malformed_frames + d.malformed_payloads)
+      .Add("daemon_oversized", d.oversized_frames)
+      .Add("daemon_reaped_idle", d.reaped_idle)
+      .Add("daemon_read_errors", d.read_errors)
+      .Add("daemon_slow_consumer_closed", d.slow_consumer_closed)
+      .Flag("drain_completed", d.drain_completed)
+      .Add("fault_resets", faults.resets_done)
+      .Add("fault_stalls_reaped", faults.stalls_reaped)
+      .Add("fault_typed_errors", faults.typed_errors_received)
+      .Add("fault_predicts_ok", faults.predicts_ok)
+      .Flag("fault_liveness_ok", faults.liveness_ok);
   return row;
-}
-
-CsvWriter ServiceCsv(const std::vector<ServiceRow>& rows) {
-  CsvWriter csv({"algorithm", "arm", "offered", "completed", "ok", "degraded",
-                 "cached", "failed", "shed", "retries", "within_slo",
-                 "io_errors", "p50_s", "p95_s", "p99_s", "achieved_rate",
-                 "wall_s", "train_wall_s", "fingerprint", "daemon_accepted",
-                 "daemon_requests", "daemon_malformed", "daemon_oversized",
-                 "daemon_reaped_idle", "daemon_read_errors",
-                 "daemon_slow_consumer_closed", "drain_completed",
-                 "fault_resets", "fault_stalls_reaped", "fault_typed_errors",
-                 "fault_predicts_ok", "fault_liveness_ok"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  auto hex = [&buf](uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  for (const ServiceRow& row : rows) {
-    const LoadGenResult& r = row.replay.load;
-    const DaemonStats& d = row.daemon;
-    csv.AddRow({row.algorithm, row.arm, std::to_string(r.offered),
-                std::to_string(r.completed), std::to_string(r.ok),
-                std::to_string(r.degraded), std::to_string(r.cached),
-                std::to_string(r.failed), std::to_string(r.shed),
-                std::to_string(r.retries), std::to_string(r.within_slo),
-                std::to_string(row.replay.io_errors), fmt(r.p50_latency),
-                fmt(r.p95_latency), fmt(r.p99_latency),
-                fmt(row.replay.achieved_rate), fmt(row.replay.wall_seconds),
-                fmt(row.train_wall_s), hex(r.fingerprint),
-                std::to_string(d.accepted), std::to_string(d.requests),
-                std::to_string(d.malformed_frames + d.malformed_payloads),
-                std::to_string(d.oversized_frames),
-                std::to_string(d.reaped_idle), std::to_string(d.read_errors),
-                std::to_string(d.slow_consumer_closed),
-                std::to_string(d.drain_completed ? 1 : 0),
-                std::to_string(row.faults.resets_done),
-                std::to_string(row.faults.stalls_reaped),
-                std::to_string(row.faults.typed_errors_received),
-                std::to_string(row.faults.predicts_ok),
-                std::to_string(row.faults.liveness_ok ? 1 : 0)});
-  }
-  return csv;
 }
 
 int RunGrid(const ServiceBenchOptions& bench) {
   const VectorizedCorpus& corpus =
       SharedCorpus(bench.num_peers, bench.num_tags);
-  PrintHeader();
-  std::vector<ServiceRow> rows;
+  CsvWriter csv;
   for (AlgorithmType algorithm :
        {AlgorithmType::kPace, AlgorithmType::kCempar}) {
     for (bool faulted : {false, true}) {
-      Result<ServiceRow> row = RunArm(corpus, algorithm, faulted, bench);
+      Result<CsvWriter::Row> row = RunArm(corpus, algorithm, faulted, bench);
       if (!row.ok()) {
         std::fprintf(stderr, "arm failed: %s\n",
                      row.status().ToString().c_str());
         return 1;
       }
-      PrintRow(*row);
-      rows.push_back(std::move(*row));
+      if (!EmitRow(csv, *row)) return 1;
     }
   }
-  WriteResults(ServiceCsv(rows), "service.csv");
+  WriteResults(csv, "service.csv");
   return 0;
 }
 

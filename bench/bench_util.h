@@ -57,8 +57,7 @@ inline std::string BenchJsonEscape(const std::string& s) {
   return out;
 }
 
-/// Writes a CSV table under bench_results/, creating the directory, plus a
-/// machine-readable JSON mirror (`<name>.json`) so tooling never parses CSV.
+/// Writes a CSV table under bench_results/, creating the directory.
 inline void WriteResults(const CsvWriter& csv, const std::string& name) {
   std::error_code ec;
   std::filesystem::create_directories(
@@ -71,23 +70,38 @@ inline void WriteResults(const CsvWriter& csv, const std::string& name) {
     std::fprintf(stderr, "could not write %s: %s\n", path.c_str(),
                  s.ToString().c_str());
   }
-  std::string json = "{\n  \"header\": [";
-  for (std::size_t i = 0; i < csv.header().size(); ++i) {
-    if (i > 0) json += ", ";
-    json += "\"" + BenchJsonEscape(csv.header()[i]) + "\"";
+}
+
+/// Appends one sweep row to `csv` and prints it as its CSV line (the header
+/// first, when this row fixed it), so a sweep's stdout is its table as it
+/// grows. Returns false, after saying why, when the row's columns differ
+/// from the table's.
+inline bool EmitRow(CsvWriter& csv, const CsvWriter::Row& row) {
+  const bool first = csv.num_rows() == 0;
+  Status s = csv.AddRow(row);
+  if (!s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return false;
   }
-  json += "],\n  \"rows\": [";
-  for (std::size_t r = 0; r < csv.rows().size(); ++r) {
-    json += r > 0 ? ",\n    [" : "\n    [";
-    for (std::size_t i = 0; i < csv.rows()[r].size(); ++i) {
-      if (i > 0) json += ", ";
-      json += "\"" + BenchJsonEscape(csv.rows()[r][i]) + "\"";
-    }
-    json += "]";
-  }
-  json += csv.rows().empty() ? "]\n}\n" : "\n  ]\n}\n";
-  std::ofstream out(path + ".json", std::ios::binary | std::ios::trunc);
-  out << json;
+  if (first) std::fputs(CsvWriter::FormatLine(csv.header()).c_str(), stdout);
+  std::fputs(CsvWriter::FormatLine(row.values()).c_str(), stdout);
+  std::fflush(stdout);
+  return true;
+}
+
+/// `num / den`, or 0 when nothing was counted.
+inline double Ratio(uint64_t num, uint64_t den) {
+  return den == 0 ? 0.0
+                  : static_cast<double>(num) / static_cast<double>(den);
+}
+
+/// Fraction of an experiment's prediction requests answered (including
+/// degraded answers); 1 when none was attempted.
+inline double PredictionSuccessRate(const ExperimentResult& r) {
+  return r.test_documents == 0
+             ? 1.0
+             : 1.0 - static_cast<double>(r.failed_predictions) /
+                         static_cast<double>(r.test_documents);
 }
 
 /// Machine-readable bench emitter for the regression gate.

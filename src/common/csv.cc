@@ -5,6 +5,41 @@
 
 namespace p2pdt {
 
+namespace {
+
+std::string FormatDouble(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+}  // namespace
+
+CsvWriter::Row& CsvWriter::Row::Add(std::string column, std::string value) {
+  columns_.push_back(std::move(column));
+  values_.push_back(std::move(value));
+  return *this;
+}
+
+CsvWriter::Row& CsvWriter::Row::Add(std::string column, const char* value) {
+  return Add(std::move(column), std::string(value));
+}
+
+CsvWriter::Row& CsvWriter::Row::Add(std::string column, double value) {
+  return Add(std::move(column), FormatDouble(value));
+}
+
+CsvWriter::Row& CsvWriter::Row::Flag(std::string column, bool value) {
+  return Add(std::move(column), value ? "1" : "0");
+}
+
+CsvWriter::Row& CsvWriter::Row::Hex(std::string column,
+                                    unsigned long long value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx", value);
+  return Add(std::move(column), std::string(buf));
+}
+
 CsvWriter::CsvWriter(std::vector<std::string> header)
     : header_(std::move(header)) {}
 
@@ -19,28 +54,38 @@ Status CsvWriter::AddRow(std::vector<std::string> row) {
   return Status::OK();
 }
 
+Status CsvWriter::AddRow(const Row& row) {
+  if (header_.empty() && rows_.empty()) {
+    header_ = row.columns();
+  } else if (row.columns() != header_) {
+    return Status::InvalidArgument(
+        "CSV row columns (" + FormatLine(row.columns()) +
+        ") differ from the header (" + FormatLine(header_) + ")");
+  }
+  rows_.push_back(row.values());
+  return Status::OK();
+}
+
 Status CsvWriter::AddNumericRow(const std::vector<double>& row) {
   std::vector<std::string> formatted;
   formatted.reserve(row.size());
-  for (double v : row) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    formatted.emplace_back(buf);
-  }
+  for (double v : row) formatted.push_back(FormatDouble(v));
   return AddRow(std::move(formatted));
 }
 
-std::string CsvWriter::ToString() const {
+std::string CsvWriter::FormatLine(const std::vector<std::string>& fields) {
   std::string out;
-  auto emit_row = [&out](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) out += ',';
-      out += CsvEscape(row[i]);
-    }
-    out += '\n';
-  };
-  emit_row(header_);
-  for (const auto& row : rows_) emit_row(row);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    if (i > 0) out += ',';
+    out += CsvEscape(fields[i]);
+  }
+  out += '\n';
+  return out;
+}
+
+std::string CsvWriter::ToString() const {
+  std::string out = FormatLine(header_);
+  for (const auto& row : rows_) out += FormatLine(row);
   return out;
 }
 

@@ -282,7 +282,10 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
   }
 
   // Bias: average of y_i − Σ α_j y_j K(x_j, x_i) over free SVs; fall back to
-  // the midpoint of the KKT bounds when no free SVs exist.
+  // the midpoint of the interval the KKT conditions leave for b when no free
+  // SVs exist (LIBSVM's calculate_rho). An example at α = 0 with y = +1, or
+  // at α = C with y = −1, needs b ≥ b_i, so that set bounds b from below;
+  // the other at-bound examples bound it from above.
   double b_sum = 0.0;
   int b_count = 0;
   double ub = std::numeric_limits<double>::infinity();
@@ -298,9 +301,9 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
       ++b_count;
     } else if ((alpha[i] <= tau && y[i] > 0) ||
                (alpha[i] >= c - tau && y[i] < 0)) {
-      ub = std::min(ub, bi);
-    } else {
       lb = std::max(lb, bi);
+    } else {
+      ub = std::min(ub, bi);
     }
     (void)yg;
   }

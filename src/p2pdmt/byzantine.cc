@@ -1,9 +1,7 @@
 #include "p2pdmt/byzantine.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/logging.h"
 #include "common/rng.h"
 
 namespace p2pdt {
@@ -31,122 +29,6 @@ FaultPlanSpec MakeAdversaryPlan(std::size_t num_peers,
     plan.adversaries.push_back(adv);
   }
   return plan;
-}
-
-namespace {
-
-ByzantineRow MakeRow(const ExperimentResult& r, const std::string& adversary,
-                     double fraction, std::size_t malicious, bool defended) {
-  ByzantineRow row;
-  row.algorithm = r.algorithm;
-  row.adversary = adversary;
-  row.malicious_fraction = fraction;
-  row.malicious_peers = malicious;
-  row.defended = defended;
-  row.micro_f1 = r.metrics.micro_f1;
-  row.macro_f1 = r.metrics.macro_f1;
-  row.test_documents = r.test_documents;
-  row.prediction_success_rate =
-      r.test_documents == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(r.failed_predictions) /
-                      static_cast<double>(r.test_documents);
-  row.models_rejected = r.models_rejected;
-  row.votes_discarded = r.votes_discarded;
-  row.quarantined_pairs = r.quarantined_pairs;
-  row.trust_observations = r.trust_observations;
-  row.train_bytes = r.train_bytes;
-  row.train_sim_seconds = r.train_sim_seconds;
-  return row;
-}
-
-/// One sweep point: configure the arm, run, convert. Returns false when the
-/// underlying experiment failed.
-bool RunPoint(const VectorizedCorpus& corpus,
-              const ByzantineSweepOptions& options, AlgorithmType algo,
-              AdversaryBehavior behavior, double fraction, bool defended,
-              std::vector<ByzantineRow>& rows) {
-  ExperimentOptions opt = options.base;
-  opt.algorithm = algo;
-  FaultPlanSpec plan = MakeAdversaryPlan(opt.env.num_peers, behavior,
-                                         fraction, opt.seed);
-  const std::size_t malicious = plan.adversaries.size();
-  opt.env.fault = plan;
-  opt.cempar.sanitize.enabled = defended;
-  opt.pace.sanitize.enabled = defended;
-  opt.cempar.reputation.enabled = defended;
-  opt.pace.reputation.enabled = defended;
-
-  Result<ExperimentResult> r = RunExperiment(corpus, opt);
-  const std::string label = behavior == AdversaryBehavior::kHonest
-                                ? "none"
-                                : AdversaryBehaviorToString(behavior);
-  if (!r.ok()) {
-    P2PDT_LOG(Warning) << AlgorithmTypeToString(algo) << " adversary=" << label
-                       << " fraction=" << fraction << " defended=" << defended
-                       << " failed: " << r.status().ToString();
-    return false;
-  }
-  rows.push_back(MakeRow(*r, label, fraction, malicious, defended));
-  if (options.on_point) options.on_point(rows.back());
-  return true;
-}
-
-}  // namespace
-
-std::vector<ByzantineRow> RunByzantineSweep(
-    const VectorizedCorpus& corpus, const ByzantineSweepOptions& options) {
-  std::vector<ByzantineRow> rows;
-  std::vector<bool> arms;
-  if (options.compare_defense) {
-    arms = {true, false};
-  } else {
-    arms = {true};
-  }
-
-  for (AlgorithmType algo : options.algorithms) {
-    for (bool defended : arms) {
-      // Clean baseline for this arm: the reference every degradation in the
-      // acceptance criterion is measured against.
-      RunPoint(corpus, options, algo, AdversaryBehavior::kHonest, 0.0,
-               defended, rows);
-      for (double fraction : options.flip_fractions) {
-        RunPoint(corpus, options, algo, AdversaryBehavior::kLabelFlip,
-                 fraction, defended, rows);
-      }
-      for (AdversaryBehavior behavior : options.other_behaviors) {
-        RunPoint(corpus, options, algo, behavior, options.other_fraction,
-                 defended, rows);
-      }
-    }
-  }
-  return rows;
-}
-
-CsvWriter ByzantineCsv(const std::vector<ByzantineRow>& rows) {
-  CsvWriter csv({"algorithm", "adversary", "malicious_fraction",
-                 "malicious_peers", "defended", "micro_f1", "macro_f1",
-                 "prediction_success_rate", "attempted", "models_rejected",
-                 "votes_discarded", "quarantined_pairs", "trust_observations",
-                 "train_bytes", "train_sim_seconds"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  for (const ByzantineRow& row : rows) {
-    csv.AddRow({row.algorithm, row.adversary, fmt(row.malicious_fraction),
-                std::to_string(row.malicious_peers), row.defended ? "1" : "0",
-                fmt(row.micro_f1), fmt(row.macro_f1),
-                fmt(row.prediction_success_rate),
-                std::to_string(row.test_documents),
-                std::to_string(row.models_rejected),
-                std::to_string(row.votes_discarded),
-                std::to_string(row.quarantined_pairs),
-                std::to_string(row.trust_observations),
-                std::to_string(row.train_bytes), fmt(row.train_sim_seconds)});
-  }
-  return csv;
 }
 
 }  // namespace p2pdt

@@ -1,12 +1,9 @@
 #ifndef P2PDT_P2PDMT_BYZANTINE_H_
 #define P2PDT_P2PDMT_BYZANTINE_H_
 
-#include <functional>
-#include <string>
-#include <vector>
+#include <cstddef>
+#include <cstdint>
 
-#include "common/csv.h"
-#include "p2pdmt/experiment.h"
 #include "p2psim/fault.h"
 
 namespace p2pdt {
@@ -19,61 +16,6 @@ namespace p2pdt {
 FaultPlanSpec MakeAdversaryPlan(std::size_t num_peers,
                                 AdversaryBehavior behavior, double fraction,
                                 uint64_t seed);
-
-/// One grid point of the poisoning sweep, flattened for reporting.
-struct ByzantineRow {
-  std::string algorithm;
-  /// Adversary behavior name ("none" for the clean arm).
-  std::string adversary = "none";
-  double malicious_fraction = 0.0;
-  std::size_t malicious_peers = 0;
-  /// True when the sanitation + reputation stack was enabled.
-  bool defended = false;
-
-  double micro_f1 = 0.0;
-  double macro_f1 = 0.0;
-  double prediction_success_rate = 0.0;
-  std::size_t test_documents = 0;
-
-  uint64_t models_rejected = 0;
-  uint64_t votes_discarded = 0;
-  uint64_t quarantined_pairs = 0;
-  uint64_t trust_observations = 0;
-
-  uint64_t train_bytes = 0;
-  double train_sim_seconds = 0.0;
-};
-
-struct ByzantineSweepOptions {
-  /// Template for every run; algorithm / adversary plan / defense arm are
-  /// overridden per grid point.
-  ExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kCempar,
-                                           AlgorithmType::kPace};
-  /// Label-flip is the headline attack: swept across fractions (the paper
-  /// of record for poisoning curves). Other behaviors run at one fraction.
-  std::vector<double> flip_fractions = {0.1, 0.2, 0.3, 0.4};
-  std::vector<AdversaryBehavior> other_behaviors = {
-      AdversaryBehavior::kGarbageModel, AdversaryBehavior::kDimensionMismatch,
-      AdversaryBehavior::kAccuracyInflate, AdversaryBehavior::kVoteSpam};
-  double other_fraction = 0.3;
-  /// Run every point twice — defenses on and off — so the degradation delta
-  /// the stack buys is in the same table. When false, only the defended arm
-  /// runs.
-  bool compare_defense = true;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const ByzantineRow&)> on_point;
-};
-
-/// Runs the grid: algorithms × {clean, label-flip × fractions, other
-/// behaviors × other_fraction} × {defended, undefended}. Failed runs are
-/// skipped with a warning rather than aborting the sweep.
-std::vector<ByzantineRow> RunByzantineSweep(const VectorizedCorpus& corpus,
-                                            const ByzantineSweepOptions& options);
-
-/// Flattens sweep rows into the CSV schema bench_byzantine writes
-/// (bench_results/byzantine.csv).
-CsvWriter ByzantineCsv(const std::vector<ByzantineRow>& rows);
 
 }  // namespace p2pdt
 

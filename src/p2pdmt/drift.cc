@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "common/logging.h"
+#include "common/fnv.h"
 
 namespace p2pdt {
 
@@ -25,24 +22,6 @@ const char* RetrainPolicyToString(RetrainPolicy p) {
 }
 
 namespace {
-
-/// Order-sensitive FNV-1a over 64-bit words: the bit-identity digest. Two
-/// runs with equal digests observed the same per-epoch quality bits and the
-/// same simulated traffic counts.
-struct Fnv64 {
-  uint64_t state = 0xcbf29ce484222325ull;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (v >> (8 * i)) & 0xFF;
-      state *= 0x100000001b3ull;
-    }
-  }
-  void MixDouble(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Mix(bits);
-  }
-};
 
 /// The correctness grade the staleness tracker is fed: Jaccard overlap of
 /// the auto-tags with the user's tags (both empty = perfect match). A
@@ -127,48 +106,31 @@ Result<DriftExperimentResult> RunDriftExperiment(
   }
 
   // Environment + classifier. Each simulated user is one peer.
-  EnvironmentOptions env_options = options.env;
-  env_options.num_peers = num_peers;
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(env_options);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-
-  ExperimentOptions algo_options;
-  algo_options.algorithm = options.algorithm;
-  algo_options.cempar = options.cempar;
-  algo_options.pace = options.pace;
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, algo_options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
-  if (options.policy != RetrainPolicy::kFrozen &&
-      !algo.SupportsOnlineRefresh()) {
-    return Status::FailedPrecondition(algo.name() +
-                                      " does not support online refresh");
-  }
-
+  ExperimentOptions setup;
+  setup.algorithm = options.algorithm;
+  setup.env = options.env;
+  setup.env.num_peers = num_peers;
+  setup.cempar = options.cempar;
+  setup.pace = options.pace;
   std::vector<DatasetShard> shards;
   shards.reserve(num_peers);
   for (std::size_t p = 0; p < num_peers; ++p) {
     shards.emplace_back(shared, window[p]);
   }
-  P2PDT_RETURN_IF_ERROR(algo.SetupShards(std::move(shards), num_tags));
-
-  env.StartDynamics();
-  bool train_done = false;
-  Status train_status = Status::OK();
-  const SimTime train_start = env.sim().Now();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-    result.train_sim_seconds = env.sim().Now() - train_start;
-  });
-  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) {
-    return Status::Internal("drift harness: training did not quiesce");
+  Result<SimulatedClassifier> sim =
+      SetupClassifier(setup, std::move(shards), num_tags);
+  if (!sim.ok()) return sim.status();
+  Environment& env = *sim->env;
+  P2PClassifier& algo = *sim->algo;
+  if (options.policy != RetrainPolicy::kFrozen &&
+      !algo.SupportsOnlineRefresh()) {
+    return Status::FailedPrecondition(algo.name() +
+                                      " does not support online refresh");
   }
-  P2PDT_RETURN_IF_ERROR(train_status);
+  Result<double> train_seconds =
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+  if (!train_seconds.ok()) return train_seconds.status();
+  result.train_sim_seconds = *train_seconds;
 
   // Staleness tracking + observability surface.
   std::vector<ModelStalenessTracker> trackers(
@@ -244,21 +206,6 @@ Result<DriftExperimentResult> RunDriftExperiment(
       was_drifting[p] = drifting ? 1 : 0;
     }
     stats.mean_staleness = staleness_sum / static_cast<double>(num_peers);
-    if (std::getenv("P2PDT_DRIFT_DEBUG") != nullptr) {
-      double gsum = 0, gmax = 0, wsum = 0, ssum = 0;
-      for (std::size_t p = 0; p < num_peers; ++p) {
-        const double g = trackers[p].drift_score();
-        gsum += g;
-        gmax = std::max(gmax, g);
-        wsum += trackers[p].window_accuracy();
-        ssum += trackers[p].slow_accuracy();
-      }
-      std::fprintf(stderr,
-                   "[drift-dbg] epoch=%zu gap=%.3f gmax=%.3f win=%.3f "
-                   "slow=%.3f stale=%.3f\n",
-                   e, gsum / num_peers, gmax, wsum / num_peers,
-                   ssum / num_peers, stats.mean_staleness);
-    }
     if (staleness_gauge != nullptr) staleness_gauge->Set(stats.mean_staleness);
     result.drift_detections += stats.drift_detections;
 
@@ -442,129 +389,6 @@ Result<std::vector<DriftEvent>> ScenarioEvents(const std::string& scenario,
     return events;
   }
   return Status::InvalidArgument("unknown drift scenario: " + scenario);
-}
-
-namespace {
-
-DriftRow MakeRow(const DriftExperimentResult& r, const std::string& scenario,
-                 double loss_rate, bool churn) {
-  DriftRow row;
-  row.algorithm = r.algorithm;
-  row.scenario = scenario;
-  row.policy = r.policy;
-  row.loss_rate = loss_rate;
-  row.churn = churn;
-  row.num_epochs = r.num_epochs;
-  row.first_drift_epoch = r.first_drift_epoch;
-  row.pre_drift_f1 = r.pre_drift_f1;
-  row.min_post_drift_f1 = r.min_post_drift_f1;
-  row.final_f1 = r.final_f1;
-  row.max_dip = r.max_dip;
-  row.recovery_epochs = r.recovery_epochs;
-  row.reconverged = r.reconverged;
-  row.retrains = r.retrains;
-  row.drift_detections = r.drift_detections;
-  row.give_ups = r.give_ups;
-  row.suspected_peers = r.suspected_peers;
-  row.total_messages = r.total_messages;
-  row.total_bytes = r.total_bytes;
-  row.fingerprint = r.fingerprint;
-  return row;
-}
-
-bool RunPoint(const VectorizedStream& stream, const DriftSweepOptions& options,
-              const std::string& scenario, AlgorithmType algo,
-              RetrainPolicy policy, double loss_rate, bool churn,
-              std::vector<DriftRow>& rows) {
-  DriftExperimentOptions opt = options.base;
-  opt.algorithm = algo;
-  opt.policy = policy;
-  opt.env.physical.loss_rate = loss_rate;
-  opt.env.churn = churn ? ChurnType::kExponential : ChurnType::kNone;
-  Result<DriftExperimentResult> r = RunDriftExperiment(stream, opt);
-  if (!r.ok()) {
-    P2PDT_LOG(Warning) << AlgorithmTypeToString(algo) << " scenario="
-                       << scenario << " policy="
-                       << RetrainPolicyToString(policy) << " loss="
-                       << loss_rate << " churn=" << churn
-                       << " failed: " << r.status().ToString();
-    return false;
-  }
-  rows.push_back(MakeRow(*r, scenario, loss_rate, churn));
-  if (options.on_point) options.on_point(rows.back());
-  return true;
-}
-
-}  // namespace
-
-Result<std::vector<DriftRow>> RunDriftSweep(const DriftSweepOptions& options) {
-  std::vector<DriftRow> rows;
-  StreamOptions stream_options = options.stream;
-  if (stream_options.reserve_tags == 0) stream_options.reserve_tags = 1;
-  const double max_loss =
-      options.loss_rates.empty()
-          ? 0.0
-          : *std::max_element(options.loss_rates.begin(),
-                              options.loss_rates.end());
-
-  for (const std::string& scenario : options.scenarios) {
-    Result<std::vector<DriftEvent>> events =
-        ScenarioEvents(scenario, stream_options);
-    if (!events.ok()) return events.status();
-    StreamOptions st = stream_options;
-    st.events = std::move(events).value();
-    Result<VectorizedStream> stream = MakeVectorizedStream(st);
-    if (!stream.ok()) return stream.status();
-
-    for (AlgorithmType algo : options.algorithms) {
-      for (double loss : options.loss_rates) {
-        for (RetrainPolicy policy : options.policies) {
-          RunPoint(stream.value(), options, scenario, algo, policy, loss,
-                   /*churn=*/false, rows);
-        }
-      }
-      if (options.churn_arm && scenario == "sudden_vocab") {
-        for (RetrainPolicy policy : options.policies) {
-          RunPoint(stream.value(), options, scenario, algo, policy, max_loss,
-                   /*churn=*/true, rows);
-        }
-      }
-    }
-  }
-  return rows;
-}
-
-CsvWriter DriftCsv(const std::vector<DriftRow>& rows) {
-  CsvWriter csv({"algorithm", "scenario", "policy", "loss_rate", "churn",
-                 "num_epochs", "first_drift_epoch", "pre_drift_f1",
-                 "min_post_drift_f1", "final_f1", "max_dip", "recovery_epochs",
-                 "reconverged", "retrains", "drift_detections", "give_ups",
-                 "suspected_peers", "total_messages", "total_bytes",
-                 "fingerprint"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  auto hex = [&buf](uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  for (const DriftRow& row : rows) {
-    csv.AddRow({row.algorithm, row.scenario, row.policy, fmt(row.loss_rate),
-                row.churn ? "1" : "0", std::to_string(row.num_epochs),
-                std::to_string(row.first_drift_epoch), fmt(row.pre_drift_f1),
-                fmt(row.min_post_drift_f1), fmt(row.final_f1),
-                fmt(row.max_dip), std::to_string(row.recovery_epochs),
-                row.reconverged ? "1" : "0", std::to_string(row.retrains),
-                std::to_string(row.drift_detections),
-                std::to_string(row.give_ups),
-                std::to_string(row.suspected_peers),
-                std::to_string(row.total_messages),
-                std::to_string(row.total_bytes), hex(row.fingerprint)});
-  }
-  return csv;
 }
 
 }  // namespace p2pdt

@@ -1,11 +1,9 @@
 #ifndef P2PDT_P2PDMT_DRIFT_H_
 #define P2PDT_P2PDMT_DRIFT_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/csv.h"
 #include "corpus/vectorize.h"
 #include "ml/staleness.h"
 #include "p2pdmt/experiment.h"
@@ -131,63 +129,6 @@ Result<DriftExperimentResult> RunDriftExperiment(
 /// "new_tag" requires stream.reserve_tags >= 1.
 Result<std::vector<DriftEvent>> ScenarioEvents(const std::string& scenario,
                                                const StreamOptions& stream);
-
-/// One grid point of the drift sweep, flattened for the CSV.
-struct DriftRow {
-  std::string algorithm;
-  std::string scenario;
-  std::string policy;
-  double loss_rate = 0.0;
-  bool churn = false;
-
-  std::size_t num_epochs = 0;
-  std::size_t first_drift_epoch = 0;
-  double pre_drift_f1 = 0.0;
-  double min_post_drift_f1 = 0.0;
-  double final_f1 = 0.0;
-  double max_dip = 0.0;
-  std::size_t recovery_epochs = 0;
-  bool reconverged = true;
-  uint64_t retrains = 0;
-  uint64_t drift_detections = 0;
-  uint64_t give_ups = 0;
-  uint64_t suspected_peers = 0;
-  uint64_t total_messages = 0;
-  uint64_t total_bytes = 0;
-  uint64_t fingerprint = 0;
-};
-
-struct DriftSweepOptions {
-  /// Stream template; events are overridden per scenario (reserve_tags is
-  /// forced to >= 1 so the "new_tag" scenario is always valid).
-  StreamOptions stream;
-  /// Template for every run; algorithm / policy / loss / churn overridden
-  /// per grid point.
-  DriftExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kPace,
-                                           AlgorithmType::kCempar};
-  std::vector<std::string> scenarios = {"none", "sudden_vocab",
-                                        "gradual_rotation", "popularity_spike",
-                                        "new_tag"};
-  std::vector<RetrainPolicy> policies = {RetrainPolicy::kFrozen,
-                                         RetrainPolicy::kPeriodic,
-                                         RetrainPolicy::kStalenessTriggered,
-                                         RetrainPolicy::kDriftTriggered};
-  std::vector<double> loss_rates = {0.0, 0.2};
-  /// Adds a churn-on arm (exponential churn, every policy) at the headline
-  /// scenario ("sudden_vocab") and the highest loss rate.
-  bool churn_arm = true;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const DriftRow&)> on_point;
-};
-
-/// Runs the grid: scenarios × algorithms × policies × loss rates, plus the
-/// optional churn arm. Failed runs are skipped with a warning.
-Result<std::vector<DriftRow>> RunDriftSweep(const DriftSweepOptions& options);
-
-/// Flattens sweep rows into the CSV schema bench_drift writes
-/// (bench_results/drift.csv).
-CsvWriter DriftCsv(const std::vector<DriftRow>& rows);
 
 }  // namespace p2pdt
 

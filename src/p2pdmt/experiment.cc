@@ -96,6 +96,43 @@ Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
   return Status::InvalidArgument("unknown algorithm");
 }
 
+Result<SimulatedClassifier> SetupClassifier(const ExperimentOptions& options,
+                                            std::vector<DatasetShard> shards,
+                                            TagId num_tags) {
+  SimulatedClassifier sim;
+  Result<std::unique_ptr<Environment>> env = Environment::Create(options.env);
+  if (!env.ok()) return env.status();
+  sim.env = std::move(env).value();
+  Result<std::unique_ptr<P2PClassifier>> algo =
+      MakeClassifier(*sim.env, options);
+  if (!algo.ok()) return algo.status();
+  sim.algo = std::move(algo).value();
+  P2PDT_RETURN_IF_ERROR(sim.algo->SetupShards(std::move(shards), num_tags));
+  sim.env->StartDynamics();
+  return sim;
+}
+
+Result<double> TrainToQuiescence(Environment& env, P2PClassifier& algo,
+                                 double max_sim_seconds) {
+  bool done = false;
+  Status status = Status::OK();
+  double seconds = 0.0;
+  const SimTime start = env.sim().Now();
+  algo.Train([&](Status s) {
+    status = s;
+    done = true;
+    seconds = env.sim().Now() - start;
+  });
+  env.RunUntilFlag(done, max_sim_seconds);
+  if (!done) {
+    return Status::Internal("training protocol did not quiesce in " +
+                            std::to_string(max_sim_seconds) +
+                            " simulated seconds");
+  }
+  P2PDT_RETURN_IF_ERROR(status);
+  return seconds;
+}
+
 namespace {
 
 struct StatsSnapshot {
@@ -218,18 +255,11 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
       SummarizeDistribution(peers.value(), corpus.dataset.num_tags());
 
   // 2. Environment + algorithm.
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(options.env);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
-  P2PDT_RETURN_IF_ERROR(
-      algo.SetupShards(std::move(peers).value(), corpus.dataset.num_tags()));
-
-  env.StartDynamics();
+  Result<SimulatedClassifier> sim = SetupClassifier(
+      options, std::move(peers).value(), corpus.dataset.num_tags());
+  if (!sim.ok()) return sim.status();
+  Environment& env = *sim->env;
+  P2PClassifier& algo = *sim->algo;
   if (options.warmup_sim_seconds > 0.0) {
     env.sim().RunUntil(env.sim().Now() + options.warmup_sim_seconds);
   }
@@ -247,21 +277,10 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   if (env.profiler() != nullptr) env.profiler()->SetPhase("train");
   CostCounts before_train_cost = CostLedger::Collect();
   StatsSnapshot before_train = StatsSnapshot::Take(env.net().stats());
-  bool train_done = false;
-  Status train_status = Status::OK();
-  const SimTime train_start = env.sim().Now();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-    result.train_sim_seconds = env.sim().Now() - train_start;
-  });
-  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) {
-    return Status::Internal("training protocol did not quiesce in " +
-                            std::to_string(options.max_train_sim_seconds) +
-                            " simulated seconds");
-  }
-  P2PDT_RETURN_IF_ERROR(train_status);
+  Result<double> train_seconds =
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+  if (!train_seconds.ok()) return train_seconds.status();
+  result.train_sim_seconds = *train_seconds;
   if (result.cost_ledger_enabled) {
     result.train_cost = CostLedger::Collect() - before_train_cost;
   }

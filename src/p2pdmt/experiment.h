@@ -183,6 +183,26 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
 Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
     Environment& env, const ExperimentOptions& options);
 
+/// An environment with a classifier set up on its peers' data and the
+/// environment's dynamics started: what every harness builds before it
+/// trains.
+struct SimulatedClassifier {
+  std::unique_ptr<Environment> env;
+  std::unique_ptr<P2PClassifier> algo;
+};
+
+/// Creates `options.env`, builds `options.algorithm` on it (MakeClassifier),
+/// sets it up on `shards` (one per peer) and starts the dynamics.
+Result<SimulatedClassifier> SetupClassifier(const ExperimentOptions& options,
+                                            std::vector<DatasetShard> shards,
+                                            TagId num_tags);
+
+/// Runs the training protocol until it reports, for at most
+/// `max_sim_seconds` of simulated time. Returns the simulated seconds
+/// training took; an error when it failed or did not quiesce.
+Result<double> TrainToQuiescence(Environment& env, P2PClassifier& algo,
+                                 double max_sim_seconds);
+
 /// Deterministically splits `corpus` into train/test keeping the user
 /// mapping (needed for by-user distribution).
 struct CorpusSplit {

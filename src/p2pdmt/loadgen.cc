@@ -1,33 +1,14 @@
 #include "p2pdmt/loadgen.h"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 
 namespace p2pdt {
 
 namespace {
-
-// FNV-1a over arbitrary bytes; the same constants every other digest in the
-// repo uses, so fingerprints stay comparable across harnesses.
-struct Fnv64 {
-  uint64_t state = 0xcbf29ce484222325ull;
-  void MixBytes(const void* data, std::size_t n) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      state ^= p[i];
-      state *= 0x100000001b3ull;
-    }
-  }
-  void Mix(uint64_t v) { MixBytes(&v, sizeof(v)); }
-  void Mix(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Mix(bits);
-  }
-};
 
 // Distinct DeriveSeed domains so the arrival, document, and retry streams
 // never alias even for the same (session, request) pair.
@@ -245,9 +226,9 @@ void SessionLoadGenerator::OnOutcome(std::size_t session, std::size_t idx,
   h.Mix(static_cast<uint64_t>(idx));
   h.Mix(static_cast<uint64_t>(answered ? (p.cached ? 2 : p.degraded ? 3 : 1)
                                        : 0));
-  h.Mix(latency);
+  h.MixDouble(latency);
   for (TagId t : p.tags) h.Mix(static_cast<uint64_t>(t));
-  for (double s : p.scores) h.Mix(s);
+  for (double s : p.scores) h.MixDouble(s);
   result_.fingerprint += h.state;
 
   --outstanding_;

@@ -1,11 +1,6 @@
 #ifndef P2PDT_P2PDMT_OVERLOAD_H_
 #define P2PDT_P2PDMT_OVERLOAD_H_
 
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "common/csv.h"
 #include "corpus/vectorize.h"
 #include "p2pdmt/experiment.h"
 #include "p2pdmt/loadgen.h"
@@ -53,74 +48,6 @@ struct OverloadRunStats {
 
 Result<OverloadRunStats> RunOverloadExperiment(
     const VectorizedCorpus& corpus, const OverloadExperimentOptions& options);
-
-/// One grid point of the overload sweep, flattened for the CSV.
-struct OverloadRow {
-  std::string algorithm;
-  std::string arm;    // "undefended" | "defended"
-  std::string burst;  // "none" | "flash" | "disarmed"
-  double arrival_rate = 0.0;
-  double burst_multiplier = 1.0;
-  uint64_t offered = 0;
-  uint64_t completed = 0;
-  uint64_t ok = 0;
-  uint64_t degraded = 0;
-  uint64_t cached = 0;
-  uint64_t failed = 0;
-  uint64_t shed = 0;
-  uint64_t retries = 0;
-  uint64_t within_slo = 0;
-  double goodput_within_slo = 0.0;
-  /// Sheds per request attempt (offered + retries).
-  double shed_rate = 0.0;
-  /// hits / (hits + misses + stale) of the prediction cache; 0 when the
-  /// cache was disabled or never consulted.
-  double cache_hit_rate = 0.0;
-  double p50_s = 0.0;
-  double p95_s = 0.0;
-  double p99_s = 0.0;
-  double slo_s = 0.0;
-  uint64_t give_ups = 0;
-  uint64_t fingerprint = 0;
-};
-
-struct OverloadSweepOptions {
-  /// Template for every point; algorithm / serve / cache / loadgen knobs
-  /// are overridden per arm below.
-  OverloadExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kPace,
-                                           AlgorithmType::kCempar};
-  /// Aggregate offered request rates (requests per sim second) swept.
-  std::vector<double> arrival_rates = {40.0};
-  /// Include the steady (no burst) arm alongside the flash-crowd arm.
-  bool none_burst = true;
-  double burst_multiplier = 8.0;
-  /// Per-node serving capacity. PACE serves predictions at the requester
-  /// itself, so its budget is per-session; CEMPaR concentrates requests on
-  /// the hot documents' home super-peers, so its budget is per owner. 0 =
-  /// auto: headroom × the respective steady-state per-node offered rate.
-  double pace_service_rate = 0.0;
-  double cempar_service_rate = 0.0;
-  /// Steady-state capacity headroom used by the auto calibration: capacity
-  /// = headroom × offered. Well above 1 the steady arm is healthy (service
-  /// time is a small fraction of the SLO, so off-burst requests land within
-  /// it even in the undefended arm); the flash multiplier then drives
-  /// offered past capacity and only the defended arm keeps its goodput.
-  double capacity_headroom = 4.0;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const OverloadRow&)> on_point;
-};
-
-/// Runs the grid: algorithms × arrival rates × bursts × {undefended,
-/// defended}, plus one disarmed bit-identity pair per algorithm (the same
-/// two arm configurations with the load generator off — their fingerprints
-/// must match exactly).
-Result<std::vector<OverloadRow>> RunOverloadSweep(
-    const VectorizedCorpus& corpus, const OverloadSweepOptions& options);
-
-/// Flattens sweep rows into the CSV schema bench_overload writes
-/// (bench_results/overload.csv).
-CsvWriter OverloadCsv(const std::vector<OverloadRow>& rows);
 
 }  // namespace p2pdt
 

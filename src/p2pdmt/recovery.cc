@@ -73,7 +73,7 @@ void RecoveryCoordinator::HandleRejoin(NodeId node) {
       Status restored = classifier_.Restore(node, *blob);
       if (restored.ok()) {
         warm = true;
-        latency = options_.warm_restore_latency_sec;
+        latency = kWarmRestoreLatencySec;
       } else {
         // A blob that passed the CRC but fails structural validation still
         // degrades to a cold start, never a crash or a silently wrong model.
@@ -88,8 +88,7 @@ void RecoveryCoordinator::HandleRejoin(NodeId node) {
   if (!warm) {
     std::size_t refit = classifier_.ColdRestart(node);
     stats_.retrain_examples += refit;
-    latency = static_cast<double>(refit) *
-              options_.cold_retrain_latency_per_example_sec;
+    latency = static_cast<double>(refit) * kColdRetrainLatencyPerExampleSec;
     if (options_.warm_rejoin && options_.recheckpoint_after_cold_restart) {
       // Best effort: a failed re-checkpoint only costs the *next* rejoin
       // its warmth.
@@ -108,21 +107,21 @@ void RecoveryCoordinator::HandleRejoin(NodeId node) {
     stats_.max_rejoin_latency_sec = latency;
   }
 
-  if (options_.resync_after_rejoin) {
-    // Run the anti-entropy round after the simulated recovery latency has
-    // elapsed — the peer is not reachable while it reloads or retrains.
-    ++stats_.resync_rounds;
-    sim_.Schedule(latency, [this, node] {
-      if (!net_.IsOnline(node)) return;  // failed again while recovering
-      const SimTime resync_started = sim_.Now();
-      classifier_.ResyncPeer(node, [this, resync_started] {
-        // Sim-time the anti-entropy round took to quiesce.
-        if (Histogram* hist = phases_[Phase::kResync]) {
-          hist->Observe(sim_.Now() - resync_started);
-        }
-      });
+  // One anti-entropy round (CEMPaR RepairRound / PACE bundle repair) catches
+  // up regional/replicated state. It runs after the simulated recovery
+  // latency has elapsed — the peer is not reachable while it reloads or
+  // retrains.
+  ++stats_.resync_rounds;
+  sim_.Schedule(latency, [this, node] {
+    if (!net_.IsOnline(node)) return;  // failed again while recovering
+    const SimTime resync_started = sim_.Now();
+    classifier_.ResyncPeer(node, [this, resync_started] {
+      // Sim-time the anti-entropy round took to quiesce.
+      if (Histogram* hist = phases_[Phase::kResync]) {
+        hist->Observe(sim_.Now() - resync_started);
+      }
     });
-  }
+  });
 }
 
 }  // namespace p2pdt

@@ -13,6 +13,13 @@
 
 namespace p2pdt {
 
+/// Simulated seconds to load + validate a peer's checkpoints on a warm
+/// rejoin (disk read, CRC check, deserialization).
+inline constexpr double kWarmRestoreLatencySec = 0.25;
+/// Simulated seconds per training example refit on a cold rejoin; the
+/// dominant term of cold-start latency.
+inline constexpr double kColdRetrainLatencyPerExampleSec = 0.02;
+
 /// Knobs of the durable-peer-state layer an experiment can enable.
 struct RecoveryOptions {
   /// Master switch: wire peer-state durability through churn transitions.
@@ -23,15 +30,6 @@ struct RecoveryOptions {
   /// Directory for checkpoint files. Empty = the experiment creates (and
   /// removes) a unique scratch directory under the system temp dir.
   std::string checkpoint_dir;
-  /// Simulated seconds to load + validate a peer's checkpoints on a warm
-  /// rejoin (disk read, CRC check, deserialization).
-  double warm_restore_latency_sec = 0.25;
-  /// Simulated seconds per training example refit on a cold rejoin; the
-  /// dominant term of cold-start latency.
-  double cold_retrain_latency_per_example_sec = 0.02;
-  /// Run one anti-entropy round (CEMPaR RepairRound / PACE bundle repair)
-  /// after the peer's state is back, to catch up regional/replicated state.
-  bool resync_after_rejoin = true;
   /// Refresh the peer's checkpoint after a cold retrain, so its *next*
   /// rejoin can be warm. Only meaningful with warm_rejoin.
   bool recheckpoint_after_cold_restart = true;

@@ -1,12 +1,9 @@
 #include "p2pdmt/recovery_experiment.h"
 
-#include <cstdio>
 #include <cstring>
+#include <memory>
 #include <numeric>
 #include <utility>
-
-#include "common/logging.h"
-#include "p2pdmt/recovery.h"
 
 namespace p2pdt {
 
@@ -30,32 +27,17 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
   PassOutput out;
   CorpusSplit split =
       SplitCorpus(corpus, options.train_fraction, options.seed);
-  Result<std::vector<MultiLabelDataset>> peers = DistributeData(
-      split.train, options.env.num_peers, options.distribution,
-      &split.train_user);
+  Result<std::vector<DatasetShard>> peers = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(split.train),
+      options.env.num_peers, options.distribution, &split.train_user);
   if (!peers.ok()) return peers.status();
-
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(options.env);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
+  Result<SimulatedClassifier> sim = SetupClassifier(
+      options, std::move(peers).value(), corpus.dataset.num_tags());
+  if (!sim.ok()) return sim.status();
+  Environment& env = *sim->env;
+  P2PClassifier& algo = *sim->algo;
   P2PDT_RETURN_IF_ERROR(
-      algo.Setup(std::move(peers).value(), corpus.dataset.num_tags()));
-
-  env.StartDynamics();
-  bool train_done = false;
-  Status train_status = Status::OK();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-  });
-  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) return Status::Internal("training did not quiesce");
-  P2PDT_RETURN_IF_ERROR(train_status);
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds).status());
 
   if (num_crashed_peers > 0) {
     if (!algo.SupportsDurability()) {
@@ -165,87 +147,6 @@ Result<CrashRestoreReport> RunCrashRestoreExperiment(
     if (!SameBits(a.scores, b.scores)) ++report.mismatched_scores;
   }
   return report;
-}
-
-namespace {
-
-ChurnRow MakeChurnRow(const ExperimentResult& r, bool warm) {
-  ChurnRow row;
-  row.algorithm = r.algorithm;
-  row.churn = r.churn;
-  row.rejoin_mode = warm ? "warm" : "cold";
-  row.micro_f1 = r.metrics.micro_f1;
-  row.macro_f1 = r.metrics.macro_f1;
-  row.failed_predictions = r.failed_predictions;
-  row.test_documents = r.test_documents;
-  row.failures = r.churn_failures;
-  row.rejoins = r.churn_rejoins;
-  row.warm_rejoins = r.warm_rejoins;
-  row.cold_rejoins = r.cold_rejoins;
-  row.corrupt_checkpoints = r.corrupt_checkpoints;
-  row.retrain_examples = r.retrain_examples;
-  row.checkpoint_bytes = r.checkpoint_bytes;
-  row.mean_rejoin_latency_sec = r.mean_rejoin_latency_sec;
-  row.max_rejoin_latency_sec = r.max_rejoin_latency_sec;
-  return row;
-}
-
-}  // namespace
-
-std::vector<ChurnRow> RunWarmColdSweep(const VectorizedCorpus& corpus,
-                                       const ChurnSweepOptions& options) {
-  std::vector<ChurnRow> rows;
-  for (AlgorithmType algo : options.algorithms) {
-    for (ChurnType churn : options.churn_models) {
-      for (bool warm : {true, false}) {
-        ExperimentOptions opt = options.base;
-        opt.algorithm = algo;
-        opt.env.churn = churn;
-        opt.recovery.enabled = true;
-        opt.recovery.warm_rejoin = warm;
-        opt.post_train_sim_seconds = options.exposure_sim_seconds;
-        Result<ExperimentResult> r = RunExperiment(corpus, opt);
-        if (!r.ok()) {
-          P2PDT_LOG(Warning)
-              << AlgorithmTypeToString(algo) << " churn="
-              << ChurnTypeToString(churn) << " mode="
-              << (warm ? "warm" : "cold")
-              << " failed: " << r.status().ToString();
-          continue;
-        }
-        rows.push_back(MakeChurnRow(*r, warm));
-        if (options.on_point) options.on_point(rows.back());
-      }
-    }
-  }
-  return rows;
-}
-
-CsvWriter ChurnCsv(const std::vector<ChurnRow>& rows) {
-  CsvWriter csv({"algorithm", "churn", "rejoin_mode", "micro_f1", "macro_f1",
-                 "failed", "attempted", "failures", "rejoins", "warm_rejoins",
-                 "cold_rejoins", "corrupt_checkpoints", "retrain_examples",
-                 "checkpoint_bytes", "mean_rejoin_latency_sec",
-                 "max_rejoin_latency_sec"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  for (const ChurnRow& row : rows) {
-    csv.AddRow({row.algorithm, row.churn, row.rejoin_mode, fmt(row.micro_f1),
-                fmt(row.macro_f1), std::to_string(row.failed_predictions),
-                std::to_string(row.test_documents),
-                std::to_string(row.failures), std::to_string(row.rejoins),
-                std::to_string(row.warm_rejoins),
-                std::to_string(row.cold_rejoins),
-                std::to_string(row.corrupt_checkpoints),
-                std::to_string(row.retrain_examples),
-                std::to_string(row.checkpoint_bytes),
-                fmt(row.mean_rejoin_latency_sec),
-                fmt(row.max_rejoin_latency_sec)});
-  }
-  return csv;
 }
 
 }  // namespace p2pdt

@@ -2,11 +2,8 @@
 #define P2PDT_P2PDMT_RECOVERY_EXPERIMENT_H_
 
 #include <cstddef>
-#include <functional>
 #include <string>
-#include <vector>
 
-#include "common/csv.h"
 #include "p2pdmt/experiment.h"
 
 namespace p2pdt {
@@ -43,63 +40,11 @@ struct CrashRestoreReport {
 /// workload — then compares every prediction bitwise.
 ///
 /// `base.env.churn` is forced to none: this experiment isolates the
-/// restore path; the churn sweep covers random failure timing.
+/// restore path; bench_churn's warm-vs-cold sweep covers random failure
+/// timing.
 Result<CrashRestoreReport> RunCrashRestoreExperiment(
     const VectorizedCorpus& corpus, const ExperimentOptions& base,
     std::size_t num_crashed_peers);
-
-/// One grid point of the warm-vs-cold rejoin sweep, flattened for
-/// bench_results/churn.csv.
-struct ChurnRow {
-  std::string algorithm;
-  std::string churn = "none";
-  /// "warm" (checkpoint restore) or "cold" (retrain from scratch).
-  std::string rejoin_mode = "warm";
-
-  double micro_f1 = 0.0;
-  double macro_f1 = 0.0;
-  std::size_t failed_predictions = 0;
-  std::size_t test_documents = 0;
-
-  uint64_t failures = 0;
-  uint64_t rejoins = 0;
-  uint64_t warm_rejoins = 0;
-  uint64_t cold_rejoins = 0;
-  uint64_t corrupt_checkpoints = 0;
-  /// Retrain work a rejoining peer performed (training examples refit);
-  /// the cost warm rejoin avoids.
-  uint64_t retrain_examples = 0;
-  uint64_t checkpoint_bytes = 0;
-  double mean_rejoin_latency_sec = 0.0;
-  double max_rejoin_latency_sec = 0.0;
-};
-
-struct ChurnSweepOptions {
-  /// Template for every run; churn model and rejoin mode are overridden
-  /// per grid point.
-  ExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kCempar,
-                                           AlgorithmType::kPace};
-  std::vector<ChurnType> churn_models = {ChurnType::kNone,
-                                         ChurnType::kExponential,
-                                         ChurnType::kPareto};
-  /// Post-training churn exposure before evaluation (simulated seconds).
-  double exposure_sim_seconds = 600.0;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const ChurnRow&)> on_point;
-};
-
-/// Runs algorithms × churn models × {warm, cold}: every churned point runs
-/// with recovery enabled, once restoring from checkpoints and once
-/// retraining cold, under identical seeds — so the rows differ only in
-/// recovery cost, never in final accuracy (training is deterministic).
-/// Failed runs are skipped with a warning rather than aborting the sweep.
-std::vector<ChurnRow> RunWarmColdSweep(const VectorizedCorpus& corpus,
-                                       const ChurnSweepOptions& options);
-
-/// Flattens sweep rows into the CSV schema bench_churn writes
-/// (bench_results/churn.csv).
-CsvWriter ChurnCsv(const std::vector<ChurnRow>& rows);
 
 }  // namespace p2pdt
 

@@ -15,53 +15,29 @@ Result<std::unique_ptr<TrainedService>> BuildTrainedService(
         "service harness needs non-empty train and test splits");
   }
 
+  ExperimentOptions setup;
+  setup.algorithm = options.algorithm;
+  setup.env = options.env;
+  setup.env.observe.metrics = true;
+  setup.cempar = options.cempar;
+  setup.pace = options.pace;
+  Result<std::vector<DatasetShard>> shards = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(split.train),
+      setup.env.num_peers, options.distribution, &split.train_user);
+  if (!shards.ok()) return shards.status();
+  Result<SimulatedClassifier> sim = SetupClassifier(
+      setup, std::move(shards).value(), corpus.dataset.num_tags());
+  if (!sim.ok()) return sim.status();
+
   auto service = std::make_unique<TrainedService>();
-
-  EnvironmentOptions env_options = options.env;
-  env_options.observe.metrics = true;
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(env_options);
-  if (!env_result.ok()) return env_result.status();
-  service->env = std::move(env_result).value();
+  service->env = std::move(sim->env);
+  service->classifier = std::move(sim->algo);
+  service->num_peers = setup.env.num_peers;
   Environment& env = *service->env;
-  service->num_peers = env_options.num_peers;
-
-  ExperimentOptions algo_options;
-  algo_options.algorithm = options.algorithm;
-  algo_options.cempar = options.cempar;
-  algo_options.pace = options.pace;
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, algo_options);
-  if (!algo_result.ok()) return algo_result.status();
-  service->classifier = std::move(algo_result).value();
-  P2PClassifier& algo = *service->classifier;
-
-  auto shared = std::make_shared<const MultiLabelDataset>(split.train);
-  Result<std::vector<std::vector<uint32_t>>> indices = DistributeIndices(
-      *shared, service->num_peers, options.distribution, &split.train_user);
-  if (!indices.ok()) return indices.status();
-  std::vector<DatasetShard> shards;
-  shards.reserve(service->num_peers);
-  for (std::size_t p = 0; p < service->num_peers; ++p) {
-    shards.emplace_back(shared, std::move((*indices)[p]));
-  }
-  P2PDT_RETURN_IF_ERROR(
-      algo.SetupShards(std::move(shards), corpus.dataset.num_tags()));
-
-  env.StartDynamics();
-  bool train_done = false;
-  Status train_status = Status::OK();
-  const SimTime train_start = env.sim().Now();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-    service->train_sim_seconds = env.sim().Now() - train_start;
-  });
-  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) {
-    return Status::Internal("service harness: training did not quiesce");
-  }
-  P2PDT_RETURN_IF_ERROR(train_status);
+  Result<double> train_seconds = TrainToQuiescence(
+      env, *service->classifier, options.max_train_sim_seconds);
+  if (!train_seconds.ok()) return train_seconds.status();
+  service->train_sim_seconds = *train_seconds;
 
   service->catalog =
       BuildServiceCatalog(corpus, options.train_fraction, options.max_docs,

@@ -4,11 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <queue>
 #include <unordered_map>
 #include <vector>
 
+#include "common/fnv.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "net/client.h"
@@ -18,26 +18,6 @@
 namespace p2pdt {
 
 namespace {
-
-// Same FNV-1a constants as every other digest in the repo. The socket
-// fingerprint deliberately omits latency (wall clocks are not
-// deterministic); it digests identity + outcome + answer bits only.
-struct Fnv64 {
-  uint64_t state = 0xcbf29ce484222325ull;
-  void MixBytes(const void* data, std::size_t n) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      state ^= p[i];
-      state *= 0x100000001b3ull;
-    }
-  }
-  void Mix(uint64_t v) { MixBytes(&v, sizeof(v)); }
-  void Mix(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Mix(bits);
-  }
-};
 
 uint64_t RequestId(std::size_t session, std::size_t idx, std::size_t attempt) {
   return (static_cast<uint64_t>(session) << 32) |
@@ -182,12 +162,14 @@ void Replay::RecordFinal(const Pending& p, int outcome_class,
     if (latency <= options_.schedule.slo_latency) ++result_.load.within_slo;
   }
 
+  // The socket fingerprint deliberately omits latency (wall clocks are not
+  // deterministic); it digests identity + outcome + answer bits only.
   Fnv64 h;
   h.Mix(static_cast<uint64_t>(p.session));
   h.Mix(static_cast<uint64_t>(p.idx));
   h.Mix(static_cast<uint64_t>(outcome_class));
   for (uint32_t t : tags) h.Mix(static_cast<uint64_t>(t));
-  for (double s : scores) h.Mix(s);
+  for (double s : scores) h.MixDouble(s);
   result_.load.fingerprint += h.state;
 
   --remaining_;

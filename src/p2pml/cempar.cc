@@ -967,6 +967,11 @@ Status Cempar::Restore(NodeId peer, const std::string& blob) {
   }
   // Commit only after the whole blob parsed: restore is all-or-nothing.
   local_models_[peer] = std::move(restored);
+  // The owner cache is RAM, not checkpoint: a restored peer starts with an
+  // empty one, exactly like a cold restart (EvictPeer). Without this, a
+  // warm rejoin kept the owners that lookups in flight across the crash
+  // resolved while the peer was down.
+  owner_cache_[peer].clear();
   runtime_.BumpPublishEpoch();
   return Status::OK();
 }

@@ -1,26 +1,16 @@
 #include "p2pml/predict_cache.h"
 
-#include <cstring>
+#include "common/fnv.h"
 
 namespace p2pdt {
 
 uint64_t FingerprintVector(const SparseVector& x) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix_bytes = [&h](const void* data, std::size_t n) {
-    const unsigned char* b = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= b[i];
-      h *= 0x100000001b3ull;
-    }
-  };
+  Fnv64 h;
   for (const auto& [index, weight] : x.entries()) {
-    mix_bytes(&index, sizeof(index));
-    double w = weight;
-    uint64_t bits = 0;
-    std::memcpy(&bits, &w, sizeof(bits));
-    mix_bytes(&bits, sizeof(bits));
+    h.MixBytes(&index, sizeof(index));
+    h.MixDouble(weight);
   }
-  return h;
+  return h.state;
 }
 
 const P2PPrediction* PredictionCache::Lookup(uint64_t key, uint64_t epoch,

@@ -1,7 +1,10 @@
 #include "common/csv.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -39,6 +42,65 @@ TEST(CsvWriterTest, NumericRowFormatting) {
   CsvWriter csv({"v", "w"});
   ASSERT_TRUE(csv.AddNumericRow({1.5, 0.000012}).ok());
   EXPECT_EQ(csv.ToString(), "v,w\n1.5,1.2e-05\n");
+}
+
+TEST(CsvRowTest, FormatsEachKindOfColumn) {
+  CsvWriter csv;
+  CsvWriter::Row row;
+  row.Add("name", "pace")
+      .Add("f1", 0.8793456)
+      .Add("tiny", 0.000012)
+      .Add("count", uint64_t{18446744073709551615ull})
+      .Add("signed", -3)
+      .Flag("reliable", true)
+      .Flag("churn", false)
+      .Hex("fingerprint", 0x6ac55177d95bb636ull)
+      .Hex("small", 0x2aull);
+  ASSERT_TRUE(csv.AddRow(row).ok());
+  EXPECT_EQ(csv.ToString(),
+            "name,f1,tiny,count,signed,reliable,churn,fingerprint,small\n"
+            "pace,0.879346,1.2e-05,18446744073709551615,-3,1,0,"
+            "6ac55177d95bb636,000000000000002a\n");
+}
+
+TEST(CsvRowTest, FirstRowFixesTheHeader) {
+  CsvWriter csv;
+  EXPECT_EQ(csv.num_columns(), 0u);
+  CsvWriter::Row first;
+  first.Add("a", 1).Add("b", 2.5);
+  ASSERT_TRUE(csv.AddRow(first).ok());
+  EXPECT_EQ(csv.header(), (std::vector<std::string>{"a", "b"}));
+  CsvWriter::Row second;
+  second.Add("a", 3).Add("b", 0.25);
+  ASSERT_TRUE(csv.AddRow(second).ok());
+  EXPECT_EQ(csv.ToString(), "a,b\n1,2.5\n3,0.25\n");
+}
+
+TEST(CsvRowTest, MismatchedRowIsRejected) {
+  CsvWriter csv;
+  CsvWriter::Row first;
+  first.Add("a", 1).Add("b", 2);
+  ASSERT_TRUE(csv.AddRow(first).ok());
+
+  CsvWriter::Row renamed;
+  renamed.Add("a", 1).Add("c", 2);
+  CsvWriter::Row reordered;
+  reordered.Add("b", 2).Add("a", 1);
+  CsvWriter::Row short_row;
+  short_row.Add("a", 1);
+  for (const CsvWriter::Row* bad : {&renamed, &reordered, &short_row}) {
+    EXPECT_EQ(csv.AddRow(*bad).code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(csv.num_rows(), 1u);
+
+  // A header given up front binds built rows too.
+  CsvWriter fixed({"x"});
+  CsvWriter::Row y;
+  y.Add("y", 1);
+  EXPECT_EQ(fixed.AddRow(y).code(), StatusCode::kInvalidArgument);
+  CsvWriter::Row x;
+  x.Add("x", 1);
+  EXPECT_TRUE(fixed.AddRow(x).ok());
 }
 
 TEST(CsvWriterTest, WriteFileRoundTrip) {

@@ -213,6 +213,40 @@ TEST(PaceRecoveryTest, ColdRestartPlusResyncRecoversCoverage) {
   }
 }
 
+// --- CEMPaR owner cache across a crash -----------------------------------
+
+// A crash destroys a CEMPaR peer's owner cache with the rest of its RAM.
+// Lookups the peer issued before the crash still complete while it is down;
+// a warm rejoin must not inherit what they resolved, so the peer's next
+// prediction resolves every home through the DHT again.
+TEST(CemparRejoinTest, WarmRejoinResolvesOwnersThroughTheDht) {
+  Fixture f(AlgorithmType::kCempar, 10);
+  ASSERT_TRUE(f.Train(MakePeerData(10, 8, 1)).ok());
+  const NodeId victim = 3;
+  Result<std::string> blob = f.algo->Snapshot(victim);
+  ASSERT_TRUE(blob.ok());
+  auto lookup_messages = [&f] {
+    return f.env->net().stats().messages_sent(MessageType::kLookup);
+  };
+
+  // A refresh re-uploads the victim's models, one home lookup each; crash
+  // the victim with those lookups in flight and let them finish.
+  bool refreshed = false;
+  f.algo->RefreshPeer(victim, [&refreshed] { refreshed = true; });
+  f.env->net().SetOnline(victim, false);
+  f.algo->EvictPeer(victim);
+  f.env->RunUntilFlag(refreshed, 3600);
+  ASSERT_TRUE(refreshed);
+
+  // Warm rejoin, then predict.
+  f.env->net().SetOnline(victim, true);
+  ASSERT_TRUE(f.algo->Restore(victim, *blob).ok());
+  const uint64_t before = lookup_messages();
+  f.PredictSync(victim, TagVector(1));
+  // Four tags × one region: every home costs at least one lookup message.
+  EXPECT_GE(lookup_messages() - before, 4u);
+}
+
 // --- RecoveryCoordinator under real churn --------------------------------
 
 class CoordinatorTest : public ::testing::Test {
@@ -268,8 +302,7 @@ TEST_F(CoordinatorTest, WarmRejoinRestoresWithoutRetraining) {
   EXPECT_EQ(stats.cold_rejoins, 0u);
   EXPECT_EQ(stats.retrain_examples, 0u);
   EXPECT_EQ(stats.corrupt_checkpoints, 0u);
-  EXPECT_DOUBLE_EQ(stats.mean_rejoin_latency_sec(),
-                   opt.warm_restore_latency_sec);
+  EXPECT_DOUBLE_EQ(stats.mean_rejoin_latency_sec(), kWarmRestoreLatencySec);
 }
 
 TEST_F(CoordinatorTest, ColdRejoinRetrains) {
@@ -280,7 +313,7 @@ TEST_F(CoordinatorTest, ColdRejoinRetrains) {
   EXPECT_GT(stats.cold_rejoins, 0u);
   EXPECT_GT(stats.retrain_examples, 0u);
   // Retraining 8 examples at the default per-example cost dwarfs a restore.
-  EXPECT_GT(stats.mean_rejoin_latency_sec(), opt.warm_restore_latency_sec);
+  EXPECT_GT(stats.mean_rejoin_latency_sec(), kWarmRestoreLatencySec);
 }
 
 TEST_F(CoordinatorTest, CorruptCheckpointDegradesToColdNeverCrashes) {
@@ -400,20 +433,6 @@ TEST(RecoveryExperimentTest, ChurnCountersSurfacedWithoutRecovery) {
   EXPECT_GT(r->churn_failures, 0u);
   // No recovery layer → nothing classifies the rejoins.
   EXPECT_EQ(r->warm_rejoins + r->cold_rejoins, 0u);
-}
-
-TEST(ChurnCsvTest, SchemaAndRows) {
-  ChurnRow row;
-  row.algorithm = "pace";
-  row.churn = "exponential";
-  row.rejoin_mode = "warm";
-  row.macro_f1 = 0.5;
-  row.rejoins = 3;
-  CsvWriter csv = ChurnCsv({row});
-  std::string out = csv.ToString();
-  EXPECT_NE(out.find("rejoin_mode"), std::string::npos);
-  EXPECT_NE(out.find("retrain_examples"), std::string::npos);
-  EXPECT_NE(out.find("pace,exponential,warm"), std::string::npos);
 }
 
 }  // namespace

@@ -14,9 +14,9 @@
 //
 // The problems run at C = 1 (every trainer's default) and C = 10, where
 // each model has a support vector strictly inside the box and the bias is
-// their average. A problem with every support vector at a bound takes the
-// bias from TrainKernelSvm's fallback rule, which this suite does not
-// certify: at C = 0.01 that rule misses the KKT interval on some problems.
+// their average, and at C = 0.01, where many problems have every support
+// vector at a bound and the bias comes from TrainKernelSvm's fallback: the
+// midpoint of the interval the KKT conditions leave for it.
 
 #include <algorithm>
 #include <cmath>
@@ -134,7 +134,8 @@ KernelSvmModel TrainCounted(const std::vector<Example>& data,
 
 void ExpectCertified(const std::string& name, const KernelSvmModel& model,
                      const std::vector<Example>& data,
-                     const KernelSvmOptions& options, uint64_t iterations) {
+                     const KernelSvmOptions& options, uint64_t iterations,
+                     bool may_use_fallback) {
   SCOPED_TRACE(name);
   const Certificate c = Certify(model, data, options);
   const double gap = c.primal - c.dual;
@@ -146,7 +147,9 @@ void ExpectCertified(const std::string& name, const KernelSvmModel& model,
       c.sum_alpha_y, gap, gap / std::max(1.0, std::fabs(c.primal)));
   EXPECT_LT(iterations, static_cast<uint64_t>(options.max_iterations))
       << "SMO stopped at max_iterations";
-  EXPECT_GT(c.free_svs, 0u) << "bias came from the all-at-bound fallback";
+  if (!may_use_fallback) {
+    EXPECT_GT(c.free_svs, 0u) << "bias came from the all-at-bound fallback";
+  }
   EXPECT_LE(c.worst_violation, 0.0)
       << "KKT violated beyond tol at example " << c.worst_index;
   EXPECT_LE(std::fabs(c.sum_alpha_y), 1e-10 * (1.0 + c.sum_alpha));
@@ -156,12 +159,16 @@ struct Setting {
   const char* name;
   Kernel kernel;
   double c;
+  /// Small C: the bias may come from the all-at-bound fallback.
+  bool may_use_fallback = false;
 };
 
 std::vector<Setting> Settings() {
   return {{"rbf_c1", Kernel::Rbf(1.0), 1.0},
           {"rbf_c10", Kernel::Rbf(0.5), 10.0},
-          {"linear_c1", Kernel::Linear(), 1.0}};
+          {"linear_c1", Kernel::Linear(), 1.0},
+          {"rbf_c0.01", Kernel::Rbf(1.0), 0.01, true},
+          {"linear_c0.01", Kernel::Linear(), 0.01, true}};
 }
 
 TEST(SmoCertificate, TrainKernelSvmModelsAreOptimal) {
@@ -176,7 +183,7 @@ TEST(SmoCertificate, TrainKernelSvmModelsAreOptimal) {
         const KernelSvmModel model = TrainCounted(data, opt, &iters);
         ExpectCertified(std::string(s.name) + "/n" + std::to_string(n) +
                             (flip > 0 ? "/noisy" : "/clean"),
-                        model, data, opt, iters);
+                        model, data, opt, iters, s.may_use_fallback);
       }
     }
   }
@@ -212,7 +219,8 @@ TEST(SmoCertificate, CascadeLevelsAreOptimalOnTheirSupportVectors) {
       uint64_t iters = 0;
       level.push_back(TrainCounted(local, opt, &iters));
       ExpectCertified(std::string(s.name) + "/local" + std::to_string(peer),
-                      level.back(), local, opt, iters);
+                      level.back(), local, opt, iters,
+                      s.may_use_fallback);
     }
     std::vector<const KernelSvmModel*> inputs;
     for (const KernelSvmModel& m : level) inputs.push_back(&m);
@@ -236,7 +244,7 @@ TEST(SmoCertificate, CascadeLevelsAreOptimalOnTheirSupportVectors) {
         ExpectCertified(std::string(s.name) + "/level" +
                             std::to_string(depth) + "/group" +
                             std::to_string(i / kFanIn),
-                        next.back(), pool, opt, iters);
+                        next.back(), pool, opt, iters, s.may_use_fallback);
       }
       level = std::move(next);
     }
