@@ -63,8 +63,7 @@ int main(int argc, char** argv) {
       std::printf(
           "%-8s %6zu peers  micro_f1=%.4f  wire=%llu B  wall=%.1fs\n",
           r->algorithm.c_str(), peers, r->metrics.micro_f1,
-          static_cast<unsigned long long>(r->train_cost.total_wire_bytes() +
-                                          r->predict_cost.total_wire_bytes()),
+          static_cast<unsigned long long>(r->train_bytes + r->predict_bytes),
           wall.ElapsedSeconds());
     }
   }

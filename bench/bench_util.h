@@ -3,12 +3,13 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 
 #include "common/build_info.h"
 #include "common/csv.h"
+#include "common/json_check.h"
+#include "common/string_util.h"
 #include "p2pdmt/experiment.h"
 
 namespace p2pdt_bench {
@@ -38,23 +39,6 @@ inline const VectorizedCorpus& SharedCorpus(std::size_t num_users = 128,
     return std::move(r).value();
   }();
   return corpus;
-}
-
-/// Minimal JSON string escape for bench metric/point names.
-inline std::string BenchJsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
 }
 
 /// Writes a CSV table under bench_results/, creating the directory.
@@ -127,20 +111,20 @@ class BenchEmitter {
 
   std::string ToJson() const {
     std::string out = "{\n";
-    out += "  \"bench\": \"" + BenchJsonEscape(bench_name_) + "\",\n";
+    out += "  \"bench\": \"" + JsonEscape(bench_name_) + "\",\n";
     out += "  \"build_info\": " + BuildInfo::Current().ToJson() + ",\n";
     out += "  \"points\": {";
     bool first_point = true;
     for (const auto& [point, metrics] : points_) {
       if (!first_point) out += ",";
       first_point = false;
-      out += "\n    \"" + BenchJsonEscape(point) + "\": {";
+      out += "\n    \"" + JsonEscape(point) + "\": {";
       out += "\n      \"deterministic\": {";
       bool first = true;
       for (const auto& [metric, value] : metrics.deterministic) {
         if (!first) out += ", ";
         first = false;
-        out += "\"" + BenchJsonEscape(metric) +
+        out += "\"" + JsonEscape(metric) +
                "\": " + std::to_string(value);
       }
       out += "},\n      \"advisory\": {";
@@ -150,7 +134,7 @@ class BenchEmitter {
         first = false;
         char buf[40];
         std::snprintf(buf, sizeof(buf), "%.9g", value);
-        out += "\"" + BenchJsonEscape(metric) + "\": " + buf;
+        out += "\"" + JsonEscape(metric) + "\": " + buf;
       }
       out += "}\n    }";
     }
@@ -164,12 +148,12 @@ class BenchEmitter {
     std::filesystem::create_directories(
         std::filesystem::path("bench_results/" + name).parent_path(), ec);
     std::string path = "bench_results/" + name;
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << ToJson();
-    if (out.good()) {
+    Status s = WriteStringToFile(path, ToJson());
+    if (s.ok()) {
       std::printf("[bench json written to %s]\n", path.c_str());
     } else {
-      std::fprintf(stderr, "could not write %s\n", path.c_str());
+      std::fprintf(stderr, "could not write %s: %s\n", path.c_str(),
+                   s.ToString().c_str());
     }
   }
 
@@ -193,10 +177,6 @@ inline void RecordExperiment(BenchEmitter& emitter, const std::string& point,
   for (const auto& [op, value] : result.predict_cost.Scalars()) {
     emitter.Deterministic(point, std::string("predict_") + op, value);
   }
-  emitter.Deterministic(point, "train_wire_bytes",
-                        result.train_cost.total_wire_bytes());
-  emitter.Deterministic(point, "predict_wire_bytes",
-                        result.predict_cost.total_wire_bytes());
   emitter.Deterministic(point, "train_bytes", result.train_bytes);
   emitter.Deterministic(point, "predict_bytes", result.predict_bytes);
   emitter.Deterministic(point, "train_messages", result.train_messages);

@@ -1,7 +1,8 @@
 #include "common/build_info.h"
 
-#include <cstdio>
 #include <cstdlib>
+
+#include "common/json_check.h"
 
 namespace p2pdt {
 
@@ -22,43 +23,6 @@ namespace p2pdt {
 #ifndef P2PDT_BUILD_SANITIZE
 #define P2PDT_BUILD_SANITIZE ""
 #endif
-
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 BuildInfo BuildInfo::Current() {
   BuildInfo info;

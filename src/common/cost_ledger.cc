@@ -47,28 +47,11 @@ CostCounts CostLedger::Collect() {
   return total;
 }
 
-uint64_t CostCounts::total_wire_messages() const {
-  uint64_t sum = 0;
-  for (uint64_t v : wire_messages_by_type) sum += v;
-  return sum;
-}
-
-uint64_t CostCounts::total_wire_bytes() const {
-  uint64_t sum = 0;
-  for (uint64_t v : wire_bytes_by_type) sum += v;
-  return sum;
-}
-
 CostCounts CostCounts::operator-(const CostCounts& o) const {
   CostCounts out;
 #define P2PDT_COST_SUB(name) out.name = name - o.name;
   P2PDT_COST_SCALAR_FIELDS(P2PDT_COST_SUB)
 #undef P2PDT_COST_SUB
-  for (std::size_t i = 0; i < kNumWireTypes; ++i) {
-    out.wire_messages_by_type[i] =
-        wire_messages_by_type[i] - o.wire_messages_by_type[i];
-    out.wire_bytes_by_type[i] = wire_bytes_by_type[i] - o.wire_bytes_by_type[i];
-  }
   return out;
 }
 
@@ -76,23 +59,7 @@ CostCounts& CostCounts::operator+=(const CostCounts& o) {
 #define P2PDT_COST_ADD(name) name += o.name;
   P2PDT_COST_SCALAR_FIELDS(P2PDT_COST_ADD)
 #undef P2PDT_COST_ADD
-  for (std::size_t i = 0; i < kNumWireTypes; ++i) {
-    wire_messages_by_type[i] += o.wire_messages_by_type[i];
-    wire_bytes_by_type[i] += o.wire_bytes_by_type[i];
-  }
   return *this;
-}
-
-bool CostCounts::operator==(const CostCounts& o) const {
-#define P2PDT_COST_EQ(name) \
-  if (name != o.name) return false;
-  P2PDT_COST_SCALAR_FIELDS(P2PDT_COST_EQ)
-#undef P2PDT_COST_EQ
-  for (std::size_t i = 0; i < kNumWireTypes; ++i) {
-    if (wire_messages_by_type[i] != o.wire_messages_by_type[i]) return false;
-    if (wire_bytes_by_type[i] != o.wire_bytes_by_type[i]) return false;
-  }
-  return true;
 }
 
 std::vector<std::pair<const char*, uint64_t>> CostCounts::Scalars() const {
@@ -110,12 +77,6 @@ std::string CostCounts::ToString() const {
     out += '=';
     out += std::to_string(value);
     out += '\n';
-  }
-  for (std::size_t i = 0; i < kNumWireTypes; ++i) {
-    if (wire_messages_by_type[i] == 0 && wire_bytes_by_type[i] == 0) continue;
-    out += "wire[" + std::to_string(i) +
-           "]=" + std::to_string(wire_messages_by_type[i]) + "msg/" +
-           std::to_string(wire_bytes_by_type[i]) + "B\n";
   }
   return out;
 }

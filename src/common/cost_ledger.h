@@ -2,7 +2,6 @@
 #define P2PDT_COMMON_COST_LEDGER_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -27,31 +26,20 @@ namespace p2pdt {
   X(serialized_bytes)               \
   X(deserialized_bytes)
 
-/// One block of deterministic work/byte counts. Every field is a plain
+/// One block of deterministic operation counts. Every field is a plain
 /// uint64 total: integers are additive and commutative, so per-thread
 /// blocks summed at a quiesce point are bit-identical for any work
 /// partition (serial == sharded) — the property the scale-determinism
-/// tests assert.
+/// tests assert. Wire messages and bytes are not here: NetworkStats counts
+/// every simulated send once.
 struct CostCounts {
-  /// Sized for MessageType::kCount (11) with slack so common/ never needs
-  /// to see the p2psim enum; network code indexes by the enum's value.
-  static constexpr std::size_t kNumWireTypes = 16;
-
 #define P2PDT_COST_DECLARE(name) uint64_t name = 0;
   P2PDT_COST_SCALAR_FIELDS(P2PDT_COST_DECLARE)
 #undef P2PDT_COST_DECLARE
 
-  /// Wire accounting attributed per message type (index = MessageType).
-  uint64_t wire_messages_by_type[kNumWireTypes] = {};
-  uint64_t wire_bytes_by_type[kNumWireTypes] = {};
-
-  uint64_t total_wire_messages() const;
-  uint64_t total_wire_bytes() const;
-
   CostCounts operator-(const CostCounts& o) const;
   CostCounts& operator+=(const CostCounts& o);
-  bool operator==(const CostCounts& o) const;
-  bool operator!=(const CostCounts& o) const { return !(*this == o); }
+  bool operator==(const CostCounts& o) const = default;
 
   /// (name, value) pairs for the scalar fields, in declaration order —
   /// the one enumeration exporters and tests iterate.

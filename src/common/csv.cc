@@ -1,7 +1,8 @@
 #include "common/csv.h"
 
 #include <cstdio>
-#include <fstream>
+
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -90,11 +91,7 @@ std::string CsvWriter::ToString() const {
 }
 
 Status CsvWriter::WriteFile(const std::string& path) const {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return Status::IOError("cannot open " + path);
-  f << ToString();
-  if (!f) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return WriteStringToFile(path, ToString());
 }
 
 std::string CsvEscape(const std::string& field) {

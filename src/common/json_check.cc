@@ -1,6 +1,7 @@
 #include "common/json_check.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace p2pdt {
 
@@ -193,6 +194,39 @@ class JsonChecker {
 
 Status CheckJsonSyntax(std::string_view text) {
   return JsonChecker(text).Check();
+}
+
+std::string JsonEscape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 bool JsonHasKey(std::string_view text, const std::string& key) {

@@ -19,6 +19,12 @@ namespace p2pdt {
 /// use this to prove every emitted artifact is loadable by real tooling.
 Status CheckJsonSyntax(std::string_view text);
 
+/// Escapes `s` for use inside a JSON string literal: quote, backslash,
+/// \n, \t and \r get their short escapes, other control bytes become
+/// \u00XX, and every other byte (UTF-8 included) passes through. Every JSON
+/// exporter shares this one escaper.
+std::string JsonEscape(std::string_view s);
+
 /// True when well-formed `text` contains `"key":` at top level or below —
 /// a cheap presence probe the export tests use alongside CheckJsonSyntax.
 bool JsonHasKey(std::string_view text, const std::string& key);

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+
+#include "common/json_check.h"
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -33,40 +35,6 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-/// Escapes a string for embedding in JSON output.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 const char* KindToString(MetricsSnapshot::Kind kind) {
   switch (kind) {
     case MetricsSnapshot::Kind::kCounter:
@@ -90,8 +58,8 @@ std::string RenderLabels(const MetricLabels& labels) {
   return out;
 }
 
-/// Quantile estimate from differenced bucket counts (shared by live
-/// histograms and snapshot diffs).
+/// Quantile estimate from bucket counts (shared by live histograms and
+/// snapshots).
 double QuantileFromBuckets(const std::vector<double>& bounds,
                            const std::vector<uint64_t>& buckets,
                            uint64_t count, double max_value, double q) {
@@ -123,12 +91,6 @@ double QuantileFromBuckets(const std::vector<double>& bounds,
   return max_value;
 }
 
-void FillHistogramEntry(MetricsSnapshot::Entry& e) {
-  e.p50 = QuantileFromBuckets(e.bounds, e.buckets, e.count, e.max, 0.50);
-  e.p95 = QuantileFromBuckets(e.bounds, e.buckets, e.count, e.max, 0.95);
-  e.p99 = QuantileFromBuckets(e.bounds, e.buckets, e.count, e.max, 0.99);
-}
-
 }  // namespace
 
 std::string RenderMetricKey(const std::string& name,
@@ -137,8 +99,6 @@ std::string RenderMetricKey(const std::string& name,
   MetricLabels sorted = Canonicalize(labels);
   return name + "{" + RenderLabels(sorted) + "}";
 }
-
-void Gauge::Add(double delta) { AtomicAddDouble(value_, delta); }
 
 const std::vector<double>& Histogram::DefaultLatencyBounds() {
   static const std::vector<double> bounds = {
@@ -260,35 +220,20 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     e.name = fam.name;
     e.labels = fam.labels;
     e.kind = MetricsSnapshot::Kind::kHistogram;
-    e.count = fam.metric->count();
-    e.sum = fam.metric->sum();
-    e.max = fam.metric->max();
-    e.bounds = fam.metric->bounds();
-    e.buckets = fam.metric->bucket_counts();
-    FillHistogramEntry(e);
+    const Histogram& h = *fam.metric;
+    e.count = h.count();
+    e.sum = h.sum();
+    e.max = h.max();
+    const std::vector<uint64_t> buckets = h.bucket_counts();
+    e.p50 = QuantileFromBuckets(h.bounds(), buckets, e.count, e.max, 0.50);
+    e.p95 = QuantileFromBuckets(h.bounds(), buckets, e.count, e.max, 0.95);
+    e.p99 = QuantileFromBuckets(h.bounds(), buckets, e.count, e.max, 0.99);
     snap.entries.push_back(std::move(e));
   }
   std::sort(snap.entries.begin(), snap.entries.end(),
             [](const MetricsSnapshot::Entry& a,
                const MetricsSnapshot::Entry& b) { return a.key() < b.key(); });
   return snap;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [key, fam] : counters_) {
-    fam.metric->value_.store(0, std::memory_order_relaxed);
-  }
-  for (auto& [key, fam] : gauges_) {
-    fam.metric->value_.store(0.0, std::memory_order_relaxed);
-  }
-  for (auto& [key, fam] : histograms_) {
-    Histogram& h = *fam.metric;
-    for (std::size_t i = 0; i <= h.bounds_.size(); ++i) h.buckets_[i] = 0;
-    h.count_.store(0, std::memory_order_relaxed);
-    h.sum_.store(0.0, std::memory_order_relaxed);
-    h.max_.store(0.0, std::memory_order_relaxed);
-  }
 }
 
 std::size_t MetricsRegistry::num_metrics() const {
@@ -305,77 +250,8 @@ const MetricsSnapshot::Entry* MetricsSnapshot::Find(
   return nullptr;
 }
 
-MetricsSnapshot DiffSnapshots(const MetricsSnapshot& before,
-                              const MetricsSnapshot& after) {
-  MetricsSnapshot out;
-  out.entries.reserve(after.entries.size());
-  for (const MetricsSnapshot::Entry& a : after.entries) {
-    const MetricsSnapshot::Entry* b = before.Find(a.name, a.labels);
-    MetricsSnapshot::Entry e = a;
-    if (b != nullptr && b->kind == a.kind) {
-      switch (a.kind) {
-        case MetricsSnapshot::Kind::kCounter:
-          e.value = a.value - b->value;
-          break;
-        case MetricsSnapshot::Kind::kGauge:
-          break;  // gauges are not cumulative; keep the `after` reading
-        case MetricsSnapshot::Kind::kHistogram:
-          e.count = a.count - b->count;
-          e.sum = a.sum - b->sum;
-          if (a.buckets.size() == b->buckets.size()) {
-            for (std::size_t i = 0; i < e.buckets.size(); ++i) {
-              e.buckets[i] = a.buckets[i] - b->buckets[i];
-            }
-          }
-          // Max is not invertible from buckets; the window max is at most
-          // the cumulative max, which we keep as the best available bound.
-          FillHistogramEntry(e);
-          break;
-      }
-    }
-    out.entries.push_back(std::move(e));
-  }
-  return out;
-}
-
-std::string MetricsRegistry::ToCsv(const MetricsSnapshot& snapshot) {
-  std::string out =
-      "name,labels,kind,value,count,sum,mean,max,p50,p95,p99\n";
-  for (const MetricsSnapshot::Entry& e : snapshot.entries) {
-    double mean =
-        e.count == 0 ? 0.0 : e.sum / static_cast<double>(e.count);
-    out += e.name;
-    out += ',';
-    std::string labels = RenderLabels(e.labels);
-    if (labels.find(',') != std::string::npos) {
-      out += '"' + labels + '"';
-    } else {
-      out += labels;
-    }
-    out += ',';
-    out += KindToString(e.kind);
-    out += ',';
-    out += FormatDouble(e.value);
-    out += ',';
-    out += std::to_string(e.count);
-    out += ',';
-    out += FormatDouble(e.sum);
-    out += ',';
-    out += FormatDouble(mean);
-    out += ',';
-    out += FormatDouble(e.max);
-    out += ',';
-    out += FormatDouble(e.p50);
-    out += ',';
-    out += FormatDouble(e.p95);
-    out += ',';
-    out += FormatDouble(e.p99);
-    out += '\n';
-  }
-  return out;
-}
-
-std::string MetricsRegistry::ToJson(const MetricsSnapshot& snapshot) {
+std::string MetricsRegistry::ToJson() const {
+  const MetricsSnapshot snapshot = Snapshot();
   std::string out = "{\"metrics\":[";
   for (std::size_t i = 0; i < snapshot.entries.size(); ++i) {
     const MetricsSnapshot::Entry& e = snapshot.entries[i];
@@ -406,23 +282,6 @@ std::string MetricsRegistry::ToJson(const MetricsSnapshot& snapshot) {
   }
   out += "]}";
   return out;
-}
-
-namespace {
-
-Status WriteStringToFile(const std::string& path, const std::string& body) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << body;
-  out.close();
-  if (!out) return Status::IOError("write to " + path + " failed");
-  return Status::OK();
-}
-
-}  // namespace
-
-Status MetricsRegistry::WriteCsv(const std::string& path) const {
-  return WriteStringToFile(path, ToCsv());
 }
 
 Status MetricsRegistry::WriteJson(const std::string& path) const {

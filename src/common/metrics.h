@@ -34,7 +34,6 @@ class Counter {
   uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<uint64_t> value_{0};
 };
 
@@ -42,11 +41,9 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(double delta);
   double value() const { return value_.load(std::memory_order_relaxed); }
 
  private:
-  friend class MetricsRegistry;
   std::atomic<double> value_{0.0};
 };
 
@@ -103,9 +100,6 @@ struct MetricsSnapshot {
     double p50 = 0.0;
     double p95 = 0.0;
     double p99 = 0.0;
-    /// Raw buckets kept so snapshots can be diffed exactly.
-    std::vector<double> bounds;
-    std::vector<uint64_t> buckets;
 
     std::string key() const { return RenderMetricKey(name, labels); }
   };
@@ -116,13 +110,6 @@ struct MetricsSnapshot {
                     const MetricLabels& labels = {}) const;
   bool empty() const { return entries.empty(); }
 };
-
-/// after − before: counters and histogram buckets subtract (entries absent
-/// from `before` pass through); gauges take the `after` reading. Histogram
-/// quantiles are re-derived from the differenced buckets, so a diff answers
-/// "what did *this phase* cost" even when the registry spans a whole run.
-MetricsSnapshot DiffSnapshots(const MetricsSnapshot& before,
-                              const MetricsSnapshot& after);
 
 /// Registry of named metric families. Get* registers on first use and
 /// returns a stable reference; subsequent calls with the same (name,
@@ -144,21 +131,12 @@ class MetricsRegistry {
 
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every registered metric (families stay registered).
-  void Reset();
-
   std::size_t num_metrics() const;
 
-  /// `name,labels,kind,value,count,sum,mean,max,p50,p95,p99` — one row per
-  /// metric, ordered by canonical key.
-  static std::string ToCsv(const MetricsSnapshot& snapshot);
-  /// `{"metrics":[{"name":...,"labels":{...},"kind":...,...}]}`.
-  static std::string ToJson(const MetricsSnapshot& snapshot);
+  /// `{"metrics":[{"name":...,"labels":{...},"kind":...,...}]}`, one entry
+  /// per metric in canonical key order.
+  std::string ToJson() const;
 
-  std::string ToCsv() const { return ToCsv(Snapshot()); }
-  std::string ToJson() const { return ToJson(Snapshot()); }
-
-  Status WriteCsv(const std::string& path) const;
   Status WriteJson(const std::string& path) const;
 
  private:

@@ -1,7 +1,8 @@
 #include "common/profile.h"
 
-#include <fstream>
 #include <vector>
+
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -66,24 +67,7 @@ std::string PhaseProfiler::ToCollapsed() const {
 }
 
 Status PhaseProfiler::WriteCollapsed(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << ToCollapsed();
-  out.close();
-  if (!out) return Status::IOError("write to " + path + " failed");
-  return Status::OK();
-}
-
-uint64_t PhaseProfiler::total_micros() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [path, micros] : self_micros_) total += micros;
-  return total;
-}
-
-bool PhaseProfiler::empty() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return self_micros_.empty();
+  return WriteStringToFile(path, ToCollapsed());
 }
 
 PhaseScope::PhaseScope(const char* name) : profiler_(PhaseProfiler::Current()) {

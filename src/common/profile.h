@@ -55,10 +55,6 @@ class PhaseProfiler {
   std::string ToCollapsed() const;
   Status WriteCollapsed(const std::string& path) const;
 
-  /// Total self-microseconds recorded (0 until a scope closes).
-  uint64_t total_micros() const;
-  bool empty() const;
-
  private:
   friend class PhaseScope;
   void Accumulate(const std::string& path, uint64_t self_micros);

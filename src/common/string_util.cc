@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdio>
+#include <fstream>
 
 namespace p2pdt {
 
@@ -76,6 +77,15 @@ std::string HumanBytes(double bytes) {
     std::snprintf(buf, sizeof(buf), "%.2f %s", bytes, kUnits[unit]);
   }
   return buf;
+}
+
+Status WriteStringToFile(const std::string& path, std::string_view body) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  out.write(body.data(), static_cast<std::streamsize>(body.size()));
+  out.close();
+  if (!out) return Status::IOError("write to " + path + " failed");
+  return Status::OK();
 }
 
 }  // namespace p2pdt

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/status.h"
+
 namespace p2pdt {
 
 /// Splits `s` on any occurrence of `delim`, keeping empty fields.
@@ -30,6 +32,10 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Formats a byte count as a human-readable string ("1.5 MiB").
 std::string HumanBytes(double bytes);
+
+/// Replaces the file at `path` with `body` (binary, truncating). IOError
+/// when the file cannot be opened or the write does not complete.
+Status WriteStringToFile(const std::string& path, std::string_view body);
 
 }  // namespace p2pdt
 

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "common/cost_ledger.h"
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -425,12 +426,7 @@ Result<std::vector<SparseVector>> DeserializeCentroids(
 }
 
 Status SaveOneVsAll(const OneVsAllModel& model, const std::string& path) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return Status::IOError("cannot open " + path);
-  std::string data = SerializeOneVsAll(model);
-  f.write(data.data(), static_cast<std::streamsize>(data.size()));
-  if (!f) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return WriteStringToFile(path, SerializeOneVsAll(model));
 }
 
 Result<OneVsAllModel> LoadOneVsAll(const std::string& path) {

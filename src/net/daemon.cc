@@ -45,13 +45,6 @@ ServiceDaemon::~ServiceDaemon() {
   if (listen_fd_ >= 0) close(listen_fd_);
 }
 
-void ServiceDaemon::Count(const char* name, uint64_t n) {
-  if (options_.metrics != nullptr) {
-    options_.metrics->GetCounter(name, {{"component", "p2pdtd"}})
-        .Increment(n);
-  }
-}
-
 Status ServiceDaemon::Start() {
   listen_fd_ = socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {
@@ -121,7 +114,6 @@ void ServiceDaemon::HandleAccept(uint32_t events) {
       [[maybe_unused]] ssize_t rc = write(fd, frame.data(), frame.size());
       close(fd);
       ++stats_.refused;
-      Count("service_connections_refused");
       continue;
     }
     const int one = 1;
@@ -140,7 +132,6 @@ void ServiceDaemon::HandleAccept(uint32_t events) {
     ArmIdleTimer(*conn);
     conns_.emplace(fd, std::move(conn));
     ++stats_.accepted;
-    Count("service_connections_accepted");
   }
 }
 
@@ -157,7 +148,6 @@ void ServiceDaemon::ArmIdleTimer(Connection& conn) {
         // One wheel tick of slack: deadlines are coarse by design.
         if (idle + 1e-9 >= options_.idle_timeout) {
           ++stats_.reaped_idle;
-          Count("service_connections_reaped");
           P2PDT_LOG(Debug) << "reaping idle connection " << c.peer_name();
           CloseConn(fd);
         } else {
@@ -208,7 +198,6 @@ void ServiceDaemon::HandleReadable(Connection& conn) {
       // Abrupt reset — the fault injector's bread and butter. Only this
       // connection dies.
       ++stats_.read_errors;
-      Count("service_read_errors");
       CloseConn(fd);
       break;
     case Connection::IoResult::kOverflow:
@@ -234,10 +223,8 @@ bool ServiceDaemon::DrainFrames(Connection& conn) {
       // flush-and-close.
       if (verdict == FrameDecoder::Next::kOversized) {
         ++stats_.oversized_frames;
-        Count("service_frames_oversized");
       } else {
         ++stats_.malformed_frames;
-        Count("service_frames_malformed");
       }
       conn.close_after_flush = true;
       conn.read_paused = true;
@@ -277,7 +264,6 @@ void ServiceDaemon::DispatchFrame(Connection& conn, const Frame& frame) {
   // Well-formed frame of a type only a server sends: a confused or hostile
   // client. Typed reject, then close — there is nothing sane to resume.
   ++stats_.unexpected_type;
-  Count("service_frames_unexpected");
   conn.close_after_flush = true;
   conn.read_paused = true;
   SendError(conn, 0, WireError::kUnexpectedType,
@@ -291,12 +277,10 @@ void ServiceDaemon::ServePredict(Connection& conn, const Frame& frame) {
     // Payload-level failure: the frame boundary held, so the stream is
     // still synchronized — reject this request, keep the connection.
     ++stats_.malformed_payloads;
-    Count("service_payloads_malformed");
     SendError(conn, 0, WireError::kMalformed, req.status().message());
     return;
   }
   ++stats_.requests;
-  Count("service_requests");
 
   if (serve_queue_.options().enabled &&
       serve_queue_.options().admission_control) {
@@ -305,7 +289,6 @@ void ServiceDaemon::ServePredict(Connection& conn, const Frame& frame) {
     const Admission adm = serve_queue_.Admit(node, loop_.Now());
     if (adm.outcome != AdmitOutcome::kAccept) {
       ++stats_.shed;
-      Count("service_requests_shed");
       OverloadReject reject;
       reject.id = req->id;
       reject.reason = static_cast<uint8_t>(adm.outcome);
@@ -357,7 +340,6 @@ void ServiceDaemon::SendFrame(Connection& conn, FrameType type,
     // The peer stopped draining entirely; cut it loose before its buffer
     // eats the process.
     ++stats_.slow_consumer_closed;
-    Count("service_slow_consumers_closed");
     CloseConn(fd);
     return;
   }
@@ -420,7 +402,6 @@ void ServiceDaemon::CloseConn(int fd) {
   loop_.Remove(fd);
   conns_.erase(it);  // destructor closes the fd
   ++stats_.closed;
-  Count("service_connections_closed");
   FinishDrainIfIdle();
 }
 

@@ -43,12 +43,14 @@ struct DaemonOptions {
   ServeOptions serve;
   /// Modulo domain mapping the wire's requester id onto serving queues.
   std::size_t admission_nodes = 64;
-  /// Optional metrics sink (counters + service latency histogram).
+  /// Optional metrics sink for the service latency histogram; the event
+  /// counts live in DaemonStats.
   MetricsRegistry* metrics = nullptr;
 };
 
 /// Crash-tolerance counters, readable after Run() returns (and internally
-/// consistent at any point from the loop thread).
+/// consistent at any point from the loop thread). The daemon's one home for
+/// event counts: the registry holds only its latency histogram.
 struct DaemonStats {
   uint64_t accepted = 0;
   uint64_t refused = 0;  // over max_connections
@@ -142,7 +144,6 @@ class ServiceDaemon {
   void ArmIdleTimer(Connection& conn);
   void BeginDrain();
   void FinishDrainIfIdle();
-  void Count(const char* name, uint64_t n = 1);
 
   DaemonOptions options_;
   Dispatch dispatch_;

@@ -192,41 +192,6 @@ struct LedgerGuard {
   }
 };
 
-/// Flushes one phase's ledger delta into the metrics registry as counters
-/// (`cost_ops{classifier,op,phase}` for scalar operation counts,
-/// `wire_messages` / `wire_bytes{classifier,msg_type,phase}` for the
-/// per-message-type wire accounting). Counters are additive, so the flush
-/// joins the same serial==sharded bit-identity contract as the ledger.
-void FlushCostDelta(MetricsRegistry* metrics, const std::string& classifier,
-                    const char* phase, const CostCounts& delta) {
-  if (metrics == nullptr) return;
-  for (const auto& [op, value] : delta.Scalars()) {
-    if (value == 0) continue;
-    metrics
-        ->GetCounter("cost_ops",
-                     {{"classifier", classifier}, {"op", op}, {"phase", phase}})
-        .Increment(value);
-  }
-  for (std::size_t t = 0; t < static_cast<std::size_t>(MessageType::kCount);
-       ++t) {
-    if (delta.wire_messages_by_type[t] == 0 &&
-        delta.wire_bytes_by_type[t] == 0) {
-      continue;
-    }
-    const char* msg_type = MessageTypeToString(static_cast<MessageType>(t));
-    metrics
-        ->GetCounter("wire_messages", {{"classifier", classifier},
-                                       {"msg_type", msg_type},
-                                       {"phase", phase}})
-        .Increment(delta.wire_messages_by_type[t]);
-    metrics
-        ->GetCounter("wire_bytes", {{"classifier", classifier},
-                                    {"msg_type", msg_type},
-                                    {"phase", phase}})
-        .Increment(delta.wire_bytes_by_type[t]);
-  }
-}
-
 }  // namespace
 
 Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
@@ -438,15 +403,8 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
       EvaluateMultiLabel(truth, predicted, corpus.dataset.num_tags());
   result.wall_seconds = wall.ElapsedSeconds();
 
-  // 5. Observability artifacts. Ledger deltas flush into the registry
-  // before the snapshot so cost counters ride every export (and the scale
-  // determinism fingerprint) for free.
-  if (result.cost_ledger_enabled) {
-    FlushCostDelta(env.metrics(), result.algorithm, "train",
-                   result.train_cost);
-    FlushCostDelta(env.metrics(), result.algorithm, "predict",
-                   result.predict_cost);
-  }
+  // 5. Observability artifacts. The ledger deltas travel in train_cost and
+  // predict_cost only; the registry holds no copy of them.
   if (env.metrics() != nullptr) {
     result.observability = env.metrics()->Snapshot();
   }

@@ -1,46 +1,14 @@
 #include "p2pdmt/run_report.h"
 
 #include <cstdio>
-#include <fstream>
 
 #include "common/build_info.h"
+#include "common/json_check.h"
+#include "common/string_util.h"
 
 namespace p2pdt {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string Num(double v) {
   char buf[32];
@@ -50,8 +18,8 @@ std::string Num(double v) {
 
 std::string Str(const std::string& s) { return "\"" + JsonEscape(s) + "\""; }
 
-/// One phase's deterministic ledger delta: scalar op counts plus the
-/// per-message-type wire accounting, all integers.
+/// One phase's deterministic ledger delta: its operation counts, all
+/// integers. The phase's messages and bytes are in the "cost" section.
 std::string CostPhaseJson(const CostCounts& c) {
   std::string out = "{";
   bool first = true;
@@ -60,8 +28,6 @@ std::string CostPhaseJson(const CostCounts& c) {
     first = false;
     out += Str(op) + ": " + std::to_string(value);
   }
-  out += ", \"wire_messages\": " + std::to_string(c.total_wire_messages());
-  out += ", \"wire_bytes\": " + std::to_string(c.total_wire_bytes());
   out += "}";
   return out;
 }
@@ -106,14 +72,6 @@ std::string RunReport::ToJson(const ExperimentResult& result,
   out += ", \"delivery_rate\": " + Num(result.delivery_rate);
   out += ", \"dropped_messages\": " + std::to_string(result.dropped_messages);
   out += ", \"retransmits\": " + std::to_string(result.retransmits);
-  out += ", \"acks_received\": " + std::to_string(result.acks_received);
-  out += ", \"give_ups\": " + std::to_string(result.give_ups);
-  out += "},\n";
-
-  // Reliable-transport health: how often delivery needed the backstop and
-  // which peers the failure detector ended the run suspecting dead.
-  out += "  \"transport\": {";
-  out += "\"retransmits\": " + std::to_string(result.retransmits);
   out += ", \"acks_received\": " + std::to_string(result.acks_received);
   out += ", \"give_ups\": " + std::to_string(result.give_ups);
   out += ", \"suspected_peers\": " + std::to_string(result.suspected_peers);
@@ -216,16 +174,7 @@ std::string RunReport::ToJson(const ExperimentResult& result,
 Status RunReport::Write(const std::string& path,
                         const ExperimentResult& result,
                         const MetricsSnapshot& metrics) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out.is_open()) {
-    return Status::IOError("cannot open run report file " + path);
-  }
-  out << ToJson(result, metrics);
-  out.flush();
-  if (!out.good()) {
-    return Status::IOError("failed writing run report " + path);
-  }
-  return Status::OK();
+  return WriteStringToFile(path, ToJson(result, metrics));
 }
 
 }  // namespace p2pdt

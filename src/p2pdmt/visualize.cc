@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
+
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -61,11 +62,7 @@ std::string ChordToDot(const ChordOverlay& overlay, const PhysicalNetwork& net,
 }
 
 Status WriteDotFile(const std::string& dot, const std::string& path) {
-  std::ofstream f(path, std::ios::trunc);
-  if (!f) return Status::IOError("cannot open " + path);
-  f << dot;
-  if (!f) return Status::IOError("short write to " + path);
-  return Status::OK();
+  return WriteStringToFile(path, dot);
 }
 
 }  // namespace p2pdt

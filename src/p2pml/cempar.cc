@@ -267,10 +267,7 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
   ShardPlanOptions plan;
   plan.shards = options_.sim_shards;
   plan.num_threads = options_.num_threads;
-  // SMO draws no randomness, so the per-shard streams are unused by the
-  // work itself; any fixed seed keeps the plan deterministic.
-  plan.seed = 0;
-  ShardedPhase(grid.size(), plan, [&](std::size_t i, Rng&) -> UniqueFunction {
+  ShardedPhase(grid.size(), plan, [&](std::size_t i) -> UniqueFunction {
     const GridCell cell = grid[i];
     PhaseTimer timer(Phase::kLocalTrain, train_hist);
     std::vector<Example> train =

@@ -308,9 +308,8 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   ShardPlanOptions plan;
   plan.shards = options_.sim_shards;
   plan.num_threads = options_.num_threads;
-  plan.seed = options_.svm.seed;
   ShardedPhase(training_peers.size(), plan,
-               [&](std::size_t i, Rng&) -> UniqueFunction {
+               [&](std::size_t i) -> UniqueFunction {
                  PhaseTimer timer(Phase::kLocalTrain, train_hist);
                  TrainLocal(training_peers[i]);
                  return {};  // all protocol traffic is issued below

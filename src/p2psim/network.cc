@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/cost_ledger.h"
 #include "p2psim/trace.h"
 
 namespace p2pdt {
@@ -65,14 +64,6 @@ void PhysicalNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
                            std::function<void()> on_drop) {
   assert(from < online_.size() && to < online_.size());
   stats_.RecordSend(type, bytes);
-  if (CostLedger::enabled()) {
-    auto idx = static_cast<std::size_t>(type);
-    if (idx < CostCounts::kNumWireTypes) {
-      CostCounts& c = CostLedger::Tls();
-      ++c.wire_messages_by_type[idx];
-      c.wire_bytes_by_type[idx] += bytes;
-    }
-  }
 
   // Message span: child of whatever span is being executed right now, so
   // causality flows through the event queue without an explicit message

@@ -18,7 +18,7 @@ std::size_t ResolveShards(std::size_t num_items,
 
 std::size_t ShardedPhase(
     std::size_t num_items, const ShardPlanOptions& options,
-    const std::function<UniqueFunction(std::size_t, Rng&)>& work) {
+    const std::function<UniqueFunction(std::size_t)>& work) {
   const std::size_t shards = ResolveShards(num_items, options);
   if (num_items == 0) return shards;
 
@@ -30,9 +30,8 @@ std::size_t ShardedPhase(
                 for (std::size_t s = lo; s < hi; ++s) {
                   const std::size_t begin = s * num_items / shards;
                   const std::size_t end = (s + 1) * num_items / shards;
-                  Rng shard_rng(DeriveSeed(options.seed, s));
                   for (std::size_t item = begin; item < end; ++item) {
-                    commits[item] = work(item, shard_rng);
+                    commits[item] = work(item);
                   }
                 }
               });

@@ -2,11 +2,9 @@
 #define P2PDT_P2PSIM_SHARDING_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
 #include "common/function.h"
-#include "common/rng.h"
 
 namespace p2pdt {
 
@@ -18,12 +16,6 @@ struct ShardPlanOptions {
   /// Threads driving the shards (the ParallelFor `threads` knob: 0 = global
   /// P2PDT_THREADS setting, 1 = serial on the caller).
   std::size_t num_threads = 0;
-  /// Base seed for the per-shard RNG streams: shard s computes with
-  /// Rng(DeriveSeed(seed, s)). Fixed shard count => fixed streams, whatever
-  /// the thread count. Work that must be bit-identical across *shard*
-  /// counts too must key its randomness on item identity instead and leave
-  /// the shard stream untouched (every classifier in this repo does).
-  uint64_t seed = 0;
 };
 
 /// Shard count a plan resolves to for `num_items` items (>= 1; never more
@@ -34,11 +26,13 @@ std::size_t ResolveShards(std::size_t num_items, const ShardPlanOptions& options
 /// global thread pool.
 ///
 /// The item range [0, num_items) is split into `shards` contiguous shards;
-/// each shard runs on one pool task and calls `work(item, shard_rng)` for
-/// its items in ascending order. `work` does the *compute* — it must touch
-/// only per-item state (its own output slot) — and returns a *commit*
-/// action (possibly empty) holding everything with cross-item effects:
-/// simulator scheduling, network sends, shared-container writes.
+/// each shard runs on one pool task and calls `work(item)` for its items in
+/// ascending order. `work` does the *compute* — it must touch only per-item
+/// state (its own output slot) — and returns a *commit* action (possibly
+/// empty) holding everything with cross-item effects: simulator
+/// scheduling, network sends, shared-container writes. The phase hands out
+/// no randomness; work that needs some keys it on item identity, so results
+/// cannot depend on the shard count.
 ///
 /// After every shard finishes, the commit actions execute on the calling
 /// thread in item order 0..num_items-1 — exactly the order a serial loop
@@ -53,7 +47,7 @@ std::size_t ResolveShards(std::size_t num_items, const ShardPlanOptions& options
 /// Returns the resolved shard count (diagnostics).
 std::size_t ShardedPhase(
     std::size_t num_items, const ShardPlanOptions& options,
-    const std::function<UniqueFunction(std::size_t item, Rng& shard_rng)>& work);
+    const std::function<UniqueFunction(std::size_t item)>& work);
 
 }  // namespace p2pdt
 

@@ -58,31 +58,25 @@ void NetworkStats::RecordSend(MessageType type, std::size_t bytes) {
   std::size_t i = static_cast<std::size_t>(type);
   ++sent_[i];
   bytes_[i] += bytes;
-  ++total_sent_;
-  total_bytes_ += bytes;
 }
 
 void NetworkStats::RecordDelivery(MessageType type) {
   ++delivered_[static_cast<std::size_t>(type)];
-  ++total_delivered_;
 }
 
 void NetworkStats::RecordDrop(MessageType type, DropReason reason) {
   ++dropped_[static_cast<std::size_t>(type)];
   ++dropped_by_reason_[static_cast<std::size_t>(reason)];
-  ++total_dropped_;
 }
 
 void NetworkStats::RecordRetransmit(MessageType type) {
   ++retransmits_[static_cast<std::size_t>(type)];
-  ++total_retransmits_;
 }
 
 void NetworkStats::RecordAckReceived() { ++acks_received_; }
 
 void NetworkStats::RecordGiveUp(MessageType type) {
   ++give_ups_[static_cast<std::size_t>(type)];
-  ++total_give_ups_;
 }
 
 void NetworkStats::Reset() {
@@ -93,8 +87,7 @@ void NetworkStats::Reset() {
   retransmits_.fill(0);
   give_ups_.fill(0);
   dropped_by_reason_.fill(0);
-  total_sent_ = total_delivered_ = total_dropped_ = total_bytes_ = 0;
-  total_retransmits_ = total_give_ups_ = acks_received_ = 0;
+  acks_received_ = 0;
 }
 
 std::string NetworkStats::ToString() const {
@@ -102,10 +95,10 @@ std::string NetworkStats::ToString() const {
   char buf[200];
   std::snprintf(buf, sizeof(buf),
                 "total: %llu msgs, %s, %llu delivered, %llu dropped\n",
-                static_cast<unsigned long long>(total_sent_),
-                HumanBytes(static_cast<double>(total_bytes_)).c_str(),
-                static_cast<unsigned long long>(total_delivered_),
-                static_cast<unsigned long long>(total_dropped_));
+                static_cast<unsigned long long>(messages_sent()),
+                HumanBytes(static_cast<double>(bytes_sent())).c_str(),
+                static_cast<unsigned long long>(messages_delivered()),
+                static_cast<unsigned long long>(messages_dropped()));
   out += buf;
   for (std::size_t i = 0; i < kNumTypes; ++i) {
     if (sent_[i] == 0 && dropped_[i] == 0) continue;
@@ -115,7 +108,7 @@ std::string NetworkStats::ToString() const {
                   HumanBytes(static_cast<double>(bytes_[i])).c_str());
     out += buf;
   }
-  if (total_dropped_ > 0) {
+  if (messages_dropped() > 0) {
     out += "drops by reason:\n";
     for (std::size_t i = 0; i < kNumDropReasons; ++i) {
       if (dropped_by_reason_[i] == 0) continue;
@@ -125,13 +118,13 @@ std::string NetworkStats::ToString() const {
       out += buf;
     }
   }
-  if (total_retransmits_ > 0 || acks_received_ > 0 || total_give_ups_ > 0) {
+  if (retransmits() > 0 || acks_received_ > 0 || give_ups() > 0) {
     std::snprintf(buf, sizeof(buf),
                   "reliable transport: %llu retransmits, %llu acks received, "
                   "%llu give-ups\n",
-                  static_cast<unsigned long long>(total_retransmits_),
+                  static_cast<unsigned long long>(retransmits()),
                   static_cast<unsigned long long>(acks_received_),
-                  static_cast<unsigned long long>(total_give_ups_));
+                  static_cast<unsigned long long>(give_ups()));
     out += buf;
   }
   return out;

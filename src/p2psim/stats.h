@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <numeric>
 #include <string>
 
 namespace p2pdt {
@@ -61,10 +62,11 @@ class NetworkStats {
   void RecordAckReceived();
   void RecordGiveUp(MessageType type);
 
-  uint64_t messages_sent() const { return total_sent_; }
-  uint64_t messages_delivered() const { return total_delivered_; }
-  uint64_t messages_dropped() const { return total_dropped_; }
-  uint64_t bytes_sent() const { return total_bytes_; }
+  /// Totals over every message type (each sums its per-type array).
+  uint64_t messages_sent() const { return Sum(sent_); }
+  uint64_t messages_delivered() const { return Sum(delivered_); }
+  uint64_t messages_dropped() const { return Sum(dropped_); }
+  uint64_t bytes_sent() const { return Sum(bytes_); }
 
   uint64_t messages_sent(MessageType type) const {
     return sent_[static_cast<std::size_t>(type)];
@@ -82,12 +84,12 @@ class NetworkStats {
     return dropped_by_reason_[static_cast<std::size_t>(reason)];
   }
 
-  uint64_t retransmits() const { return total_retransmits_; }
+  uint64_t retransmits() const { return Sum(retransmits_); }
   uint64_t retransmits(MessageType type) const {
     return retransmits_[static_cast<std::size_t>(type)];
   }
   uint64_t acks_received() const { return acks_received_; }
-  uint64_t give_ups() const { return total_give_ups_; }
+  uint64_t give_ups() const { return Sum(give_ups_); }
   uint64_t give_ups(MessageType type) const {
     return give_ups_[static_cast<std::size_t>(type)];
   }
@@ -95,9 +97,10 @@ class NetworkStats {
   /// Fraction of sent messages that were delivered (1.0 when nothing was
   /// sent, so a quiet network reads as healthy).
   double delivery_rate() const {
-    return total_sent_ == 0 ? 1.0
-                            : static_cast<double>(total_delivered_) /
-                                  static_cast<double>(total_sent_);
+    const uint64_t sent = messages_sent();
+    return sent == 0 ? 1.0
+                     : static_cast<double>(messages_delivered()) /
+                           static_cast<double>(sent);
   }
 
   void Reset();
@@ -106,6 +109,10 @@ class NetworkStats {
   std::string ToString() const;
 
  private:
+  static uint64_t Sum(const std::array<uint64_t, kNumTypes>& per_type) {
+    return std::accumulate(per_type.begin(), per_type.end(), uint64_t{0});
+  }
+
   std::array<uint64_t, kNumTypes> sent_{};
   std::array<uint64_t, kNumTypes> bytes_{};
   std::array<uint64_t, kNumTypes> delivered_{};
@@ -113,12 +120,6 @@ class NetworkStats {
   std::array<uint64_t, kNumTypes> retransmits_{};
   std::array<uint64_t, kNumTypes> give_ups_{};
   std::array<uint64_t, kNumDropReasons> dropped_by_reason_{};
-  uint64_t total_sent_ = 0;
-  uint64_t total_delivered_ = 0;
-  uint64_t total_dropped_ = 0;
-  uint64_t total_bytes_ = 0;
-  uint64_t total_retransmits_ = 0;
-  uint64_t total_give_ups_ = 0;
   uint64_t acks_received_ = 0;
 };
 

@@ -1,46 +1,13 @@
 #include "p2psim/trace.h"
 
-#include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <map>
+
+#include "common/json_check.h"
+#include "common/string_util.h"
 
 namespace p2pdt {
 
 namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Sim seconds → trace microseconds (Chrome's ts/dur unit).
 std::string Micros(SimTime t) {
@@ -118,15 +85,6 @@ void Tracer::Instant(std::string name, SimTime now, std::size_t node,
   spans_.push_back(std::move(rec));
 }
 
-std::vector<const SpanRecord*> Tracer::SpansForTrace(
-    uint64_t trace_id) const {
-  std::vector<const SpanRecord*> out;
-  for (const SpanRecord& rec : spans_) {
-    if (rec.trace_id == trace_id) out.push_back(&rec);
-  }
-  return out;
-}
-
 void Tracer::Clear() {
   spans_.clear();
   open_.clear();
@@ -166,75 +124,8 @@ std::string Tracer::ToChromeTraceJson() const {
   return out;
 }
 
-namespace {
-
-/// Frame names must not contain the folded format's separators.
-std::string FoldedName(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    if (c == ';' || c == ' ' || c == '\n' || c == '\t' || c == '\r') c = '_';
-  }
-  return out;
-}
-
-}  // namespace
-
-std::string Tracer::ToCollapsed() const {
-  // span_id → index, plus per-parent sum of direct-child durations so each
-  // frame reports *self* time (stacked totals then reconstruct the parent).
-  std::unordered_map<uint64_t, std::size_t> by_id;
-  std::unordered_map<uint64_t, SimTime> child_sum;
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const SpanRecord& rec = spans_[i];
-    if (rec.instant) continue;
-    by_id.emplace(rec.span_id, i);
-    if (rec.parent_span != 0) {
-      child_sum[rec.parent_span] += rec.end - rec.start;
-    }
-  }
-  std::map<std::string, uint64_t> folded;
-  for (const SpanRecord& rec : spans_) {
-    if (rec.instant) continue;
-    SimTime self = rec.end - rec.start;
-    auto cs = child_sum.find(rec.span_id);
-    if (cs != child_sum.end()) self -= cs->second;
-    if (self < 0.0) self = 0.0;
-    std::string path = FoldedName(rec.name);
-    for (uint64_t p = rec.parent_span; p != 0;) {
-      auto it = by_id.find(p);
-      if (it == by_id.end()) break;
-      const SpanRecord& parent = spans_[it->second];
-      path = FoldedName(parent.name) + ";" + path;
-      p = parent.parent_span;
-    }
-    folded[path] += static_cast<uint64_t>(std::llround(self * 1e6));
-  }
-  std::string out;
-  for (const auto& [path, micros] : folded) {
-    out += path;
-    out += ' ';
-    out += std::to_string(micros);
-    out += '\n';
-  }
-  return out;
-}
-
-Status Tracer::WriteCollapsed(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << ToCollapsed();
-  out.close();
-  if (!out) return Status::IOError("write to " + path + " failed");
-  return Status::OK();
-}
-
 Status Tracer::WriteChromeTrace(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out << ToChromeTraceJson();
-  out.close();
-  if (!out) return Status::IOError("write to " + path + " failed");
-  return Status::OK();
+  return WriteStringToFile(path, ToChromeTraceJson());
 }
 
 }  // namespace p2pdt

@@ -94,17 +94,9 @@ class Tracer {
   std::size_t num_spans() const { return spans_.size(); }
   std::size_t num_traces() const { return next_trace_id_ - 1; }
   const std::vector<SpanRecord>& spans() const { return spans_; }
-  std::vector<const SpanRecord*> SpansForTrace(uint64_t trace_id) const;
 
   std::string ToChromeTraceJson() const;
   Status WriteChromeTrace(const std::string& path) const;
-
-  /// Collapsed-stack ("folded") flamegraph text: one line per unique span
-  /// path, `root;child;leaf <self_micros>`, sorted by path. Self time is a
-  /// span's sim-time duration minus the duration of its direct children, so
-  /// stack totals match the parent's span. Instants contribute nothing.
-  std::string ToCollapsed() const;
-  Status WriteCollapsed(const std::string& path) const;
 
   void Clear();
 

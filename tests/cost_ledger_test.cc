@@ -35,21 +35,20 @@ std::vector<Example> TinyProblem(std::size_t n) {
 TEST(CostCountsTest, ArithmeticAndEquality) {
   CostCounts a;
   a.kernel_evals = 10;
-  a.wire_bytes_by_type[2] = 100;
+  a.serialized_bytes = 100;
   CostCounts b;
   b.kernel_evals = 4;
-  b.wire_bytes_by_type[2] = 60;
-  b.wire_messages_by_type[2] = 1;
+  b.serialized_bytes = 60;
+  b.lsh_probes = 1;
 
   CostCounts d = a;
   d += b;
   EXPECT_EQ(d.kernel_evals, 14u);
-  EXPECT_EQ(d.wire_bytes_by_type[2], 160u);
+  EXPECT_EQ(d.serialized_bytes, 160u);
+  EXPECT_EQ(d.lsh_probes, 1u);
   EXPECT_EQ((d - b).kernel_evals, a.kernel_evals);
   EXPECT_TRUE(d - b == a);
   EXPECT_TRUE(a != b);
-  EXPECT_EQ(d.total_wire_bytes(), 160u);
-  EXPECT_EQ(d.total_wire_messages(), 1u);
 }
 
 TEST(CostCountsTest, ScalarsEnumerateEveryFieldInOrder) {
@@ -184,7 +183,7 @@ TEST_F(LedgerExperimentTest, RepeatedRunsYieldIdenticalLedgers) {
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_TRUE(a->cost_ledger_enabled);
   EXPECT_GT(a->train_cost.kernel_evals, 0u);
-  EXPECT_GT(a->train_cost.total_wire_bytes(), 0u);
+  EXPECT_GT(a->train_bytes, 0u);
   EXPECT_TRUE(a->train_cost == b->train_cost)
       << a->train_cost.ToString() << "\nvs\n" << b->train_cost.ToString();
   EXPECT_TRUE(a->predict_cost == b->predict_cost);
@@ -202,19 +201,6 @@ TEST_F(LedgerExperimentTest, LedgerIsBehaviorNeutral) {
   EXPECT_EQ(off->train_bytes, on->train_bytes);
   EXPECT_EQ(off->predict_messages, on->predict_messages);
   EXPECT_EQ(off->failed_predictions, on->failed_predictions);
-}
-
-TEST_F(LedgerExperimentTest, WireBytesAttributeToMessageTypes) {
-  Result<ExperimentResult> r = RunExperiment(Corpus(), Options(true));
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  // Training traffic lands on specific message types, never outside the
-  // enum range, and the per-type split sums to the total.
-  uint64_t sum = 0;
-  for (std::size_t t = 0; t < CostCounts::kNumWireTypes; ++t) {
-    sum += r->train_cost.wire_bytes_by_type[t];
-  }
-  EXPECT_EQ(sum, r->train_cost.total_wire_bytes());
-  EXPECT_GT(sum, 0u);
 }
 
 }  // namespace

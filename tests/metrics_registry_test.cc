@@ -46,11 +46,11 @@ TEST(CounterTest, LabelOrderResolvesToSameFamilyMember) {
   EXPECT_EQ(reg.num_metrics(), 2u);
 }
 
-TEST(GaugeTest, SetAndAdd) {
+TEST(GaugeTest, SetKeepsTheLastValue) {
   MetricsRegistry reg;
   Gauge& g = reg.GetGauge("live_homes");
   g.Set(10.0);
-  g.Add(-3.0);
+  g.Set(7.0);
   EXPECT_DOUBLE_EQ(g.value(), 7.0);
 }
 
@@ -171,82 +171,6 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndComplete) {
   EXPECT_EQ(snap.Find("missing"), nullptr);
 }
 
-TEST(MetricsRegistryTest, DiffSubtractsCountersAndBuckets) {
-  MetricsRegistry reg;
-  Counter& c = reg.GetCounter("sends");
-  Histogram& h = reg.GetHistogram("lat", {}, {1.0, 2.0});
-  Gauge& g = reg.GetGauge("homes");
-
-  c.Increment(5);
-  h.Observe(0.5);
-  g.Set(2.0);
-  MetricsSnapshot before = reg.Snapshot();
-
-  c.Increment(7);
-  h.Observe(0.5);
-  h.Observe(1.5);
-  g.Set(9.0);
-  MetricsSnapshot after = reg.Snapshot();
-
-  MetricsSnapshot diff = DiffSnapshots(before, after);
-  const MetricsSnapshot::Entry* dc = diff.Find("sends");
-  ASSERT_NE(dc, nullptr);
-  EXPECT_DOUBLE_EQ(dc->value, 7.0);
-
-  const MetricsSnapshot::Entry* dh = diff.Find("lat");
-  ASSERT_NE(dh, nullptr);
-  EXPECT_EQ(dh->count, 2u);
-  EXPECT_DOUBLE_EQ(dh->sum, 2.0);
-  ASSERT_EQ(dh->buckets.size(), 3u);
-  EXPECT_EQ(dh->buckets[0], 1u);
-  EXPECT_EQ(dh->buckets[1], 1u);
-
-  // Gauges report the `after` reading, not a delta.
-  const MetricsSnapshot::Entry* dg = diff.Find("homes");
-  ASSERT_NE(dg, nullptr);
-  EXPECT_DOUBLE_EQ(dg->value, 9.0);
-}
-
-TEST(MetricsRegistryTest, DiffPassesThroughNewMetrics) {
-  MetricsRegistry reg;
-  reg.GetCounter("old").Increment(1);
-  MetricsSnapshot before = reg.Snapshot();
-  reg.GetCounter("fresh").Increment(4);
-  MetricsSnapshot diff = DiffSnapshots(before, reg.Snapshot());
-  const MetricsSnapshot::Entry* e = diff.Find("fresh");
-  ASSERT_NE(e, nullptr);
-  EXPECT_DOUBLE_EQ(e->value, 4.0);
-}
-
-TEST(MetricsRegistryTest, ResetZeroesButKeepsFamilies) {
-  MetricsRegistry reg;
-  reg.GetCounter("c").Increment(3);
-  reg.GetGauge("g").Set(2.0);
-  reg.GetHistogram("h").Observe(1.0);
-  reg.Reset();
-  EXPECT_EQ(reg.num_metrics(), 3u);
-  EXPECT_EQ(reg.GetCounter("c").value(), 0u);
-  EXPECT_DOUBLE_EQ(reg.GetGauge("g").value(), 0.0);
-  EXPECT_EQ(reg.GetHistogram("h").count(), 0u);
-}
-
-TEST(MetricsRegistryTest, CsvExportHasHeaderAndRows) {
-  MetricsRegistry reg;
-  reg.GetCounter("sends", {{"type", "lookup"}}).Increment(2);
-  reg.GetHistogram("lat", {}, {1.0}).Observe(0.5);
-  std::string csv = reg.ToCsv();
-  std::istringstream in(csv);
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line, "name,labels,kind,value,count,sum,mean,max,p50,p95,p99");
-  std::size_t rows = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty()) ++rows;
-  }
-  EXPECT_EQ(rows, 2u);
-  EXPECT_NE(csv.find("type=lookup"), std::string::npos);
-}
-
 TEST(MetricsRegistryTest, JsonExportIsSyntacticallyValid) {
   MetricsRegistry reg;
   reg.GetCounter("sends", {{"type", "lookup"}, {"dir", "out"}}).Increment(2);
@@ -268,18 +192,16 @@ TEST(MetricsRegistryTest, JsonEscapesSpecialCharacters) {
   EXPECT_TRUE(s.ok()) << s.ToString() << "\n" << json;
 }
 
-TEST(MetricsRegistryTest, WriteFilesRoundTrip) {
+TEST(MetricsRegistryTest, WriteJsonRoundTrips) {
   MetricsRegistry reg;
   reg.GetCounter("sends").Increment(1);
-  std::string csv_path = testing::TempDir() + "/metrics_test.csv";
   std::string json_path = testing::TempDir() + "/metrics_test.json";
-  ASSERT_TRUE(reg.WriteCsv(csv_path).ok());
   ASSERT_TRUE(reg.WriteJson(json_path).ok());
   std::ifstream jf(json_path);
   std::stringstream buf;
   buf << jf.rdbuf();
+  EXPECT_EQ(buf.str(), reg.ToJson());
   EXPECT_TRUE(CheckJsonSyntax(buf.str()).ok());
-  std::remove(csv_path.c_str());
   std::remove(json_path.c_str());
 }
 
@@ -319,6 +241,13 @@ TEST(JsonCheckTest, AcceptsValidAndRejectsInvalid) {
   EXPECT_FALSE(CheckJsonSyntax("\"unterminated").ok());
   EXPECT_TRUE(JsonHasKey("{\"traceEvents\":[]}", "traceEvents"));
   EXPECT_FALSE(JsonHasKey("{\"traceEvents\":[]}", "metrics"));
+}
+
+TEST(JsonCheckTest, EscapeGivesShortFormsAndHexForOtherControlBytes) {
+  EXPECT_EQ(JsonEscape("plain/ü"), "plain/ü");
+  EXPECT_EQ(JsonEscape("a\"b\\c\n\t\r\x01\x1f"),
+            "a\\\"b\\\\c\\n\\t\\r\\u0001\\u001f");
+  EXPECT_TRUE(CheckJsonSyntax("\"" + JsonEscape("\x02\"\\") + "\"").ok());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -229,10 +230,20 @@ std::string ReadAll(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+std::size_t Occurrences(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
 TEST(ObservabilityE2ETest, ExperimentWritesValidArtifacts) {
   ExperimentOptions opt = BaseOptions(AlgorithmType::kCempar);
   opt.env.observe.metrics = true;
   opt.env.observe.tracing = true;
+  opt.env.observe.cost_ledger = true;
   std::string dir = ::testing::TempDir();
   opt.report_path = dir + "/p2pdt_report.json";
   opt.metrics_path = dir + "/p2pdt_metrics.json";
@@ -249,12 +260,25 @@ TEST(ObservabilityE2ETest, ExperimentWritesValidArtifacts) {
     EXPECT_TRUE(JsonHasKey(report, key)) << "report lacks " << key;
   }
   EXPECT_NE(report.find("cempar"), std::string::npos);
+  // One home per fact: the transport counters appear once (in "cost"),
+  // and wire bytes come from the network stats, never from the ledger.
+  EXPECT_EQ(Occurrences(report, "\"retransmits\":"), 1u) << report;
+  EXPECT_FALSE(JsonHasKey(report, "wire_bytes")) << report;
+  EXPECT_NE(report.find("\"cost_ledger\": {\"enabled\": true"),
+            std::string::npos)
+      << report;
 
   std::string metrics = ReadAll(opt.metrics_path);
   ASSERT_FALSE(metrics.empty());
   EXPECT_TRUE(CheckJsonSyntax(metrics).ok());
   EXPECT_TRUE(JsonHasKey(metrics, "metrics"));
   EXPECT_NE(metrics.find("phase_seconds"), std::string::npos);
+  // The ledger's deltas live in the result and the report only.
+  for (const char* family : {"cost_ops", "wire_messages", "wire_bytes"}) {
+    EXPECT_EQ(metrics.find(std::string("\"name\":\"") + family + "\""),
+              std::string::npos)
+        << "metrics export carries a copy of " << family;
+  }
 
   std::string trace = ReadAll(opt.trace_path);
   ASSERT_FALSE(trace.empty());

@@ -34,8 +34,6 @@ TEST(PhaseProfilerTest, NoProfilerInstalledIsANoOp) {
   // Installing afterwards shows nothing was recorded anywhere.
   PhaseProfiler profiler;
   ScopedProfiler install(&profiler);
-  EXPECT_TRUE(profiler.empty());
-  EXPECT_EQ(profiler.total_micros(), 0u);
   EXPECT_EQ(profiler.ToCollapsed(), "");
 }
 

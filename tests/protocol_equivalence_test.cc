@@ -25,6 +25,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "ml/kernel_svm.h"
 #include "ml/linear_svm.h"
@@ -79,22 +80,10 @@ std::vector<SparseVector> Probes() {
   return probes;
 }
 
-struct Fnv {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFFu;
-      h *= 1099511628211ull;
-    }
-  }
-  void MixBytes(const std::string& s) {
-    Mix(s.size());
-    for (unsigned char c : s) {
-      h ^= c;
-      h *= 1099511628211ull;
-    }
-  }
-};
+/// Offset basis the pins were recorded with: FNV-1a's 14695981039346656037
+/// with its last decimal digit dropped. Every other step is Fnv64's, so
+/// seeding Fnv64 with it reproduces every pinned digest.
+constexpr uint64_t kPinBasis = 1469598103934665603ull;
 
 /// Everything one scenario pins.
 struct Pin {
@@ -259,9 +248,9 @@ class Runner {
   void Record(const P2PPrediction& p) {
     cached_ += p.cached ? 1 : 0;
     tags_.Mix(p.tags.size());
-    for (TagId t : p.tags) tags_.Mix(t);
-    tags_.Mix((p.success ? 1u : 0u) | (p.degraded ? 2u : 0u) |
-              (p.overloaded ? 4u : 0u) | (p.cached ? 8u : 0u));
+    for (TagId t : p.tags) tags_.Mix(uint64_t{t});
+    tags_.Mix(uint64_t{(p.success ? 1u : 0u) | (p.degraded ? 2u : 0u) |
+                       (p.overloaded ? 4u : 0u) | (p.cached ? 8u : 0u)});
     scores_.Mix(p.scores.size());
     for (double s : p.scores) {
       scores_.Mix(static_cast<uint64_t>(std::llround(s * 1e9)));
@@ -271,15 +260,16 @@ class Runner {
   std::size_t cached() const { return cached_; }
 
   void SetSnapshot(const std::string& blob) {
-    Fnv f;
-    f.MixBytes(blob);
-    snapshot_ = f.h;
+    Fnv64 f{kPinBasis};
+    f.Mix(blob.size());
+    f.MixBytes(blob.data(), blob.size());
+    snapshot_ = f.state;
   }
 
   Pin Finish() {
     Pin pin;
-    pin.tags = tags_.h;
-    pin.scores = scores_.h;
+    pin.tags = tags_.state;
+    pin.scores = scores_.state;
     pin.messages = env_->net().stats().messages_sent();
     pin.bytes = env_->net().stats().bytes_sent();
     pin.events = env_->sim().executed_events();
@@ -293,8 +283,8 @@ class Runner {
  private:
   std::unique_ptr<Environment> env_;
   std::unique_ptr<P2PClassifier> algo_;
-  Fnv tags_;
-  Fnv scores_;
+  Fnv64 tags_{kPinBasis};
+  Fnv64 scores_{kPinBasis};
   std::size_t cached_ = 0;
   uint64_t snapshot_ = 0;
 };

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+
 namespace p2pdt {
 namespace {
 
@@ -64,6 +68,22 @@ TEST(HumanBytesTest, Units) {
   EXPECT_EQ(HumanBytes(2048), "2.00 KiB");
   EXPECT_EQ(HumanBytes(1024.0 * 1024.0 * 1.5), "1.50 MiB");
   EXPECT_EQ(HumanBytes(1024.0 * 1024.0 * 1024.0), "1.00 GiB");
+}
+
+TEST(WriteStringToFileTest, ReplacesTheFileAndReportsOpenFailure) {
+  const std::string path = testing::TempDir() + "/string_util_test.bin";
+  ASSERT_TRUE(WriteStringToFile(path, "first, longer body").ok());
+  const std::string body("two\0lines\n", 10);
+  ASSERT_TRUE(WriteStringToFile(path, body).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string read((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(read, body);
+  std::remove(path.c_str());
+
+  const Status missing_dir =
+      WriteStringToFile(testing::TempDir() + "/no_such_dir/x.json", "{}");
+  EXPECT_EQ(missing_dir.code(), StatusCode::kIOError);
 }
 
 }  // namespace

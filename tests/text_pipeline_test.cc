@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/thread_pool.h"
 #include "corpus/generator.h"
 #include "corpus/vectorize.h"
@@ -259,24 +260,18 @@ INSTANTIATE_TEST_SUITE_P(Threads, ConcurrencyTest,
 
 /// FNV-1a over every example: owner, tag ids, nnz, then (id, value bits).
 uint64_t Fingerprint(const VectorizedCorpus& vc) {
-  uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  };
+  Fnv64 h;
   for (std::size_t d = 0; d < vc.dataset.size(); ++d) {
     const MultiLabelExample& ex = vc.dataset[d];
-    mix(vc.doc_user[d]);
-    for (TagId t : ex.tags) mix(t);
-    mix(ex.x.nnz());
+    h.Mix(uint64_t{vc.doc_user[d]});
+    for (TagId t : ex.tags) h.Mix(uint64_t{t});
+    h.Mix(uint64_t{ex.x.nnz()});
     for (const auto& [id, w] : ex.x.entries()) {
-      mix(id);
-      mix(Bits(w));
+      h.Mix(uint64_t{id});
+      h.MixDouble(w);
     }
   }
-  return h;
+  return h.state;
 }
 
 // The served benchmark's corpus (p2pdtd's generator settings at 256 users,

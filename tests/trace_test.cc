@@ -135,42 +135,6 @@ TEST(TracerTest, ChromeExportEscapesAdversarialNames) {
   EXPECT_TRUE(JsonHasKey(json, "traceEvents"));
 }
 
-TEST(TracerTest, CollapsedExportFoldsSelfTimeByStack) {
-  Tracer tracer;
-  // predict(0..10) > lookup(1..5) > hop(2..3); a second lookup(6..8).
-  TraceContext root = tracer.StartTrace("predict", 0.0, 1);
-  TraceContext lookup = tracer.StartSpan("lookup", 1.0, 1, root);
-  TraceContext hop = tracer.StartSpan("hop", 2.0, 1, lookup);
-  tracer.EndSpan(hop, 3.0);
-  tracer.EndSpan(lookup, 5.0);
-  TraceContext lookup2 = tracer.StartSpan("lookup", 6.0, 1, root);
-  tracer.Instant("retransmit", 6.5, 1, lookup2);  // instants fold to nothing
-  tracer.EndSpan(lookup2, 8.0);
-  tracer.EndSpan(root, 10.0);
-
-  std::string collapsed = tracer.ToCollapsed();
-  // Self time: root 10-4-2=4s, the two lookups merge to (4-1)+2=5s,
-  // hop keeps its 1s. Micros, sorted by stack.
-  EXPECT_EQ(collapsed,
-            "predict 4000000\n"
-            "predict;lookup 5000000\n"
-            "predict;lookup;hop 1000000\n");
-}
-
-TEST(TracerTest, CollapsedExportSanitizesFrameNames) {
-  Tracer tracer;
-  TraceContext root = tracer.StartTrace("name with spaces\nand;lines", 0.0, 1);
-  tracer.EndSpan(root, 1.0);
-  std::string collapsed = tracer.ToCollapsed();
-  ASSERT_FALSE(collapsed.empty());
-  // One line: `stack <micros>` with no interior whitespace in the stack.
-  auto space = collapsed.rfind(' ');
-  ASSERT_NE(space, std::string::npos);
-  std::string stack = collapsed.substr(0, space);
-  EXPECT_EQ(stack.find(' '), std::string::npos) << collapsed;
-  EXPECT_EQ(stack.find('\n'), std::string::npos) << collapsed;
-}
-
 TEST(TracerTest, ClearResetsState) {
   Tracer tracer;
   TraceContext c = tracer.StartTrace("op", 0.0, 0);
