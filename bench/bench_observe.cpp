@@ -3,8 +3,9 @@
 // stack (metrics + tracing + cost ledger + profiler) on, and report
 // wall-clock and message counts side by side. The subsystems are required
 // to be behavior-neutral (identical quality and traffic — enforced here,
-// the bench fails on a mismatch) and cheap (small wall-clock overhead,
-// reported per arm).
+// the bench fails on a mismatch). Each arm's wall-clock difference from the
+// off arm is printed as advisory only: one run per arm, within run-to-run
+// noise.
 //
 // `--smoke` runs one small traced CEMPaR experiment and one PACE
 // experiment with the full stack and writes their artifacts (trace /
@@ -173,7 +174,8 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r->retransmits),
                   r->wall_seconds, r->observability.entries.size());
       if (arm != Arm::kOff && wall_off > 0.0) {
-        std::printf("  -> overhead %+.1f%%\n",
+        std::printf("  -> overhead %+.1f%% (advisory: one run per arm, "
+                    "within run-to-run noise)\n",
                     100.0 * (r->wall_seconds - wall_off) / wall_off);
       }
       Status s = csv.AddRow(

@@ -1,8 +1,8 @@
 // DEMO2 — "modifying the network parameters, such as the network size"
 // (paper Sec. 3): accuracy and communication cost as the number of peers
 // grows from 16 to 512 on the same corpus, then the scale tier: 1k / 10k /
-// 100k peers on the flyweight + calendar-queue + sharded engine, with
-// wall-clock and peak-RSS recorded per row.
+// 100k peers on the flyweight + binary-heap event queue + sharded engine,
+// with wall-clock and peak-RSS recorded per row.
 //
 // Expected shape: accuracy roughly flat for CEMPaR / Centralized (the same
 // pooled knowledge, just spread thinner per peer); PACE degrades slightly

@@ -17,9 +17,9 @@ namespace p2pdt {
 ///
 /// Precision is one tick — exactly what reaping wants: cheap arm/cancel
 /// (O(1) amortized) at thousands of connections, with deadlines that only
-/// need to be roughly right. Event-queue-grade ordering lives in
-/// CalendarQueue; this wheel is the socket-daemon sibling tuned for
-/// wall-clock timeouts, not simulation determinism.
+/// need to be roughly right. Exact, deterministic event ordering is the
+/// simulator's EventQueue; this wheel is the socket-daemon sibling tuned
+/// for wall-clock timeouts, not simulation determinism.
 ///
 /// Single-threaded: owned and driven by the event loop thread.
 class DeadlineWheel {

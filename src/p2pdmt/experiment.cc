@@ -431,6 +431,11 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
         env.profiler()->WriteCollapsed(options.profile_path));
   }
   if (!options.report_path.empty()) {
+    // The report's phases and overload sections come from the registry.
+    if (env.metrics() == nullptr) {
+      return Status::InvalidArgument(
+          "report_path set but env.observe.metrics is off");
+    }
     P2PDT_RETURN_IF_ERROR(RunReport::Write(options.report_path, result,
                                            result.observability));
   }

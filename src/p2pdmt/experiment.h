@@ -73,7 +73,7 @@ struct ExperimentOptions {
   /// Observability artifacts (all optional; empty = don't write). Each
   /// requires the matching env.observe subsystem to be enabled, otherwise
   /// there is nothing to export and the path is an error.
-  std::string report_path;   ///< Run report JSON (see RunReport).
+  std::string report_path;   ///< Run report JSON; needs metrics.
   std::string metrics_path;  ///< Raw metrics registry JSON export.
   std::string trace_path;    ///< Chrome trace_event JSON export.
   std::string profile_path;  ///< Collapsed-stack flamegraph text export.

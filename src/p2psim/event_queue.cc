@@ -1,229 +1,43 @@
 #include "p2psim/event_queue.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace p2pdt {
 
 namespace {
 
-/// Floor for the bucket width: at equal-timestamp bursts the measured gap
-/// collapses to zero, and a zero width would make every slot computation
-/// divide by nothing.
-constexpr double kMinWidth = 1.0e-9;
-
-/// Ceiling for slot indices: times are simulated seconds (bounded in
-/// practice), but a pathological time / tiny width must not overflow the
-/// 64-bit slot arithmetic.
-constexpr double kMaxSlot = 1.0e18;
-
-std::size_t RoundUpPow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-bool EventLess(const SimEvent& a, double time, uint64_t seq) {
-  if (a.time != time) return a.time < time;
-  return a.seq < seq;
-}
+/// Heap order for std::push_heap/pop_heap, whose front is the greatest
+/// element: "greater" puts the (time, seq)-minimal key in front. Sequence
+/// numbers are unique, so the order is total and the pop order exact.
+struct Later {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const {
+    if (a.time != b.time) return a.time > b.time;
+    return a.seq > b.seq;
+  }
+};
 
 }  // namespace
 
-CalendarQueue::CalendarQueue() : CalendarQueue(Options()) {}
-
-CalendarQueue::CalendarQueue(Options options) : options_(options) {
-  if (options_.initial_buckets == 0) options_.initial_buckets = 1;
-  width_ = std::max(options_.initial_width, kMinWidth);
-  buckets_.resize(RoundUpPow2(options_.initial_buckets));
+void EventQueue::Push(double time, UniqueFunction fn) {
+  uint32_t slot = static_cast<uint32_t>(slab_.size());
+  if (free_slots_.empty()) {
+    slab_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slab_[slot] = std::move(fn);
+  }
+  heap_.push_back({time, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later());
 }
 
-uint64_t CalendarQueue::SlotOf(double time) const {
-  double s = time / width_;
-  if (s < 0.0) s = 0.0;
-  if (s > kMaxSlot) s = kMaxSlot;
-  return static_cast<uint64_t>(s);
-}
-
-void CalendarQueue::Insert(SimEvent event) {
-  Bucket& b = buckets_[SlotOf(event.time) % buckets_.size()];
-  // Fast path: events usually arrive in nondecreasing (time, seq) order
-  // within their bucket, so appending keeps it sorted.
-  if (!b.has_live() ||
-      !EventLess(event, b.ev.back().time, b.ev.back().seq)) {
-    if (!b.has_live()) {
-      // Whole bucket is popped prefix — reclaim it instead of growing.
-      b.ev.clear();
-      b.head = 0;
-    }
-    b.ev.push_back(std::move(event));
-    return;
-  }
-  auto pos = std::upper_bound(
-      b.ev.begin() + static_cast<std::ptrdiff_t>(b.head), b.ev.end(), event,
-      [](const SimEvent& x, const SimEvent& y) {
-        return EventLess(x, y.time, y.seq);
-      });
-  b.ev.insert(pos, std::move(event));
-}
-
-uint64_t CalendarQueue::Push(double time, UniqueFunction fn) {
-  if (time < 0.0 || !std::isfinite(time)) time = 0.0;
-  const uint64_t id = next_seq_++;
-  SimEvent event;
-  event.time = time;
-  event.seq = id;
-  event.fn = std::move(fn);
-  // An event earlier than the scan cursor's window would be missed by the
-  // forward scan — rewind the cursor to its slot.
-  const uint64_t slot = SlotOf(time);
-  if (slot < slot_) slot_ = slot;
-  if (cached_min_bucket_ != kNoCache && time < cached_min_time_) {
-    cached_min_bucket_ = kNoCache;
-  }
-  Insert(std::move(event));
-  ++live_;
-  ++stored_;
-  MaybeResize();
-  return id;
-}
-
-bool CalendarQueue::Cancel(uint64_t id) {
-  cancelled_.insert(id);
-  if (live_ > 0) --live_;
-  cached_min_bucket_ = kNoCache;
-  return true;
-}
-
-void CalendarQueue::PurgeCancelledHead(Bucket& b) {
-  while (b.head < b.ev.size() && !cancelled_.empty() &&
-         cancelled_.count(b.ev[b.head].seq) > 0) {
-    cancelled_.erase(b.ev[b.head].seq);
-    ++b.head;
-    --stored_;
-  }
-  // Compact long popped prefixes so memory tracks the live population.
-  if (b.head > 32 && b.head * 2 > b.ev.size()) {
-    b.ev.erase(b.ev.begin(), b.ev.begin() + static_cast<std::ptrdiff_t>(b.head));
-    b.head = 0;
-  }
-}
-
-std::size_t CalendarQueue::FindMin() {
-  if (cached_min_bucket_ != kNoCache) return cached_min_bucket_;
-  const std::size_t nb = buckets_.size();
-  for (;;) {
-    // One pass over the current calendar year, starting at the cursor.
-    // Membership in the cursor's window is tested with the same division
-    // Insert keys buckets by (SlotOf), never by multiplying the width back
-    // up: `(slot+1) * width` can round down onto the event's exact time,
-    // and a strict `<` against it would skip the event forever.
-    for (std::size_t scanned = 0; scanned < nb; ++scanned) {
-      Bucket& b = buckets_[slot_ % nb];
-      PurgeCancelledHead(b);
-      if (b.has_live() && SlotOf(b.front().time) <= slot_) {
-        cached_min_bucket_ = slot_ % nb;
-        cached_min_time_ = b.front().time;
-        return cached_min_bucket_;
-      }
-      ++slot_;
-    }
-    // Nothing due this year: jump the cursor straight to the globally
-    // minimal event instead of spinning through empty years.
-    std::size_t best = kNoCache;
-    double best_time = 0.0;
-    uint64_t best_seq = 0;
-    for (std::size_t i = 0; i < nb; ++i) {
-      Bucket& b = buckets_[i];
-      PurgeCancelledHead(b);
-      if (!b.has_live()) continue;
-      const SimEvent& e = b.front();
-      if (best == kNoCache || EventLess(e, best_time, best_seq)) {
-        best = i;
-        best_time = e.time;
-        best_seq = e.seq;
-      }
-    }
-    // live_ > 0 guarantees best found.
-    slot_ = SlotOf(best_time);
-    // Loop once more: the scan pass re-validates that no event in the
-    // min's slot window precedes it (same-window earlier buckets).
-  }
-}
-
-double CalendarQueue::MinTime() {
-  Bucket& b = buckets_[FindMin()];
-  return b.front().time;
-}
-
-SimEvent CalendarQueue::PopMin() {
-  Bucket& b = buckets_[FindMin()];
-  SimEvent out = std::move(b.front());
-  ++b.head;
-  --stored_;
-  --live_;
-  cached_min_bucket_ = kNoCache;
-  PurgeCancelledHead(b);
-  if (popped_any_) {
-    const double gap = out.time - last_pop_time_;
-    avg_gap_ = avg_gap_ == 0.0 ? gap : 0.9 * avg_gap_ + 0.1 * gap;
-  }
-  popped_any_ = true;
-  last_pop_time_ = out.time;
-  MaybeResize();
-  return out;
-}
-
-void CalendarQueue::MaybeResize() {
-  if (!options_.auto_resize) return;
-  const std::size_t nb = buckets_.size();
-  if (live_ > 2 * nb) {
-    Rebuild(nb * 2, std::max(avg_gap_ * 2.0, kMinWidth));
-  } else if (nb > RoundUpPow2(options_.initial_buckets) && live_ * 2 < nb) {
-    Rebuild(nb / 2, std::max(avg_gap_ * 2.0, kMinWidth));
-  }
-}
-
-void CalendarQueue::Rebuild(std::size_t new_buckets, double new_width) {
-  std::vector<SimEvent> all;
-  all.reserve(stored_);
-  for (Bucket& b : buckets_) {
-    for (std::size_t i = b.head; i < b.ev.size(); ++i) {
-      if (!cancelled_.empty() && cancelled_.count(b.ev[i].seq) > 0) {
-        cancelled_.erase(b.ev[i].seq);
-        continue;
-      }
-      all.push_back(std::move(b.ev[i]));
-    }
-  }
-  buckets_.clear();
-  buckets_.resize(new_buckets);
-  stored_ = all.size();
-  // live_ is unchanged: tombstones were reclaimed above.
-  double min_time = 0.0;
-  double max_time = 0.0;
-  bool any = false;
-  for (SimEvent& e : all) {
-    if (!any || e.time < min_time) min_time = e.time;
-    if (!any || e.time > max_time) max_time = e.time;
-    any = true;
-  }
-  // A resize before any pop has no gap estimate (avg_gap_ == 0, so the
-  // caller passes the kMinWidth floor). Derive the width from the stored
-  // population's spread instead — the floor would smear a seconds-scale
-  // timeline across ~1e9 slots and make every pop a full-year scan.
-  if (new_width <= kMinWidth && all.size() > 1 && max_time > min_time) {
-    new_width = (max_time - min_time) / static_cast<double>(all.size());
-  }
-  width_ = std::max(new_width, kMinWidth);
-  slot_ = any ? SlotOf(min_time) : 0;
-  cached_min_bucket_ = kNoCache;
-  // Re-inserting in (time, seq) order keeps every bucket append-only here.
-  std::sort(all.begin(), all.end(), [](const SimEvent& a, const SimEvent& b) {
-    return EventLess(a, b.time, b.seq);
-  });
-  for (SimEvent& e : all) Insert(std::move(e));
-  ++resizes_;
+SimEvent EventQueue::PopMin() {
+  std::pop_heap(heap_.begin(), heap_.end(), Later());
+  const Key key = heap_.back();
+  heap_.pop_back();
+  free_slots_.push_back(key.slot);
+  return SimEvent{key.time, key.seq, std::move(slab_[key.slot])};
 }
 
 }  // namespace p2pdt

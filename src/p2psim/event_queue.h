@@ -3,14 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/function.h"
 
 namespace p2pdt {
 
-/// One scheduled simulation event: absolute time, monotone sequence number
+/// One popped simulation event: absolute time, monotone sequence number
 /// (the FIFO tie-break at equal timestamps that keeps runs reproducible)
 /// and the callback. The callback is move-only, so events can carry
 /// move-only payloads (`std::unique_ptr` captures and the like).
@@ -20,113 +19,40 @@ struct SimEvent {
   UniqueFunction fn;
 };
 
-/// Indexed calendar queue (Brown 1988): the event scheduler behind the
-/// 100k-peer simulator.
+/// The simulator's pending-event set: a binary min-heap over small
+/// (time, seq, slot) keys, with the callbacks parked in a slab whose slots
+/// a free list recycles. Only the 24-byte keys move while the heap sifts;
+/// each callback is written once on Push and moved out once on PopMin.
 ///
-/// A `std::priority_queue` costs O(log n) per operation and, at tens of
-/// millions of pending events, the log factor plus heap churn dominates the
-/// simulation loop. A calendar queue hashes events by timestamp into
-/// `num_buckets` bucket "days" of `bucket_width` simulated seconds each;
-/// with the width tuned so that a bucket holds O(1) events, both enqueue
-/// and dequeue-min are O(1) amortized. The queue resizes itself (doubling /
-/// halving the calendar, re-estimating the width from the observed
-/// inter-event gap) as the population grows and shrinks.
-///
-/// Ordering contract — the part the equivalence tests pin down: events pop
-/// in exactly ascending (time, seq) order, i.e. the *identical* order a
-/// stable binary heap over (time, seq) would produce. Equal timestamps pop
-/// FIFO in scheduling order. This is what keeps the rearchitected engine
-/// bit-identical to the old `priority_queue` one.
-///
-/// Cancellation: `Push` returns the event's id (its sequence number);
-/// `Cancel(id)` marks a *pending* event dead — it is skipped (and its
-/// tombstone reclaimed) when its bucket position is reached. Cancelling an
-/// id that already popped, or twice, is a contract violation (the
-/// tombstone would leak); callers that cannot guarantee this must track
-/// execution themselves, which is what `Simulator` does.
-class CalendarQueue {
+/// Ordering contract: events pop in exactly ascending (time, seq) order,
+/// where seq counts Push calls, so equal timestamps pop FIFO in scheduling
+/// order. Times must be finite (Simulator clamps them).
+class EventQueue {
  public:
-  struct Options {
-    /// Initial calendar size (rounded up to a power of two).
-    std::size_t initial_buckets = 16;
-    /// Initial bucket width in simulated seconds.
-    double initial_width = 0.05;
-    /// Automatic calendar resizing; fixable for tests that probe edge
-    /// behavior at a forced size/width.
-    bool auto_resize = true;
-  };
+  void Push(double time, UniqueFunction fn);
 
-  CalendarQueue();
-  explicit CalendarQueue(Options options);
-
-  /// Schedules `fn` at absolute `time` (>= 0); returns the event id.
-  uint64_t Push(double time, UniqueFunction fn);
-
-  /// Tombstones a pending event. Returns true (see class contract).
-  bool Cancel(uint64_t id);
-
-  /// Live (pending, uncancelled) events.
-  std::size_t size() const { return live_; }
-  bool empty() const { return live_ == 0; }
+  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
   /// Timestamp of the next event to pop. Requires !empty().
-  double MinTime();
+  double MinTime() const { return heap_.front().time; }
 
-  /// Removes and returns the (time, seq)-minimal live event. Requires
-  /// !empty().
+  /// Removes and returns the (time, seq)-minimal event, its callback moved
+  /// out of the slab, so running it may push (and grow the slab) freely.
+  /// Requires !empty().
   SimEvent PopMin();
 
-  /// Total events ever pushed (== next id).
-  uint64_t total_pushed() const { return next_seq_; }
-
-  // Introspection for tests and the resize heuristics.
-  std::size_t num_buckets() const { return buckets_.size(); }
-  double bucket_width() const { return width_; }
-  std::size_t num_resizes() const { return resizes_; }
-
  private:
-  /// One calendar day: events sorted ascending by (time, seq) from `head`
-  /// on; slots before `head` are already popped (compacted lazily).
-  struct Bucket {
-    std::vector<SimEvent> ev;
-    std::size_t head = 0;
-
-    bool has_live() const { return head < ev.size(); }
-    SimEvent& front() { return ev[head]; }
+  struct Key {
+    double time;
+    uint64_t seq;
+    uint32_t slot;
   };
 
-  uint64_t SlotOf(double time) const;
-  void Insert(SimEvent event);
-  /// Skips tombstoned events at the bucket head, reclaiming tombstones.
-  void PurgeCancelledHead(Bucket& b);
-  /// Locates the minimal live event; positions scan state on it. Requires
-  /// live_ > 0. Returns its bucket index.
-  std::size_t FindMin();
-  void MaybeResize();
-  void Rebuild(std::size_t new_buckets, double new_width);
-
-  Options options_;
-  std::vector<Bucket> buckets_;
-  double width_ = 0.05;
-  /// Absolute slot index of the scan cursor; the cursor's bucket is
-  /// slot_ % num_buckets and its window is [slot_*width, (slot_+1)*width).
-  uint64_t slot_ = 0;
+  std::vector<Key> heap_;
+  std::vector<UniqueFunction> slab_;
+  std::vector<uint32_t> free_slots_;
   uint64_t next_seq_ = 0;
-  std::size_t live_ = 0;
-  std::size_t stored_ = 0;  ///< live_ plus pending tombstones
-  std::unordered_set<uint64_t> cancelled_;
-  /// EWMA of the gap between consecutively popped timestamps; feeds the
-  /// width estimate at resize time.
-  double avg_gap_ = 0.0;
-  double last_pop_time_ = 0.0;
-  bool popped_any_ = false;
-  std::size_t resizes_ = 0;
-  /// Cached FindMin result (bucket index), invalidated by pushes that could
-  /// precede it and by cancellations.
-  std::size_t cached_min_bucket_ = kNoCache;
-  double cached_min_time_ = 0.0;
-
-  static constexpr std::size_t kNoCache = static_cast<std::size_t>(-1);
 };
 
 }  // namespace p2pdt

@@ -1,40 +1,20 @@
 #include "p2psim/simulator.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace p2pdt {
 
-void Simulator::Schedule(SimTime delay, Callback fn) {
-  ScheduleAt(now_ + std::max(delay, 0.0), std::move(fn));
-}
-
 void Simulator::ScheduleAt(SimTime when, Callback fn) {
-  queue_.Push(std::max(when, now_), std::move(fn));
-}
-
-Simulator::EventId Simulator::ScheduleCancelable(SimTime delay, Callback fn) {
-  const EventId id =
-      queue_.Push(now_ + std::max(delay, 0.0), std::move(fn));
-  cancelable_.insert(id);
-  return id;
-}
-
-bool Simulator::Cancel(EventId id) {
-  // Only ids still tracked are pending: ran events are erased in Step and
-  // cancelled ones here, so CalendarQueue's cancel-once contract holds.
-  if (cancelable_.erase(id) == 0) return false;
-  queue_.Cancel(id);
-  return true;
+  when = std::max(when, now_);
+  queue_.Push(std::isfinite(when) ? when : 0.0, std::move(fn));
 }
 
 bool Simulator::Step() {
   if (queue_.empty()) return false;
-  // The calendar queue hands the event out by value — the callback moves
-  // out cleanly (no const_cast, no copy), so move-only payloads work.
   SimEvent ev = queue_.PopMin();
   now_ = ev.time;
   ++executed_;
-  if (!cancelable_.empty()) cancelable_.erase(ev.seq);
   ev.fn();
   return true;
 }

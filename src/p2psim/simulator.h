@@ -1,8 +1,8 @@
 #ifndef P2PDT_P2PSIM_SIMULATOR_H_
 #define P2PDT_P2PSIM_SIMULATOR_H_
 
-#include <cstdint>
-#include <unordered_set>
+#include <cstddef>
+#include <utility>
 
 #include "common/function.h"
 #include "p2psim/event_queue.h"
@@ -20,11 +20,8 @@ using SimTime = double;
 /// order (a monotone sequence number breaks ties), which keeps runs
 /// fully deterministic.
 ///
-/// The scheduler is an indexed calendar queue (see CalendarQueue): O(1)
-/// amortized enqueue/dequeue instead of the O(log n) binary heap the first
-/// versions used, which is what makes 100k–1M-peer populations tractable.
-/// The pop order is bit-identical to the old stable heap — the equivalence
-/// property tests in event_queue_test pin that down.
+/// The scheduler is a binary heap of (time, seq) keys (see EventQueue):
+/// O(log n) per event, with the callbacks kept out of the sift path.
 ///
 /// Callbacks are move-only (UniqueFunction), so events may carry move-only
 /// payloads; `std::function` and any other copyable callable convert
@@ -32,9 +29,6 @@ using SimTime = double;
 class Simulator {
  public:
   using Callback = UniqueFunction;
-  /// Handle for Cancel(); returned by ScheduleCancelable.
-  using EventId = uint64_t;
-  static constexpr EventId kInvalidEvent = static_cast<EventId>(-1);
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
@@ -43,22 +37,15 @@ class Simulator {
   /// Current simulated time.
   SimTime Now() const { return now_; }
 
-  /// Schedules `fn` to run `delay` seconds from now (delay >= 0; negative
-  /// delays are clamped to 0).
-  void Schedule(SimTime delay, Callback fn);
+  /// Schedules `fn` to run `delay` seconds from now (negative delays run
+  /// now).
+  void Schedule(SimTime delay, Callback fn) {
+    ScheduleAt(now_ + delay, std::move(fn));
+  }
 
-  /// Schedules `fn` at an absolute simulated time (clamped to >= Now()).
+  /// Schedules `fn` at an absolute simulated time, clamped to >= Now(); a
+  /// clamped time that is infinite or NaN is scheduled at 0 instead.
   void ScheduleAt(SimTime when, Callback fn);
-
-  /// Like Schedule, but returns a handle the caller may later Cancel —
-  /// e.g. a retransmission timer disarmed by an early ACK. A cancelled
-  /// event never runs and costs only a tombstone in the queue.
-  EventId ScheduleCancelable(SimTime delay, Callback fn);
-
-  /// Cancels a pending cancelable event. Returns true when the event was
-  /// still pending (it will not run); false when it already ran, was
-  /// already cancelled, or the id was never issued by ScheduleCancelable.
-  bool Cancel(EventId id);
 
   /// Runs events until the queue empties or simulated time would exceed
   /// `until`. Events at exactly `until` are executed. Returns the number of
@@ -75,17 +62,10 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
   std::size_t executed_events() const { return executed_; }
 
-  /// Scheduler introspection (benchmarks and tests).
-  const CalendarQueue& queue() const { return queue_; }
-
  private:
   SimTime now_ = 0.0;
   std::size_t executed_ = 0;
-  CalendarQueue queue_;
-  /// Ids issued by ScheduleCancelable that have not yet run or been
-  /// cancelled; keeps Cancel() exact without charging plain Schedule()
-  /// traffic (the overwhelming majority) any bookkeeping.
-  std::unordered_set<EventId> cancelable_;
+  EventQueue queue_;
 };
 
 }  // namespace p2pdt

@@ -3,10 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
+#include <cstddef>
 #include <memory>
-#include <queue>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,225 +14,123 @@
 namespace p2pdt {
 namespace {
 
-// Reference model: the stable heap the old engine used — a priority queue
-// over (time, seq) popping ascending. The calendar queue's contract is to
-// reproduce its pop order bit-for-bit.
+// Reference model: the pending (time, seq) pairs in push order. The next
+// event due is the first pair of least time — what a stable sort by time
+// puts in front — so equal times leave in push order without the reference
+// ever comparing sequence numbers.
 using RefEvent = std::pair<double, uint64_t>;
-using RefQueue =
-    std::priority_queue<RefEvent, std::vector<RefEvent>, std::greater<>>;
 
-void SkipCancelled(RefQueue& ref,
-                   const std::unordered_set<uint64_t>& cancelled) {
-  while (!ref.empty() && cancelled.count(ref.top().second) > 0) ref.pop();
+bool EarlierTime(const RefEvent& a, const RefEvent& b) {
+  return a.first < b.first;
 }
 
-/// Drives a CalendarQueue and the reference heap through the same random
-/// push/cancel/pop schedule and asserts identical observable behavior at
-/// every step. `time_scale` stretches the sampled inter-event gaps so one
-/// harness covers dense (all events in one bucket day) through sparse
-/// (every event many calendar years apart) regimes.
-void FuzzAgainstReference(CalendarQueue::Options options, uint64_t seed,
-                          int ops, double time_scale, bool with_cancel) {
-  SCOPED_TRACE(::testing::Message()
-               << "seed=" << seed << " scale=" << time_scale
-               << " buckets=" << options.initial_buckets
-               << " width=" << options.initial_width
-               << " auto_resize=" << options.auto_resize
-               << " cancel=" << with_cancel);
-  CalendarQueue q(options);
-  RefQueue ref;
-  std::vector<uint64_t> pending;  // ids not yet popped or cancelled
-  std::unordered_set<uint64_t> cancelled;
+/// Drives an EventQueue and the reference through the same random
+/// push/pop schedule and asserts the same pop at every step, then drains
+/// both. `time_scale` stretches the sampled gaps (dense through sparse
+/// timelines); `tie_share` is the percentage of pushes that reuse a recent
+/// timestamp.
+void FuzzAgainstReference(uint64_t seed, int ops, double time_scale,
+                          uint64_t tie_share) {
+  SCOPED_TRACE(::testing::Message() << "seed=" << seed << " scale="
+                                    << time_scale << " ties=" << tie_share);
+  EventQueue q;
+  std::vector<RefEvent> pending;
+  uint64_t pushed = 0;
   Rng rng(seed);
   double now = 0.0;
   std::vector<double> tie_pool;  // recent times re-used to force ties
 
   for (int op = 0; op < ops; ++op) {
-    const uint64_t roll = rng.NextU64(100);
-    if (roll < 55 || q.empty()) {
-      double t;
-      if (!tie_pool.empty() && rng.NextU64(4) == 0) {
-        t = tie_pool[rng.NextU64(tie_pool.size())];
+    if (rng.NextU64(100) < 55 || q.empty()) {
+      double t = 0.0;
+      if (!tie_pool.empty() && rng.NextU64(100) < tie_share) {
+        t = std::max(now, tie_pool[rng.NextU64(tie_pool.size())]);
       } else {
         t = now +
             static_cast<double>(rng.NextU64(1000000)) * 1e-6 * time_scale;
         tie_pool.push_back(t);
         if (tie_pool.size() > 32) tie_pool.erase(tie_pool.begin());
       }
-      if (t < now) t = now;
-      const uint64_t id = q.Push(t, [] {});
-      ref.push({t, id});
-      pending.push_back(id);
-    } else if (with_cancel && roll < 68 && !pending.empty()) {
-      const std::size_t k = rng.NextU64(pending.size());
-      const uint64_t id = pending[k];
-      pending.erase(pending.begin() + k);
-      EXPECT_TRUE(q.Cancel(id));
-      cancelled.insert(id);
+      q.Push(t, [] {});
+      pending.push_back({t, pushed++});
     } else {
-      SkipCancelled(ref, cancelled);
-      ASSERT_FALSE(ref.empty());  // q was non-empty, sizes must agree
-      ASSERT_FALSE(q.empty());
-      EXPECT_EQ(q.MinTime(), ref.top().first);
+      auto due =
+          std::min_element(pending.begin(), pending.end(), EarlierTime);
+      EXPECT_EQ(q.MinTime(), due->first);
       SimEvent ev = q.PopMin();
-      EXPECT_EQ(ev.time, ref.top().first);
-      EXPECT_EQ(ev.seq, ref.top().second);
-      now = std::max(now, ev.time);
-      ref.pop();
-      pending.erase(std::find(pending.begin(), pending.end(), ev.seq));
+      EXPECT_EQ(ev.time, due->first);
+      EXPECT_EQ(ev.seq, due->second);
+      now = ev.time;
+      pending.erase(due);
     }
-    EXPECT_EQ(q.size(), pending.size());
+    ASSERT_EQ(q.size(), pending.size());
   }
 
-  // Drain: the full remaining pop sequence must match the reference.
-  while (true) {
-    SkipCancelled(ref, cancelled);
-    if (ref.empty()) break;
+  // Drain: the rest must come out as a stable sort by time orders it.
+  std::stable_sort(pending.begin(), pending.end(), EarlierTime);
+  for (const RefEvent& want : pending) {
     ASSERT_FALSE(q.empty());
     SimEvent ev = q.PopMin();
-    EXPECT_EQ(ev.time, ref.top().first);
-    EXPECT_EQ(ev.seq, ref.top().second);
-    ref.pop();
+    EXPECT_EQ(ev.time, want.first);
+    EXPECT_EQ(ev.seq, want.second);
   }
   EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(CalendarQueueTest, FuzzEquivalenceDefaultOptions) {
+TEST(EventQueueTest, FuzzMatchesStableSortReference) {
   for (uint64_t seed : {1u, 42u, 20100913u}) {
-    FuzzAgainstReference(CalendarQueue::Options{}, seed, 4000, 1.0, false);
+    FuzzAgainstReference(seed, 4000, 1.0, 25);
   }
 }
 
-TEST(CalendarQueueTest, FuzzEquivalenceWithCancellations) {
-  for (uint64_t seed : {7u, 99u, 123457u}) {
-    FuzzAgainstReference(CalendarQueue::Options{}, seed, 4000, 1.0, true);
-  }
+TEST(EventQueueTest, FuzzSparseDenseAndTieHeavyTimelines) {
+  FuzzAgainstReference(11, 2500, 1e6, 25);   // gaps of up to ~11 days
+  FuzzAgainstReference(13, 2500, 1e-6, 25);  // gaps of up to 1 µs
+  FuzzAgainstReference(17, 4000, 1.0, 90);   // most pushes tie a pending time
+  FuzzAgainstReference(19, 4000, 0.0, 0);    // every event at t = 0
 }
 
-TEST(CalendarQueueTest, FuzzEquivalenceAcrossBucketWidths) {
-  // Degenerate calendars — one bucket, two buckets, a width so narrow every
-  // event lands years apart in slot terms, a width so wide the whole run
-  // fits one day — must all still pop in (time, seq) order.
-  for (std::size_t buckets : {std::size_t{1}, std::size_t{2},
-                              std::size_t{1024}}) {
-    for (double width : {1e-7, 0.05, 1e4}) {
-      CalendarQueue::Options opt;
-      opt.initial_buckets = buckets;
-      opt.initial_width = width;
-      opt.auto_resize = false;
-      FuzzAgainstReference(opt, 5 + buckets, 1500, 1.0, true);
-    }
-  }
-}
-
-TEST(CalendarQueueTest, FuzzEquivalenceSparseAndDenseTimelines) {
-  FuzzAgainstReference(CalendarQueue::Options{}, 11, 2500, 1e6, true);
-  FuzzAgainstReference(CalendarQueue::Options{}, 13, 2500, 1e-6, true);
-}
-
-TEST(CalendarQueueTest, EqualTimestampsPopFifo) {
-  CalendarQueue q;
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 1000; ++i) ids.push_back(q.Push(5.0, [] {}));
+TEST(EventQueueTest, EqualTimestampsPopFifo) {
+  EventQueue q;
+  for (int i = 0; i < 1000; ++i) q.Push(5.0, [] {});
   // Interleave: pop half, push more at the same timestamp, drain.
-  for (int i = 0; i < 500; ++i) {
+  for (uint64_t i = 0; i < 500; ++i) {
     SimEvent ev = q.PopMin();
     EXPECT_EQ(ev.time, 5.0);
-    EXPECT_EQ(ev.seq, ids[static_cast<std::size_t>(i)]);
+    EXPECT_EQ(ev.seq, i);
   }
-  for (int i = 0; i < 100; ++i) ids.push_back(q.Push(5.0, [] {}));
-  for (std::size_t i = 500; i < ids.size(); ++i) {
-    SimEvent ev = q.PopMin();
-    EXPECT_EQ(ev.seq, ids[i]);
-  }
+  for (int i = 0; i < 100; ++i) q.Push(5.0, [] {});
+  for (uint64_t i = 500; i < 1100; ++i) EXPECT_EQ(q.PopMin().seq, i);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueueTest, ZeroDelayPushAtCurrentPopTime) {
+TEST(EventQueueTest, ZeroDelayPushAtCurrentPopTime) {
   // The self-send pattern: an event at time t pushes follow-ups at exactly
   // t. They must run after every already-pending event at t (FIFO) but
   // before anything later.
-  CalendarQueue q;
-  q.Push(1.0, [] {});
-  q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
+  EventQueue q;
+  q.Push(1.0, [] {});  // seq 0
+  q.Push(1.0, [] {});  // seq 1
+  q.Push(2.0, [] {});  // seq 2
   SimEvent first = q.PopMin();
   EXPECT_EQ(first.time, 1.0);
-  const uint64_t follow = q.Push(1.0, [] {});  // zero-delay self-send
+  EXPECT_EQ(first.seq, 0u);
+  q.Push(1.0, [] {});  // seq 3: zero-delay self-send
   SimEvent second = q.PopMin();
   EXPECT_EQ(second.time, 1.0);
-  EXPECT_NE(second.seq, follow);  // the older t=1 event goes first
+  EXPECT_EQ(second.seq, 1u);  // the older t=1 event goes first
   SimEvent third = q.PopMin();
   EXPECT_EQ(third.time, 1.0);
-  EXPECT_EQ(third.seq, follow);
+  EXPECT_EQ(third.seq, 3u);
   SimEvent fourth = q.PopMin();
   EXPECT_EQ(fourth.time, 2.0);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(CalendarQueueTest, BucketBoundaryTimestamps) {
-  CalendarQueue::Options opt;
-  opt.initial_buckets = 8;
-  opt.initial_width = 0.25;
-  opt.auto_resize = false;
-  CalendarQueue q(opt);
-  // Times exactly on bucket boundaries, scheduled out of order, spanning
-  // several calendar years.
-  std::vector<double> times;
-  for (int k = 40; k >= 0; --k) times.push_back(0.25 * k);
-  for (double t : times) q.Push(t, [] {});
-  double prev = -1.0;
-  while (!q.empty()) {
-    SimEvent ev = q.PopMin();
-    EXPECT_GE(ev.time, prev);
-    prev = ev.time;
-  }
-  EXPECT_EQ(prev, 10.0);
-}
-
-TEST(CalendarQueueTest, CancelHeadAndAll) {
-  CalendarQueue q;
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 64; ++i) ids.push_back(q.Push(1.0 + i, [] {}));
-  EXPECT_TRUE(q.Cancel(ids[0]));  // cancel the head
-  EXPECT_EQ(q.MinTime(), 2.0);
-  for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_TRUE(q.Cancel(ids[i]));
-  EXPECT_TRUE(q.empty());
-  // The queue stays usable after a full cancel.
-  q.Push(7.0, [] {});
-  EXPECT_EQ(q.MinTime(), 7.0);
-  EXPECT_EQ(q.PopMin().time, 7.0);
-}
-
-TEST(CalendarQueueTest, AutoResizeGrowsAndShrinksKeepingOrder) {
-  CalendarQueue::Options opt;
-  opt.initial_buckets = 4;
-  opt.initial_width = 0.01;
-  CalendarQueue q(opt);
-  Rng rng(321);
-  RefQueue ref;
-  for (int i = 0; i < 20000; ++i) {
-    double t = static_cast<double>(rng.NextU64(1000000)) * 1e-4;
-    uint64_t id = q.Push(t, [] {});
-    ref.push({t, id});
-  }
-  EXPECT_GT(q.num_buckets(), 4u);  // grew
-  EXPECT_GT(q.num_resizes(), 0u);
-  while (!ref.empty()) {
-    SimEvent ev = q.PopMin();
-    EXPECT_EQ(ev.time, ref.top().first);
-    EXPECT_EQ(ev.seq, ref.top().second);
-    ref.pop();
-  }
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(CalendarQueueTest, MoveOnlyPayloadsInvokeExactlyOnce) {
-  // Regression for the old priority_queue engine, whose const_cast copy-out
-  // of top() silently required copyable callbacks. The calendar queue's
-  // events are UniqueFunction: move-only captures flow through untouched.
-  CalendarQueue q;
+TEST(EventQueueTest, MoveOnlyPayloadsInvokeExactlyOnce) {
+  // Events are UniqueFunction: move-only captures flow through the slab
+  // and out of PopMin untouched.
+  EventQueue q;
   auto payload = std::make_unique<int>(41);
   int out = 0;
   q.Push(1.0, [p = std::move(payload), &out] { out = *p + 1; });
@@ -243,37 +139,57 @@ TEST(CalendarQueueTest, MoveOnlyPayloadsInvokeExactlyOnce) {
   EXPECT_EQ(out, 42);
 }
 
-TEST(CalendarQueueTest, SimulatorCarriesMoveOnlyEventPayloads) {
-  // End-to-end through Simulator::Schedule / ScheduleCancelable: the
-  // scheduling surface the protocols actually use must accept move-only
-  // lambdas (it could not before the engine rearchitecture).
+TEST(EventQueueTest, SimulatorCarriesMoveOnlyEventPayloads) {
+  // End-to-end through Simulator::Schedule, the scheduling surface the
+  // protocols use: it must accept move-only lambdas.
   Simulator sim;
   std::vector<int> got;
+  sim.Schedule(3.0, [p = std::make_unique<int>(3), &got] {
+    got.push_back(*p);
+  });
   sim.Schedule(1.0, [p = std::make_unique<int>(1), &got] {
     got.push_back(*p);
   });
-  auto cancelled_payload = std::make_unique<int>(99);
-  Simulator::EventId dead = sim.ScheduleCancelable(
-      2.0, [p = std::move(cancelled_payload), &got] { got.push_back(*p); });
-  sim.ScheduleCancelable(3.0, [p = std::make_unique<int>(3), &got] {
-    got.push_back(*p);
-  });
-  sim.Cancel(dead);
   sim.RunAll();
   EXPECT_EQ(got, (std::vector<int>{1, 3}));
   EXPECT_DOUBLE_EQ(sim.Now(), 3.0);
 }
 
-TEST(CalendarQueueTest, TotalPushedCountsAllIds) {
-  CalendarQueue q;
-  EXPECT_EQ(q.total_pushed(), 0u);
-  uint64_t a = q.Push(1.0, [] {});
-  uint64_t b = q.Push(1.0, [] {});
-  EXPECT_EQ(a + 1, b);
-  EXPECT_EQ(q.total_pushed(), 2u);
-  q.PopMin();
-  q.Cancel(b);
-  EXPECT_EQ(q.total_pushed(), 2u);  // ids are never reused
+/// Schedules event `runs.size()`, which on running first schedules three
+/// children (while `depth` lasts) and only then reads its own payload: the
+/// children's pushes can grow the slab under the running callback.
+struct Spawner {
+  Simulator& sim;
+  std::vector<int>& runs;
+
+  void Spawn(double delay, int depth) {
+    auto id = std::make_unique<std::size_t>(runs.size());
+    runs.push_back(0);
+    sim.Schedule(delay, [this, p = std::move(id), depth] {
+      for (int c = 0; depth > 0 && c < 3; ++c) Spawn(0.25 * c, depth - 1);
+      ++runs[*p];
+    });
+  }
+};
+
+TEST(EventQueueTest, SlabSlotsRecycleAcrossWaves) {
+  // Ten waves of 300 four-level spawn trees (40 events each): every wave
+  // drains the queue, so the next reuses the freed slab slots.
+  Simulator sim;
+  std::vector<int> runs;
+  Spawner spawner{sim, runs};
+  Rng rng(7);
+  for (int wave = 0; wave < 10; ++wave) {
+    for (int root = 0; root < 300; ++root) {
+      spawner.Spawn(static_cast<double>(rng.NextU64(1000)) * 1e-3, 3);
+    }
+    sim.RunAll();
+    ASSERT_EQ(sim.pending_events(), 0u);
+  }
+  ASSERT_EQ(runs.size(), 120000u);
+  EXPECT_EQ(sim.executed_events(), runs.size());
+  EXPECT_EQ(std::count(runs.begin(), runs.end(), 1),
+            static_cast<std::ptrdiff_t>(runs.size()));
 }
 
 }  // namespace

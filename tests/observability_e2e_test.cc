@@ -326,6 +326,18 @@ TEST(ObservabilityE2ETest, ArtifactPathWithoutSubsystemIsError) {
   EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(ObservabilityE2ETest, ReportPathWithoutMetricsIsError) {
+  // The report reads its phases and overload sections from the registry;
+  // without it they would be empty and all zero, so no report is written.
+  ExperimentOptions opt = BaseOptions(AlgorithmType::kCempar);
+  opt.report_path = ::testing::TempDir() + "/p2pdt_metricless_report.json";
+  std::remove(opt.report_path.c_str());
+  Result<ExperimentResult> r = RunExperiment(SharedCorpus(), opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ReadAll(opt.report_path).empty());
+}
+
 TEST(ObservabilityE2ETest, ObservabilityDoesNotChangeResults) {
   ExperimentOptions plain = BaseOptions(AlgorithmType::kCempar);
   ExperimentOptions observed = BaseOptions(AlgorithmType::kCempar);
