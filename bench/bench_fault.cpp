@@ -6,8 +6,11 @@
 // Expected shape: without retries, macro-F1 and prediction success fall
 // roughly linearly with loss; with retries, delivery converges (PACE model
 // coverage → 1.0, CEMPaR success ≈ 1.0) at the cost of the retransmission
-// overhead column. Writes bench_results/fault.csv, one row per point;
-// tools/check_csv.py validates it.
+// overhead column. Each fault plan is scaled to the run it disturbs: its
+// horizon is the simulated length (train + predict) of the plan=none run
+// at the same (algorithm, loss, reliable) point, so every window opens
+// while that run is still going. Writes bench_results/fault.csv, one row
+// per point; tools/check_csv.py validates it.
 
 #include <cstdio>
 
@@ -26,8 +29,8 @@ struct NamedFaultPlan {
   FaultPlanSpec plan;
 };
 
-/// The canonical fault plans, scaled to a protocol run that trains within
-/// the first `horizon` simulated seconds:
+/// The canonical fault plans, scaled to a protocol run that trains and
+/// predicts within the first `horizon` simulated seconds:
 ///  - "none":       no injected faults (baseline loss only)
 ///  - "burst":      50 % loss for the middle third of the horizon
 ///  - "partition":  the first half of the peers is cut off from the second
@@ -83,16 +86,19 @@ int main() {
                                                 /*num_tags=*/12);
   ExperimentOptions base = MacroDefaults(AlgorithmType::kPace, 64);
   base.max_test_documents = 200;
-  const std::vector<NamedFaultPlan> plans =
-      CanonicalFaultPlans(base.env.num_peers, /*horizon=*/120.0);
 
   CsvWriter csv;
   for (AlgorithmType algo : {AlgorithmType::kCempar, AlgorithmType::kPace}) {
     for (double loss : {0.0, 0.1, 0.2}) {
-      for (const NamedFaultPlan& plan : plans) {
+      // Per reliable flag, the plans are rescaled to the plan=none run's
+      // simulated length once it is measured; "none" is the first plan.
+      std::vector<NamedFaultPlan> plans[2];
+      plans[0] = plans[1] = CanonicalFaultPlans(base.env.num_peers, 0.0);
+      for (std::size_t p = 0; p < plans[0].size(); ++p) {
         // Fire-and-forget and reliable side by side, so the delta the
         // retries buy is in the same table.
         for (bool reliable : {false, true}) {
+          const NamedFaultPlan plan = plans[reliable][p];
           ExperimentOptions opt = base;
           opt.algorithm = algo;
           opt.env.physical.loss_rate = loss;
@@ -106,6 +112,11 @@ int main() {
                 << " plan=" << plan.label << " reliable=" << reliable
                 << " failed: " << r.status().ToString();
             continue;
+          }
+          if (plan.label == "none") {
+            plans[reliable] = CanonicalFaultPlans(
+                base.env.num_peers,
+                r->train_sim_seconds + r->predict_sim_seconds);
           }
           CsvWriter::Row row;
           row.Add("algorithm", r->algorithm)

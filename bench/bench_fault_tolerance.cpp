@@ -65,7 +65,7 @@ int main() {
   std::printf("=== CLAIM6: fault tolerance — no single point of failure "
               "===\n\n");
   const VectorizedCorpus& corpus = SharedCorpus(64, 12);
-  CorpusSplit split = SplitCorpus(corpus, 0.2, 11);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, 11);
   CsvWriter csv({"system", "phase", "micro_f1", "failed", "attempted"});
 
   // ---- Centralized: kill the coordinator. -------------------------------

@@ -32,7 +32,7 @@ struct LatencyStats {
 int main() {
   std::printf("=== prediction latency (simulated seconds) ===\n\n");
   const VectorizedCorpus& corpus = SharedCorpus(64, 12);
-  CorpusSplit split = SplitCorpus(corpus, 0.2, 21);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, 21);
   CsvWriter csv({"algorithm", "peers", "phase", "p50_ms", "p95_ms", "p99_ms",
                  "max_ms"});
 

@@ -37,7 +37,7 @@ int main() {
   ExperimentOptions opt = MacroDefaults(AlgorithmType::kCempar, 24);
   auto env = std::move(Environment::Create(opt.env)).value();
   auto algo = std::move(MakeClassifier(*env, opt)).value();
-  CorpusSplit split = SplitCorpus(vectorized, 0.2, 9);
+  CorpusSplit split = SplitCorpus(vectorized, kTrainFraction, 9);
   auto peers = std::move(DistributeData(split.train, 24, opt.distribution,
                                         &split.train_user))
                    .value();

@@ -79,7 +79,6 @@ BENCHMARK(BM_PorterStem);
 void BM_VectorizeHashed(benchmark::State& state) {
   PreprocessorOptions opt;
   Preprocessor pre(opt);
-  Tokenizer tokenizer;
   const auto& texts = SampleTexts();
   std::size_t i = 0;
   for (auto _ : state) {

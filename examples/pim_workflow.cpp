@@ -63,7 +63,7 @@ int main() {
   auto env = std::move(Environment::Create(opt.env)).value();
   auto algo = std::move(MakeClassifier(*env, opt)).value();
 
-  CorpusSplit split = SplitCorpus(vectorized, 0.2, 1);
+  CorpusSplit split = SplitCorpus(vectorized, kTrainFraction, 1);
   auto peers = std::move(DistributeData(split.train, 32, opt.distribution,
                                         &split.train_user))
                    .value();

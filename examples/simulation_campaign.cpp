@@ -51,7 +51,7 @@ int main() {
   co.vocabulary_size = 1600;
   co.seed = 3;
   VectorizedCorpus corpus = std::move(MakeVectorizedCorpus(co)).value();
-  CorpusSplit split = SplitCorpus(corpus, 0.2, 5);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, 5);
 
   DataDistributionOptions dist;
   dist.size = SizeDistribution::kZipf;

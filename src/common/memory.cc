@@ -1,10 +1,7 @@
 #include "common/memory.h"
 
-#include <cstdio>
-
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
-#include <unistd.h>
 #endif
 
 namespace p2pdt {
@@ -19,21 +16,6 @@ uint64_t PeakRssBytes() {
 #else
   return static_cast<uint64_t>(usage.ru_maxrss) * 1024u;
 #endif
-#else
-  return 0;
-#endif
-}
-
-uint64_t CurrentRssBytes() {
-#if defined(__linux__)
-  FILE* f = std::fopen("/proc/self/statm", "r");
-  if (f == nullptr) return 0;
-  unsigned long long size = 0, resident = 0;
-  int matched = std::fscanf(f, "%llu %llu", &size, &resident);
-  std::fclose(f);
-  if (matched != 2) return 0;
-  return static_cast<uint64_t>(resident) *
-         static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
 #else
   return 0;
 #endif

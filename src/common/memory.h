@@ -11,10 +11,6 @@ namespace p2pdt {
 /// platforms without the counter.
 uint64_t PeakRssBytes();
 
-/// Current resident set size in bytes (/proc/self/statm). Returns 0 where
-/// procfs is unavailable.
-uint64_t CurrentRssBytes();
-
 }  // namespace p2pdt
 
 #endif  // P2PDT_COMMON_MEMORY_H_

@@ -58,7 +58,6 @@ class PhaseProfiler {
  private:
   friend class PhaseScope;
   void Accumulate(const std::string& path, uint64_t self_micros);
-  std::string PhasePrefix() const;
 
   mutable std::mutex mu_;
   std::string phase_;

@@ -16,8 +16,6 @@ enum class StatusCode : uint8_t {
   kOk = 0,
   kInvalidArgument,
   kNotFound,
-  kAlreadyExists,
-  kOutOfRange,
   kFailedPrecondition,
   kUnavailable,
   kInternal,
@@ -56,12 +54,6 @@ class Status {
   }
   static Status NotFound(std::string msg) {
     return Status(StatusCode::kNotFound, std::move(msg));
-  }
-  static Status AlreadyExists(std::string msg) {
-    return Status(StatusCode::kAlreadyExists, std::move(msg));
-  }
-  static Status OutOfRange(std::string msg) {
-    return Status(StatusCode::kOutOfRange, std::move(msg));
   }
   static Status FailedPrecondition(std::string msg) {
     return Status(StatusCode::kFailedPrecondition, std::move(msg));

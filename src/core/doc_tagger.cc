@@ -10,6 +10,10 @@ namespace p2pdt {
 
 namespace {
 
+/// Blend between global and local scores when both exist
+/// (score = w·global + (1−w)·local).
+constexpr double kGlobalWeight = 0.7;
+
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 }  // namespace
@@ -150,8 +154,8 @@ std::vector<double> DocTagger::ScoreVector(const SparseVector& x) const {
   std::vector<double> combined(n, -1.0);  // default: confidently negative
   for (std::size_t t = 0; t < n; ++t) {
     if (has_local[t] && has_global[t]) {
-      combined[t] = options_.global_weight * global[t] +
-                    (1.0 - options_.global_weight) * local[t];
+      combined[t] =
+          kGlobalWeight * global[t] + (1.0 - kGlobalWeight) * local[t];
     } else if (has_global[t]) {
       combined[t] = global[t];
     } else if (has_local[t]) {
@@ -260,16 +264,13 @@ Status DocTagger::Refine(DocId id,
   // that appeared for the first time in this correction have no model yet
   // and will be learned at the next TrainLocal()).
   if (has_local_model_) {
-    p2pdt::RefineTags(local_model_, doc.vector, predicted, corrected,
-                      options_.refinement);
+    p2pdt::RefineTags(local_model_, doc.vector, predicted, corrected);
   }
   SetTags(doc, std::move(assignments));
   return Status::OK();
 }
 
-TagCloud DocTagger::BuildTagCloud(TagCloud::Options options) const {
-  return TagCloud::Build(library_, options);
-}
+TagCloud DocTagger::BuildTagCloud() const { return TagCloud::Build(library_); }
 
 Result<std::size_t> DocTagger::SaveMetadata(
     const std::string& directory) const {

@@ -36,11 +36,6 @@ struct DocTaggerOptions {
   LinearSvmOptions svm;
   /// Tag-assignment policy for AutoTag.
   TagDecisionPolicy policy;
-  /// Passive-aggressive step for tag refinement.
-  OnlineUpdateOptions refinement;
-  /// Blend between global and local scores when both exist
-  /// (score = w·global + (1−w)·local).
-  double global_weight = 0.7;
 };
 
 /// The P2PDocTagger application facade — everything the demo UI (Figs. 3–4)
@@ -109,7 +104,7 @@ class DocTagger {
   // --- Browsing ------------------------------------------------------------
 
   const TagLibrary& library() const { return library_; }
-  TagCloud BuildTagCloud(TagCloud::Options options = TagCloud::Options()) const;
+  TagCloud BuildTagCloud() const;
 
   // --- Persistence -----------------------------------------------------
 

@@ -7,7 +7,7 @@
 
 namespace p2pdt {
 
-TagCloud TagCloud::Build(const TagLibrary& library, Options options) {
+TagCloud TagCloud::Build(const TagLibrary& library) {
   TagCloud cloud;
   auto counts = library.TagCounts();  // alphabetical
   cloud.nodes_.reserve(counts.size());
@@ -19,10 +19,10 @@ TagCloud TagCloud::Build(const TagLibrary& library, Options options) {
     Node n;
     n.tag = tag;
     n.count = count;
-    // Log-scaled font size: 1.0 for singletons up to max_font_scale.
+    // Log-scaled font size: 1.0 for singletons up to kMaxFontScale.
     double t = std::log(1.0 + static_cast<double>(count)) /
                std::log(1.0 + static_cast<double>(max_count));
-    n.font_scale = 1.0 + t * (options.max_font_scale - 1.0);
+    n.font_scale = 1.0 + t * (kMaxFontScale - 1.0);
     cloud.nodes_.push_back(std::move(n));
   }
 
@@ -31,7 +31,7 @@ TagCloud TagCloud::Build(const TagLibrary& library, Options options) {
     for (std::size_t j = i + 1; j < cloud.nodes_.size(); ++j) {
       std::size_t w =
           library.CoOccurrence(cloud.nodes_[i].tag, cloud.nodes_[j].tag);
-      if (w >= options.min_edge_weight && w > 0) {
+      if (w > 0) {
         cloud.adjacency_[i].push_back(cloud.edges_.size());
         cloud.adjacency_[j].push_back(cloud.edges_.size());
         cloud.edges_.push_back(Edge{i, j, w});

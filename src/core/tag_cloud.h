@@ -13,21 +13,15 @@ namespace p2pdt {
 /// out that the edge structure "captures higher level concepts", showing
 /// "two clusters of highly interconnected tags bridged by the word
 /// 'navigation'" — clusters and bridge tags are first-class here.
-struct TagCloudOptions {
-  /// Minimum co-occurrence for an edge to be drawn.
-  std::size_t min_edge_weight = 1;
-  /// Font scale assigned to the most-used tag (linear in log-count).
-  double max_font_scale = 3.0;
-};
-
 class TagCloud {
  public:
-  using Options = TagCloudOptions;
+  /// Font scale assigned to the most-used tag (linear in log-count).
+  static constexpr double kMaxFontScale = 3.0;
 
   struct Node {
     std::string tag;
     std::size_t count = 0;      // documents carrying the tag
-    double font_scale = 1.0;    // 1.0 (rare) .. max_font_scale (top tag)
+    double font_scale = 1.0;    // 1.0 (rare) .. kMaxFontScale (top tag)
     std::size_t cluster = 0;    // connected-component id
   };
   struct Edge {
@@ -37,7 +31,7 @@ class TagCloud {
   };
 
   /// Builds the cloud from the library's current index.
-  static TagCloud Build(const TagLibrary& library, Options options = Options());
+  static TagCloud Build(const TagLibrary& library);
 
   /// Nodes in alphabetical order (the demo arranges suggestions
   /// alphabetically).

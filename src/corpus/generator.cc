@@ -205,20 +205,6 @@ Result<GeneratedCorpus> GenerateCorpus(const CorpusOptions& options) {
 // Streaming corpus with scripted drift
 // ---------------------------------------------------------------------------
 
-const char* DriftKindToString(DriftKind kind) {
-  switch (kind) {
-    case DriftKind::kTopicRotation:
-      return "topic_rotation";
-    case DriftKind::kVocabularyShift:
-      return "vocabulary_shift";
-    case DriftKind::kPopularitySpike:
-      return "popularity_spike";
-    case DriftKind::kNewTag:
-      return "new_tag";
-  }
-  return "unknown";
-}
-
 namespace {
 
 /// Key offsets separating the stream's independent RNG families. Epoch

@@ -123,8 +123,6 @@ enum class DriftKind : uint8_t {
   kNewTag,
 };
 
-const char* DriftKindToString(DriftKind kind);
-
 /// One scripted perturbation of the stream's generating distribution.
 /// All randomness an event consumes is drawn from a stream keyed by
 /// DeriveSeed(seed, event index, epoch), so adding, removing or reordering

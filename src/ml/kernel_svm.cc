@@ -228,7 +228,7 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
   const double tau = 1e-12;
 
   int iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kSmoMaxIterations; ++iter) {
     // Select i: max over I_up of −y_i G_i; j: min over I_down of −y_j G_j.
     int i_sel = -1, j_sel = -1;
     double g_max = -std::numeric_limits<double>::infinity();
@@ -246,7 +246,7 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
         j_sel = static_cast<int>(t);
       }
     }
-    if (i_sel < 0 || j_sel < 0 || g_max - g_min < options.tolerance) break;
+    if (i_sel < 0 || j_sel < 0 || g_max - g_min < kSmoTolerance) break;
 
     const std::size_t i = static_cast<std::size_t>(i_sel);
     const std::size_t j = static_cast<std::size_t>(j_sel);

@@ -12,16 +12,17 @@
 
 namespace p2pdt {
 
+/// KKT violation tolerance of the SMO stopping criterion.
+inline constexpr double kSmoTolerance = 1e-3;
+/// Cap on working-set-selection iterations (safety valve; typical
+/// convergence is far earlier for the per-peer dataset sizes here).
+inline constexpr int kSmoMaxIterations = 10000;
+
 /// Hyperparameters for the SMO kernel-SVM trainer.
 struct KernelSvmOptions {
   Kernel kernel = Kernel::Rbf(1.0);
   /// Soft-margin penalty C (> 0).
   double c = 1.0;
-  /// KKT violation tolerance for the stopping criterion.
-  double tolerance = 1e-3;
-  /// Cap on working-set-selection iterations (safety valve; typical
-  /// convergence is far earlier for the per-peer dataset sizes here).
-  int max_iterations = 10000;
 };
 
 /// One support vector: the training vector, its label and its dual weight.

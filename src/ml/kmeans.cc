@@ -11,6 +11,13 @@
 
 namespace p2pdt {
 
+namespace {
+
+/// Lloyd iterations before giving up on convergence.
+constexpr int kMaxIterations = 50;
+
+}  // namespace
+
 Result<KMeansResult> KMeansCluster(const std::vector<SparseVector>& points,
                                    const KMeansOptions& options) {
   PhaseScope profile("kmeans");
@@ -71,7 +78,7 @@ Result<KMeansResult> KMeansCluster(const std::vector<SparseVector>& points,
   // produces the same assignments.
   const bool parallel_assign = n * k >= 4096;
   int iter = 0;
-  for (; iter < options.max_iterations; ++iter) {
+  for (; iter < kMaxIterations; ++iter) {
     std::atomic<bool> changed{false};
     ParallelFor(0, n, 256, parallel_assign ? options.num_threads : 1,
                 [&](std::size_t lo, std::size_t hi) {
@@ -100,10 +107,8 @@ Result<KMeansResult> KMeansCluster(const std::vector<SparseVector>& points,
                     CostLedger::Tls().kmeans_distance_evals += (hi - lo) * k;
                   }
                 });
-    if (!changed.load(std::memory_order_relaxed) && iter > 0 &&
-        options.early_stop) {
-      break;
-    }
+    // Stop early when no assignment changed.
+    if (!changed.load(std::memory_order_relaxed) && iter > 0) break;
 
     // Recompute centroids.
     std::vector<std::size_t> count(k, 0);

@@ -12,9 +12,6 @@ namespace p2pdt {
 struct KMeansOptions {
   /// Number of clusters requested; clamped down to the number of points.
   std::size_t k = 8;
-  int max_iterations = 50;
-  /// Stop early when no assignment changes between iterations.
-  bool early_stop = true;
   uint64_t seed = 1;
   /// Threads for the assignment step on large inputs (0 = global
   /// P2PDT_THREADS setting, 1 = serial). Per-point assignments are

@@ -8,6 +8,14 @@
 
 namespace p2pdt {
 
+namespace {
+
+/// Stop when the maximal projected-gradient violation over a pass falls
+/// below this tolerance.
+constexpr double kDualCdTolerance = 1e-3;
+
+}  // namespace
+
 Result<LinearSvmModel> TrainLinearSvm(const std::vector<Example>& data,
                                       const LinearSvmOptions& options) {
   PhaseScope profile("linear_svm");
@@ -24,7 +32,7 @@ Result<LinearSvmModel> TrainLinearSvm(const std::vector<Example>& data,
   for (const auto& ex : data) remap.Observe(ex.x);
   const std::size_t dim = remap.num_features();
   // One extra slot for the bias (feature augmentation: x' = [x; 1]).
-  const std::size_t wdim = dim + (options.use_bias ? 1 : 0);
+  const std::size_t wdim = dim + 1;
 
   std::vector<SparseVector> x(data.size());
   std::vector<double> y(data.size());
@@ -39,18 +47,14 @@ Result<LinearSvmModel> TrainLinearSvm(const std::vector<Example>& data,
   std::vector<double> w(wdim, 0.0);
   std::vector<double> qii(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
-    qii[i] = x[i].SquaredNorm() + (options.use_bias ? 1.0 : 0.0);
+    qii[i] = x[i].SquaredNorm() + 1.0;
     if (qii[i] <= 0.0) qii[i] = 1e-12;  // all-zero vector guard
   }
 
-  auto wdot = [&](std::size_t i) {
-    double d = x[i].DotDense(w);
-    if (options.use_bias) d += w[dim];
-    return d;
-  };
+  auto wdot = [&](std::size_t i) { return x[i].DotDense(w) + w[dim]; };
   auto axpy_w = [&](std::size_t i, double step) {
     for (const auto& [id, v] : x[i].entries()) w[id] += step * v;
-    if (options.use_bias) w[dim] += step;
+    w[dim] += step;
   };
 
   Rng rng(options.seed);
@@ -77,11 +81,11 @@ Result<LinearSvmModel> TrainLinearSvm(const std::vector<Example>& data,
       double delta = (alpha[i] - old_alpha) * y[i];
       if (delta != 0.0) axpy_w(i, delta);
     }
-    if (max_violation < options.tolerance) break;
+    if (max_violation < kDualCdTolerance) break;
   }
 
-  double bias = options.use_bias ? w[dim] : 0.0;
-  if (options.use_bias) w.pop_back();
+  double bias = w[dim];
+  w.pop_back();
   return LinearSvmModel(remap.DenseToGlobal(w), bias);
 }
 

@@ -16,11 +16,6 @@ struct LinearSvmOptions {
   double c = 1.0;
   /// Maximum passes over the data.
   int max_iterations = 200;
-  /// Stop when the maximal projected-gradient violation over a pass falls
-  /// below this tolerance.
-  double tolerance = 1e-3;
-  /// Include an (unregularized-ish) bias via feature augmentation.
-  bool use_bias = true;
   /// Seed for the coordinate-permutation RNG.
   uint64_t seed = 1;
 };

@@ -34,9 +34,6 @@ struct OneVsAllTrainOptions {
   /// 0 = the global P2PDT_THREADS setting, 1 = serial (no pool), N > 1 caps
   /// concurrency at N. Results are bit-identical for every value.
   std::size_t num_threads = 0;
-  /// Tags claimed per task; 1 gives the best balance under Zipf-skewed
-  /// per-tag cost.
-  std::size_t grain = 1;
 };
 
 /// Constant decision function; used for degenerate single-class tags (a

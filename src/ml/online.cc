@@ -5,14 +5,13 @@
 namespace p2pdt {
 
 double PassiveAggressiveUpdate(LinearSvmModel& model, const SparseVector& x,
-                               double y,
-                               const OnlineUpdateOptions& options) {
+                               double y) {
   y = y >= 0.0 ? 1.0 : -1.0;
   double loss = std::max(0.0, 1.0 - y * model.Decision(x));
   if (loss == 0.0) return 0.0;
   // PA-II step size: τ = loss / (||x||² + 1/(2C)); the bias participates as
   // an always-on feature of value 1.
-  double denom = x.SquaredNorm() + 1.0 + 1.0 / (2.0 * options.c);
+  double denom = x.SquaredNorm() + 1.0 + 1.0 / (2.0 * kPassiveAggressiveC);
   double tau = loss / denom;
   model.Update(x, tau * y, 1.0);
   return loss;
@@ -20,8 +19,7 @@ double PassiveAggressiveUpdate(LinearSvmModel& model, const SparseVector& x,
 
 std::size_t RefineTags(OneVsAllModel& model, const SparseVector& x,
                        const std::vector<TagId>& predicted_tags,
-                       const std::vector<TagId>& corrected_tags,
-                       const OnlineUpdateOptions& options) {
+                       const std::vector<TagId>& corrected_tags) {
   // Normalize: the membership test below requires sorted input, and a
   // duplicated corrected tag must not be nudged twice.
   std::vector<TagId> corrected = corrected_tags;
@@ -33,7 +31,7 @@ std::size_t RefineTags(OneVsAllModel& model, const SparseVector& x,
   auto update = [&](TagId tag, double y) {
     auto* linear = dynamic_cast<LinearSvmModel*>(model.mutable_model(tag));
     if (linear == nullptr) return;
-    PassiveAggressiveUpdate(*linear, x, y, options);
+    PassiveAggressiveUpdate(*linear, x, y);
     ++updated;
   };
   // Positive corrections: tags the user says belong on the document.
@@ -53,8 +51,7 @@ bool RefinementLog::ShouldApply(const RefinementUpdate& update) const {
 }
 
 std::size_t RefinementLog::Apply(OneVsAllModel& model,
-                                 const RefinementUpdate& update,
-                                 const OnlineUpdateOptions& options) {
+                                 const RefinementUpdate& update) {
   auto it = applied_revision_.find(update.doc_id);
   if (it != applied_revision_.end()) {
     if (update.revision == it->second) {
@@ -69,7 +66,7 @@ std::size_t RefinementLog::Apply(OneVsAllModel& model,
   applied_revision_[update.doc_id] = update.revision;
   ++applied_;
   return RefineTags(model, update.x, update.predicted_tags,
-                    update.corrected_tags, options);
+                    update.corrected_tags);
 }
 
 }  // namespace p2pdt

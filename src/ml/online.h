@@ -14,18 +14,16 @@ namespace p2pdt {
 /// implement the paper's Tag Refinement step: "Upon the refinement of tags,
 /// P2PDocTagger will automatically update the classification model(s) in
 /// the back-end, to adapt to their personal preference" (Sec. 2).
-struct OnlineUpdateOptions {
-  /// Aggressiveness bound C for PA-II; larger values move the model more
-  /// per correction.
-  double c = 1.0;
-};
+///
+/// Aggressiveness bound C of PA-II; larger values move the model more per
+/// correction.
+inline constexpr double kPassiveAggressiveC = 1.0;
 
 /// Applies one PA-II update to `model` for example (x, y), y ∈ {-1, +1}.
 /// Returns the hinge loss *before* the update (0 means the model already
 /// agreed with margin ≥ 1 and nothing changed).
 double PassiveAggressiveUpdate(LinearSvmModel& model, const SparseVector& x,
-                               double y,
-                               const OnlineUpdateOptions& options = {});
+                               double y);
 
 /// Refines a one-vs-all model from a corrected tag assignment: for every
 /// tag in `corrected_tags` the per-tag model is nudged positive on x, for
@@ -36,8 +34,7 @@ double PassiveAggressiveUpdate(LinearSvmModel& model, const SparseVector& x,
 /// returns the number of per-tag models actually updated.
 std::size_t RefineTags(OneVsAllModel& model, const SparseVector& x,
                        const std::vector<TagId>& predicted_tags,
-                       const std::vector<TagId>& corrected_tags,
-                       const OnlineUpdateOptions& options = {});
+                       const std::vector<TagId>& corrected_tags);
 
 /// One version-stamped tag-refinement update. In a P2P deployment the
 /// correction for a document may be delivered more than once (retransmits)
@@ -67,8 +64,7 @@ class RefinementLog {
 
   /// Applies `update` via RefineTags iff it is new; returns the number of
   /// per-tag models updated (0 for duplicate / stale deliveries).
-  std::size_t Apply(OneVsAllModel& model, const RefinementUpdate& update,
-                    const OnlineUpdateOptions& options = {});
+  std::size_t Apply(OneVsAllModel& model, const RefinementUpdate& update);
 
   uint64_t applied() const { return applied_; }
   uint64_t skipped_duplicate() const { return skipped_duplicate_; }

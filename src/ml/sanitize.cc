@@ -29,33 +29,33 @@ namespace {
 
 // Non-finite dominates magnitude: NaN compares false against any bound, so
 // test finiteness first.
-ModelRejectReason CheckScalar(double v, const SanitizeOptions& opts) {
+ModelRejectReason CheckScalar(double v) {
   if (!std::isfinite(v)) return ModelRejectReason::kNonFinite;
-  if (std::fabs(v) > opts.max_abs_value) return ModelRejectReason::kNormBound;
+  if (std::fabs(v) > kSanitizeMaxAbsValue) return ModelRejectReason::kNormBound;
   return ModelRejectReason::kNone;
 }
 
 }  // namespace
 
-ModelRejectReason SanitizeVector(const SparseVector& v,
-                                 const SanitizeOptions& opts) {
+ModelRejectReason SanitizeVector(const SparseVector& v) {
   double sq = 0.0;
   for (const auto& [id, w] : v.entries()) {
-    if (id >= opts.max_dimension) return ModelRejectReason::kDimension;
-    ModelRejectReason r = CheckScalar(w, opts);
+    if (id >= kSanitizeMaxDimension) return ModelRejectReason::kDimension;
+    ModelRejectReason r = CheckScalar(w);
     if (r != ModelRejectReason::kNone) return r;
     sq += w * w;
   }
   if (!std::isfinite(sq)) return ModelRejectReason::kNonFinite;
-  if (sq > opts.max_norm * opts.max_norm) return ModelRejectReason::kNormBound;
+  if (sq > kSanitizeMaxNorm * kSanitizeMaxNorm) {
+    return ModelRejectReason::kNormBound;
+  }
   return ModelRejectReason::kNone;
 }
 
-ModelRejectReason SanitizeLinear(const LinearSvmModel& model,
-                                 const SanitizeOptions& opts) {
-  ModelRejectReason r = SanitizeVector(model.weights(), opts);
+ModelRejectReason SanitizeLinear(const LinearSvmModel& model) {
+  ModelRejectReason r = SanitizeVector(model.weights());
   if (r != ModelRejectReason::kNone) return r;
-  return CheckScalar(model.bias(), opts);
+  return CheckScalar(model.bias());
 }
 
 ModelRejectReason SanitizeKernelModel(const KernelSvmModel& model,
@@ -64,14 +64,14 @@ ModelRejectReason SanitizeKernelModel(const KernelSvmModel& model,
     return ModelRejectReason::kOversized;
   }
   for (const SupportVector& sv : model.support_vectors()) {
-    ModelRejectReason r = SanitizeVector(sv.x, opts);
+    ModelRejectReason r = SanitizeVector(sv.x);
     if (r != ModelRejectReason::kNone) return r;
-    r = CheckScalar(sv.y, opts);
+    r = CheckScalar(sv.y);
     if (r != ModelRejectReason::kNone) return r;
-    r = CheckScalar(sv.alpha, opts);
+    r = CheckScalar(sv.alpha);
     if (r != ModelRejectReason::kNone) return r;
   }
-  return CheckScalar(model.bias(), opts);
+  return CheckScalar(model.bias());
 }
 
 ModelRejectReason SanitizeOneVsAll(const OneVsAllModel& model,
@@ -85,11 +85,11 @@ ModelRejectReason SanitizeOneVsAll(const OneVsAllModel& model,
     if (m == nullptr) continue;
     ModelRejectReason r = ModelRejectReason::kNone;
     if (auto* lin = dynamic_cast<const LinearSvmModel*>(m)) {
-      r = SanitizeLinear(*lin, opts);
+      r = SanitizeLinear(*lin);
     } else if (auto* ker = dynamic_cast<const KernelSvmModel*>(m)) {
       r = SanitizeKernelModel(*ker, opts);
     } else if (auto* c = dynamic_cast<const ConstantClassifier*>(m)) {
-      r = CheckScalar(c->value(), opts);
+      r = CheckScalar(c->value());
     }
     if (r != ModelRejectReason::kNone) return r;
   }
@@ -102,7 +102,7 @@ ModelRejectReason SanitizeCentroids(const std::vector<SparseVector>& centroids,
     return ModelRejectReason::kOversized;
   }
   for (const SparseVector& c : centroids) {
-    ModelRejectReason r = SanitizeVector(c, opts);
+    ModelRejectReason r = SanitizeVector(c);
     if (r != ModelRejectReason::kNone) return r;
   }
   return ModelRejectReason::kNone;

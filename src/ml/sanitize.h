@@ -43,20 +43,23 @@ enum class ModelRejectReason : uint8_t {
 /// Stable lower_snake_case name (metric label / CSV value).
 const char* ModelRejectReasonToString(ModelRejectReason reason);
 
-/// Bounds applied at every model-ingestion point. Defaults are loose enough
-/// that every honestly trained model passes (the bit-identical-baseline
-/// requirement) while catching NaN/inf payloads, absurd magnitudes and
-/// out-of-lexicon dimensions.
+// Bounds applied at every model-ingestion point. They are loose enough
+// that every honestly trained model passes (the bit-identical-baseline
+// requirement) while catching NaN/inf payloads, absurd magnitudes and
+// out-of-lexicon dimensions.
+
+/// Any single weight, bias, alpha, label, centroid coordinate or vote
+/// score must have absolute value <= this.
+inline constexpr double kSanitizeMaxAbsValue = 1.0e6;
+/// L2 norm bound for weight vectors, support vectors and centroids.
+inline constexpr double kSanitizeMaxNorm = 1.0e6;
+/// Exclusive upper bound on feature ids (hashed-lexicon head-room; the
+/// synthetic corpus uses a few thousand dimensions).
+inline constexpr uint32_t kSanitizeMaxDimension = 1u << 24;
+
+/// The sanitation switch and the size caps, applied at the same points.
 struct SanitizeOptions {
   bool enabled = true;
-  /// Any single weight, bias, alpha, label or centroid coordinate must have
-  /// absolute value <= this.
-  double max_abs_value = 1.0e6;
-  /// L2 norm bound for weight vectors, support vectors and centroids.
-  double max_norm = 1.0e6;
-  /// Exclusive upper bound on feature ids (hashed-lexicon head-room; the
-  /// synthetic corpus uses a few thousand dimensions).
-  uint32_t max_dimension = 1u << 24;
   /// Cap on support vectors per kernel model.
   std::size_t max_support_vectors = 1u << 16;
   /// Cap on centroids per PACE bundle.
@@ -65,10 +68,8 @@ struct SanitizeOptions {
 
 /// Each check returns kNone when the object is within bounds. Checks are
 /// pure and cheap (one pass over the data) and never mutate their input.
-ModelRejectReason SanitizeVector(const SparseVector& v,
-                                 const SanitizeOptions& opts);
-ModelRejectReason SanitizeLinear(const LinearSvmModel& model,
-                                 const SanitizeOptions& opts);
+ModelRejectReason SanitizeVector(const SparseVector& v);
+ModelRejectReason SanitizeLinear(const LinearSvmModel& model);
 ModelRejectReason SanitizeKernelModel(const KernelSvmModel& model,
                                       const SanitizeOptions& opts);
 /// Checks every per-tag classifier (linear, kernel or constant). When

@@ -70,7 +70,6 @@ class ModelStalenessTracker {
     return observations_since_train_;
   }
 
-  double fast_accuracy() const { return fast_accuracy_; }
   double slow_accuracy() const { return slow_accuracy_; }
   double fast_confidence() const { return fast_confidence_; }
   double slow_confidence() const { return slow_confidence_; }

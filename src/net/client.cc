@@ -154,9 +154,11 @@ Status ServiceClient::ReadAvailable() {
       }
       continue;
     }
-    if (n == 0) {
-      // EOF and frames can arrive in one wakeup (typed error then FIN).
-      // Record it; callers surface the close only once the decoder is dry.
+    if (n == 0 || (n < 0 && errno == ECONNRESET)) {
+      // A close (FIN, or RST when the server closed over unread bytes) can
+      // arrive in the same wakeup as the frames before it, such as a typed
+      // error. Record it; callers surface the close only once the decoder
+      // is dry.
       eof_ = true;
       return Status::OK();
     }

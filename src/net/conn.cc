@@ -9,9 +9,8 @@
 
 namespace p2pdt {
 
-Connection::Connection(int fd, std::string peer_name,
-                       std::size_t max_frame_payload)
-    : fd_(fd), peer_name_(std::move(peer_name)), decoder_(max_frame_payload) {}
+Connection::Connection(int fd, std::string peer_name)
+    : fd_(fd), peer_name_(std::move(peer_name)) {}
 
 Connection::~Connection() { CloseFd(); }
 

@@ -26,8 +26,7 @@ namespace p2pdt {
 /// side).
 class Connection {
  public:
-  Connection(int fd, std::string peer_name,
-             std::size_t max_frame_payload = kMaxFramePayload);
+  Connection(int fd, std::string peer_name);
   ~Connection();
 
   Connection(const Connection&) = delete;

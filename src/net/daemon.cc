@@ -18,6 +18,24 @@ namespace p2pdt {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+/// Write-buffer watermarks: above high, the connection's reads pause
+/// (backpressure); above the hard cap it is closed as a dead consumer.
+constexpr std::size_t kWriteHighWatermark = 1u << 20;
+constexpr std::size_t kWriteHardCap = 4u << 20;
+
+/// Half-closes `fd` and discards up to 64 KiB of the request bytes it still
+/// holds. Closing over unread bytes makes the kernel send RST instead of
+/// FIN, and a RST can overtake the typed error frame just written; the FIN
+/// goes out behind that frame instead. The cap keeps a client that never
+/// stops sending from holding the loop.
+void ShutdownAndDiscardInput(int fd) {
+  shutdown(fd, SHUT_WR);
+  char buf[4096];
+  for (int i = 0; i < 16 && read(fd, buf, sizeof(buf)) > 0; ++i) {
+  }
+}
+
 std::string PeerName(const struct sockaddr_in& addr) {
   char ip[INET_ADDRSTRLEN] = "?";
   inet_ntop(AF_INET, &addr.sin_addr, ip, sizeof(ip));
@@ -65,7 +83,7 @@ Status ServiceDaemon::Start() {
            sizeof(addr)) != 0) {
     return Status::IOError(std::string("bind: ") + strerror(errno));
   }
-  if (listen(listen_fd_, options_.listen_backlog) != 0) {
+  if (listen(listen_fd_, kListenBacklog) != 0) {
     return Status::IOError(std::string("listen: ") + strerror(errno));
   }
   socklen_t len = sizeof(addr);
@@ -112,14 +130,14 @@ void ServiceDaemon::HandleAccept(uint32_t events) {
       const std::string frame =
           EncodeFrame(FrameType::kError, EncodeErrorReject(reject));
       [[maybe_unused]] ssize_t rc = write(fd, frame.data(), frame.size());
+      ShutdownAndDiscardInput(fd);
       close(fd);
       ++stats_.refused;
       continue;
     }
     const int one = 1;
     setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    auto conn = std::make_unique<Connection>(fd, PeerName(addr),
-                                             options_.max_frame_payload);
+    auto conn = std::make_unique<Connection>(fd, PeerName(addr));
     conn->last_activity = loop_.Now();
     Status added =
         loop_.Add(fd, EPOLLIN, [this, fd](uint32_t ev) {
@@ -336,7 +354,7 @@ void ServiceDaemon::SendFrame(Connection& conn, FrameType type,
     CloseConn(fd);
     return;
   }
-  if (conn.write_buffered() > options_.write_hard_cap) {
+  if (conn.write_buffered() > kWriteHardCap) {
     // The peer stopped draining entirely; cut it loose before its buffer
     // eats the process.
     ++stats_.slow_consumer_closed;
@@ -344,7 +362,7 @@ void ServiceDaemon::SendFrame(Connection& conn, FrameType type,
     return;
   }
   if (!conn.read_paused &&
-      conn.write_buffered() > options_.write_high_watermark) {
+      conn.write_buffered() > kWriteHighWatermark) {
     conn.read_paused = true;  // backpressure: resume when drained
   }
   if (conn.write_empty() && conn.close_after_flush) {
@@ -375,7 +393,7 @@ void ServiceDaemon::HandleWritable(Connection& conn) {
     return;
   }
   if (conn.read_paused && !conn.close_after_flush &&
-      conn.write_buffered() <= options_.write_high_watermark / 2) {
+      conn.write_buffered() <= kWriteHighWatermark / 2) {
     conn.read_paused = false;  // backpressure released
   }
   if (conn.write_empty() && conn.close_after_flush) {
@@ -399,6 +417,9 @@ void ServiceDaemon::CloseConn(int fd) {
   if (conn.idle_timer != DeadlineWheel::kInvalidTimer) {
     loop_.wheel().Cancel(conn.idle_timer);
   }
+  // A stream closed on our initiative after its last answer (poisoned,
+  // drained or finished) may still hold unread bytes.
+  if (conn.close_after_flush) ShutdownAndDiscardInput(fd);
   loop_.Remove(fd);
   conns_.erase(it);  // destructor closes the fd
   ++stats_.closed;

@@ -22,20 +22,14 @@ struct DaemonOptions {
   /// port() after Start — how the tests and bench avoid collisions).
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;
-  int listen_backlog = 128;
   /// Accept cap; connections beyond it get a typed kTooManyConnections
   /// error frame (best effort) and an immediate close.
   std::size_t max_connections = 256;
-  std::size_t max_frame_payload = kMaxFramePayload;
   /// Connections with no read/write progress for this long are reaped —
   /// the slowloris defense. <= 0 disables reaping.
   double idle_timeout = 30.0;
   /// Grace period for RequestDrain() to finish in-flight work and flush.
   double drain_timeout = 10.0;
-  /// Write-buffer watermarks: above high, the connection's reads pause
-  /// (backpressure); above the hard cap it is closed as a dead consumer.
-  std::size_t write_high_watermark = 1u << 20;
-  std::size_t write_hard_cap = 4u << 20;
   /// Wall-clock admission control (the PR 8 serving-queue discipline lifted
   /// onto real time): when enabled+admission_control, excess predict
   /// requests get a typed kOverload frame with retry-after instead of

@@ -64,6 +64,32 @@ bool DrainToEof(ServiceClient& client, double timeout) {
   return false;
 }
 
+/// Connects once the daemon has a free connection slot: each attempt pings,
+/// and a typed kTooManyConnections refusal retries after 10 ms until
+/// io_timeout runs out.
+Status ConnectWhenSlotFree(ServiceClient& client,
+                           const SocketFaultOptions& options) {
+  const double deadline = MonotonicSeconds() + options.io_timeout;
+  for (;;) {
+    P2PDT_RETURN_IF_ERROR(
+        client.Connect(options.host, options.port, options.io_timeout));
+    P2PDT_RETURN_IF_ERROR(
+        client.SendFrame(FrameType::kPing, EncodePingPayload(0x5107)));
+    Frame frame;
+    P2PDT_RETURN_IF_ERROR(client.ReadFrame(frame, options.io_timeout));
+    if (frame.type == FrameType::kPong) return Status::OK();
+    Result<ErrorReject> reject = DecodeErrorReject(frame.payload);
+    const bool refused = frame.type == FrameType::kError && reject.ok() &&
+                         reject->code == WireError::kTooManyConnections;
+    if (!refused || MonotonicSeconds() >= deadline) {
+      return Status::DataLoss(std::string("no free connection slot: got ") +
+                              FrameTypeToString(frame.type));
+    }
+    client.Close();
+    poll(nullptr, 0, 10);
+  }
+}
+
 Status OnePredict(ServiceClient& client, const SocketFaultOptions& options,
                   uint64_t id, SocketFaultReport& report) {
   PredictRequest request;
@@ -159,7 +185,7 @@ Status RunResets(const SocketFaultOptions& options,
         r.doc = options.doc;
         return r;
       }()));
-  for (int i = 0; i < options.resets; ++i) {
+  for (int i = 0; i < kSocketFaultResets; ++i) {
     ServiceClient client;
     P2PDT_RETURN_IF_ERROR(
         client.Connect(options.host, options.port, options.io_timeout));
@@ -185,7 +211,7 @@ Status RunResets(const SocketFaultOptions& options,
 Status RunPartialWrites(const SocketFaultOptions& options,
                         SocketFaultReport& report) {
   Rng rng(DeriveSeed(options.seed, 0x9A37));
-  for (int i = 0; i < options.partial_write_frames; ++i) {
+  for (int i = 0; i < kSocketFaultPartialWriteFrames; ++i) {
     ServiceClient client;
     P2PDT_RETURN_IF_ERROR(
         client.Connect(options.host, options.port, options.io_timeout));
@@ -260,9 +286,7 @@ Status RunFlood(const SocketFaultOptions& options,
 Result<SocketFaultReport> RunSocketFaults(const SocketFaultOptions& options) {
   SocketFaultReport report;
 
-  if (options.malformed_set) {
-    P2PDT_RETURN_IF_ERROR(RunMalformedSet(options, report));
-  }
+  P2PDT_RETURN_IF_ERROR(RunMalformedSet(options, report));
   P2PDT_RETURN_IF_ERROR(RunResets(options, report));
   P2PDT_RETURN_IF_ERROR(RunPartialWrites(options, report));
 
@@ -270,7 +294,7 @@ Result<SocketFaultReport> RunSocketFaults(const SocketFaultOptions& options) {
   // the daemon's deadline wheel owns their fate; callers with a short
   // idle_timeout can observe stalls_reaped via the EOF poll below.
   std::vector<ServiceClient> stalled(
-      static_cast<std::size_t>(options.mid_frame_stalls));
+      static_cast<std::size_t>(kSocketFaultMidFrameStalls));
   for (ServiceClient& client : stalled) {
     P2PDT_RETURN_IF_ERROR(
         client.Connect(options.host, options.port, options.io_timeout));
@@ -282,11 +306,13 @@ Result<SocketFaultReport> RunSocketFaults(const SocketFaultOptions& options) {
     P2PDT_RETURN_IF_ERROR(RunFlood(options, report));
   }
 
-  // Survival probe: a fresh connection must still get full service.
+  // Survival probe: a fresh connection must still get full service. The
+  // daemon frees a closed flood connection's slot only once it reads the
+  // close, so until io_timeout a typed kTooManyConnections refusal means
+  // "no slot yet", not "dead".
   {
     ServiceClient client;
-    P2PDT_RETURN_IF_ERROR(
-        client.Connect(options.host, options.port, options.io_timeout));
+    P2PDT_RETURN_IF_ERROR(ConnectWhenSlotFree(client, options));
     P2PDT_RETURN_IF_ERROR(
         client.Ping(DeriveSeed(options.seed, 0x11FE), options.io_timeout));
     P2PDT_RETURN_IF_ERROR(OnePredict(client, options, 0x3000u, report));

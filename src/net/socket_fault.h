@@ -9,6 +9,21 @@
 
 namespace p2pdt {
 
+/// The fixed script of RunSocketFaults. It always runs the malformed-bytes
+/// set (bad magic, bad type, zero payload, oversized length, truncated
+/// header + close, garbage payload), then:
+///
+/// Connections reset abruptly (SO_LINGER{1,0} → RST) at varied points:
+/// before any bytes, mid-request, and after a served response.
+inline constexpr int kSocketFaultResets = 9;
+/// Valid frames delivered one byte at a time (worst-case fragmentation);
+/// each must still round-trip bit-identically.
+inline constexpr int kSocketFaultPartialWriteFrames = 6;
+/// Connections that send a partial frame (header or payload prefix) and
+/// then go silent — the slowloris shape. They are left open; the caller
+/// decides whether to wait out the daemon's idle reaper.
+inline constexpr int kSocketFaultMidFrameStalls = 4;
+
 /// Scripted socket-level abuse against a live p2pdtd instance. Each scenario
 /// attacks one robustness claim; the report records what the daemon answered
 /// and whether it stayed alive. A scenario failing to elicit the documented
@@ -19,22 +34,9 @@ struct SocketFaultOptions {
   uint16_t port = 0;
   uint64_t seed = 0xFA17;
 
-  /// Connections reset abruptly (SO_LINGER{1,0} → RST) at varied points:
-  /// before any bytes, mid-request, and after a served response.
-  int resets = 9;
-  /// Connections that send a partial frame (header or payload prefix) and
-  /// then go silent — the slowloris shape. They are left open; the caller
-  /// decides whether to wait out the daemon's idle reaper.
-  int mid_frame_stalls = 4;
-  /// Valid frames delivered one byte at a time (worst-case fragmentation);
-  /// each must still round-trip bit-identically.
-  int partial_write_frames = 6;
   /// Simultaneous extra connections held open to push past the daemon's
   /// max_connections cap; refusals must be typed.
   int connect_flood = 0;
-  /// Run the fixed malformed-bytes set (bad magic, bad type, zero payload,
-  /// oversized length, truncated header + close, garbage payload).
-  bool malformed_set = true;
 
   /// A well-formed document for the valid requests the faults interleave
   /// with (empty is fine — the daemon predicts on whatever it is handed).

@@ -23,6 +23,12 @@ const char* RetrainPolicyToString(RetrainPolicy p) {
 
 namespace {
 
+/// A post-drift epoch within this macro-F1 distance of the pre-drift level
+/// counts as re-converged.
+constexpr double kRecoveryMargin = 0.02;
+/// Simulated-time budget for each epoch's prediction + refresh traffic.
+constexpr double kMaxEpochSimSeconds = 3600.0;
+
 /// The correctness grade the staleness tracker is fed: Jaccard overlap of
 /// the auto-tags with the user's tags (both empty = perfect match). A
 /// continuous grade, deliberately — per-observation variance is what
@@ -122,13 +128,13 @@ Result<DriftExperimentResult> RunDriftExperiment(
   if (!sim.ok()) return sim.status();
   Environment& env = *sim->env;
   P2PClassifier& algo = *sim->algo;
-  if (options.policy != RetrainPolicy::kFrozen &&
-      !algo.SupportsOnlineRefresh()) {
+  StatefulP2PClassifier* stateful = sim->stateful;
+  if (options.policy != RetrainPolicy::kFrozen && stateful == nullptr) {
     return Status::FailedPrecondition(algo.name() +
                                       " does not support online refresh");
   }
   Result<double> train_seconds =
-      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+      TrainToQuiescence(env, algo, kMaxTrainSimSeconds);
   if (!train_seconds.ok()) return train_seconds.status();
   result.train_sim_seconds = *train_seconds;
 
@@ -174,7 +180,7 @@ Result<DriftExperimentResult> RunDriftExperiment(
         if (--outstanding == 0) predict_done = true;
       });
     }
-    env.RunUntilFlag(predict_done, options.max_epoch_sim_seconds);
+    env.RunUntilFlag(predict_done, kMaxEpochSimSeconds);
     if (!predict_done) {
       return Status::Internal("drift harness: epoch " + std::to_string(e) +
                               " predictions did not quiesce");
@@ -243,7 +249,7 @@ Result<DriftExperimentResult> RunDriftExperiment(
     std::size_t refreshed = 0;
     bool refresh_done = true;
     for (std::size_t p : retrain) {
-      Status s = algo.ReplacePeerData(p, DatasetShard(shared, window[p]));
+      Status s = stateful->ReplacePeerData(p, DatasetShard(shared, window[p]));
       if (!s.ok()) return s;
       ++refreshed;
       refresh_done = false;
@@ -251,13 +257,13 @@ Result<DriftExperimentResult> RunDriftExperiment(
     if (!refresh_done) {
       std::size_t pending = refreshed;
       for (std::size_t p : retrain) {
-        algo.RefreshPeer(p, [&] {
+        stateful->RefreshPeer(p, [&] {
           if (--pending == 0) refresh_done = true;
         });
         trackers[p].RecordTrained();
         was_drifting[p] = 0;
       }
-      env.RunUntilFlag(refresh_done, options.max_epoch_sim_seconds);
+      env.RunUntilFlag(refresh_done, kMaxEpochSimSeconds);
       if (!refresh_done) {
         return Status::Internal("drift harness: epoch " + std::to_string(e) +
                                 " refresh did not quiesce");
@@ -308,7 +314,7 @@ Result<DriftExperimentResult> RunDriftExperiment(
     bool recovered = false;
     for (const DriftEpochStats& s : result.epochs) {
       if (s.epoch < stream.first_drift_epoch) continue;
-      if (s.macro_f1 < pre - options.recovery_margin) {
+      if (s.macro_f1 < pre - kRecoveryMargin) {
         dipped = true;
       } else if (dipped && !recovered) {
         recovered = true;
@@ -325,8 +331,8 @@ Result<DriftExperimentResult> RunDriftExperiment(
   result.give_ups = net_stats.give_ups();
   result.total_messages = net_stats.messages_sent();
   result.total_bytes = net_stats.bytes_sent();
-  if (const PeerRuntime* runtime = algo.runtime()) {
-    result.suspected_peers = runtime->NumSuspected();
+  if (stateful != nullptr) {
+    result.suspected_peers = stateful->runtime().NumSuspected();
   }
   digest.Mix(result.retrains);
   digest.Mix(result.total_messages);

@@ -48,13 +48,6 @@ struct DriftExperimentOptions {
   std::size_t periodic_interval_epochs = 2;
   /// Per-peer sliding-window capacity (documents); oldest aged out first.
   std::size_t window_documents = 48;
-  /// A post-drift epoch within this macro-F1 distance of the pre-drift
-  /// level counts as re-converged.
-  double recovery_margin = 0.02;
-  /// Simulated-time budget for each epoch's prediction + refresh traffic.
-  double max_epoch_sim_seconds = 3600.0;
-  /// Budget for the initial training protocol.
-  double max_train_sim_seconds = 3600.0;
 };
 
 /// Quality and cost of one streamed epoch.
@@ -94,7 +87,7 @@ struct DriftExperimentResult {
   /// pre_drift_f1 − min_post_drift_f1, floored at 0.
   double max_dip = 0.0;
   /// Epochs from the first drift epoch until macro-F1 re-entered
-  /// pre_drift_f1 − recovery_margin (0 when it never dipped below;
+  /// pre_drift_f1 − kRecoveryMargin (0.02; 0 when it never dipped below;
   /// num_epochs when it never re-converged).
   std::size_t recovery_epochs = 0;
   bool reconverged = true;

@@ -57,7 +57,7 @@ Result<std::unique_ptr<Environment>> Environment::Create(
 
   switch (options.overlay) {
     case OverlayType::kChord: {
-      ChordOptions chord = options.chord;
+      ChordOptions chord;
       chord.seed ^= options.seed;
       auto overlay =
           std::make_unique<ChordOverlay>(*env->sim_, *env->net_, chord);
@@ -66,7 +66,7 @@ Result<std::unique_ptr<Environment>> Environment::Create(
       break;
     }
     case OverlayType::kUnstructured: {
-      UnstructuredOptions unstructured = options.unstructured;
+      UnstructuredOptions unstructured;
       unstructured.seed ^= options.seed;
       auto overlay = std::make_unique<UnstructuredOverlay>(
           *env->sim_, *env->net_, unstructured);
@@ -90,8 +90,7 @@ Result<std::unique_ptr<Environment>> Environment::Create(
       break;
     case ChurnType::kPareto:
       model = std::make_shared<ParetoChurn>(options.churn_mean_online_sec,
-                                            options.churn_mean_offline_sec,
-                                            options.churn_pareto_alpha);
+                                            options.churn_mean_offline_sec);
       break;
   }
   env->churn_ = std::make_unique<ChurnDriver>(*env->sim_, *env->net_, model,

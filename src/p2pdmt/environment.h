@@ -46,15 +46,12 @@ struct EnvironmentOptions {
   std::size_t num_peers = 64;
   PhysicalNetworkOptions physical;
   OverlayType overlay = OverlayType::kChord;
-  ChordOptions chord;
-  UnstructuredOptions unstructured;
   ChurnType churn = ChurnType::kNone;
   /// Mean online session length (seconds) for exponential/Pareto churn.
   double churn_mean_online_sec = 600.0;
-  /// Mean offline gap (seconds).
+  /// Mean offline gap (seconds). Pareto churn keeps ParetoChurn's default
+  /// shape.
   double churn_mean_offline_sec = 120.0;
-  /// Pareto shape for heavy-tailed lifetimes.
-  double churn_pareto_alpha = 1.5;
   /// Structured faults (burst loss, partitions, latency spikes, scripted
   /// crash/recover) layered on top of churn; armed by StartDynamics when
   /// non-empty. Scripted transitions notify the overlay exactly like churn

@@ -82,16 +82,14 @@ Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
     }
     case AlgorithmType::kCentralized:
       return std::unique_ptr<P2PClassifier>(
-          std::make_unique<CentralizedClassifier>(env.sim(), env.net(),
-                                                  options.centralized));
+          std::make_unique<CentralizedClassifier>(env.sim(), env.net()));
     case AlgorithmType::kLocalOnly:
       return std::unique_ptr<P2PClassifier>(
-          std::make_unique<LocalOnlyClassifier>(env.sim(), env.net(),
-                                                options.local_only));
+          std::make_unique<LocalOnlyClassifier>(env.sim(), env.net()));
     case AlgorithmType::kModelAvg:
       return std::unique_ptr<P2PClassifier>(
           std::make_unique<ModelAveragingClassifier>(
-              env.sim(), env.net(), env.overlay(), options.model_avg));
+              env.sim(), env.net(), env.overlay()));
   }
   return Status::InvalidArgument("unknown algorithm");
 }
@@ -107,6 +105,7 @@ Result<SimulatedClassifier> SetupClassifier(const ExperimentOptions& options,
       MakeClassifier(*sim.env, options);
   if (!algo.ok()) return algo.status();
   sim.algo = std::move(algo).value();
+  sim.stateful = dynamic_cast<StatefulP2PClassifier*>(sim.algo.get());
   P2PDT_RETURN_IF_ERROR(sim.algo->SetupShards(std::move(shards), num_tags));
   sim.env->StartDynamics();
   return sim;
@@ -204,8 +203,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   result.num_peers = options.env.num_peers;
 
   // 1. Split and distribute.
-  CorpusSplit split =
-      SplitCorpus(corpus, options.train_fraction, options.seed);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, options.seed);
   result.train_documents = split.train.size();
   // The training corpus becomes one shared immutable block; every peer gets
   // a flyweight index view into it (same RNG draws, hence the same
@@ -243,7 +241,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   CostCounts before_train_cost = CostLedger::Collect();
   StatsSnapshot before_train = StatsSnapshot::Take(env.net().stats());
   Result<double> train_seconds =
-      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+      TrainToQuiescence(env, algo, kMaxTrainSimSeconds);
   if (!train_seconds.ok()) return train_seconds.status();
   result.train_sim_seconds = *train_seconds;
   if (result.cost_ledger_enabled) {
@@ -263,7 +261,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   std::unique_ptr<RecoveryCoordinator> recovery;
   ScratchDirGuard scratch;
   if (options.recovery.enabled) {
-    if (!algo.SupportsDurability()) {
+    if (sim->stateful == nullptr) {
       return Status::FailedPrecondition(
           std::string(AlgorithmTypeToString(options.algorithm)) +
           " does not support durable peer state");
@@ -275,7 +273,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
     }
     checkpoints = std::make_unique<CheckpointManager>(dir);
     recovery = std::make_unique<RecoveryCoordinator>(
-        env.sim(), env.net(), env.churn(), algo, *checkpoints,
+        env.sim(), env.net(), env.churn(), *sim->stateful, *checkpoints,
         options.recovery);
     P2PDT_RETURN_IF_ERROR(recovery->CheckpointAll());
     recovery->Attach();
@@ -349,7 +347,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
     });
   }
   result.predict_sim_seconds =
-      env.RunUntilFlag(predict_done, options.max_predict_sim_seconds);
+      env.RunUntilFlag(predict_done, kMaxPredictSimSeconds);
   if (!predict_done) {
     return Status::Internal("prediction phase did not quiesce");
   }
@@ -378,14 +376,14 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   if (auto* pace = dynamic_cast<Pace*>(&algo)) {
     result.model_coverage = pace->ModelCoverage();
   }
-  if (const PeerRuntime* runtime = algo.runtime()) {
-    result.suspected_peers = runtime->NumSuspected();
+  if (const StatefulP2PClassifier* stateful = sim->stateful) {
+    result.suspected_peers = stateful->runtime().NumSuspected();
+    const DefenseStats defense = stateful->defense_stats();
+    result.models_rejected = defense.models_rejected;
+    result.votes_discarded = defense.votes_discarded;
+    result.quarantined_pairs = defense.quarantined;
+    result.trust_observations = defense.trust_observations;
   }
-  const DefenseStats defense = algo.defense_stats();
-  result.models_rejected = defense.models_rejected;
-  result.votes_discarded = defense.votes_discarded;
-  result.quarantined_pairs = defense.quarantined;
-  result.trust_observations = defense.trust_observations;
   result.churn_failures = env.churn().num_failures();
   result.churn_rejoins = env.churn().num_rejoins();
   result.warm_rejoins = env.churn().num_warm_rejoins();

@@ -29,6 +29,15 @@ enum class AlgorithmType {
 
 const char* AlgorithmTypeToString(AlgorithmType t);
 
+/// Fraction of tagged documents used for training: the paper's
+/// demonstration uses 20 % ("20 percent of the documents with tags are
+/// used for training", Sec. 3).
+inline constexpr double kTrainFraction = 0.2;
+/// Simulated-time budget for a training protocol to quiesce.
+inline constexpr double kMaxTrainSimSeconds = 3600.0;
+/// Simulated-time budget for a predict sweep to answer.
+inline constexpr double kMaxPredictSimSeconds = 3600.0;
+
 /// Full description of one experiment run — P2PDMT's "Set parameters"
 /// surface (Fig. 2): network, churn, overlay, data distribution, algorithm
 /// and evaluation settings.
@@ -38,14 +47,7 @@ struct ExperimentOptions {
   AlgorithmType algorithm = AlgorithmType::kPace;
   CemparOptions cempar;
   PaceOptions pace;
-  CentralizedOptions centralized;
-  LocalOnlyOptions local_only;
-  ModelAveragingOptions model_avg;
 
-  /// Fraction of tagged documents used for training; the paper's
-  /// demonstration uses 20 % ("20 percent of the documents with tags are
-  /// used for training", Sec. 3).
-  double train_fraction = 0.2;
   /// Cap on evaluated test documents (sampled) to bound run time; 0 = all.
   std::size_t max_test_documents = 400;
   /// Cap on distinct requester peers used during evaluation; 0 = the legacy
@@ -58,9 +60,6 @@ struct ExperimentOptions {
   /// (0 leaves each protocol's own default). Bit-identical results for
   /// every value; see CemparOptions::sim_shards.
   std::size_t sim_shards = 0;
-  /// Simulated-time budgets for protocol quiescence.
-  double max_train_sim_seconds = 3600.0;
-  double max_predict_sim_seconds = 3600.0;
   /// Warm-up simulated seconds before training starts (lets churn and
   /// stabilization reach steady state).
   double warmup_sim_seconds = 0.0;
@@ -189,6 +188,9 @@ Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
 struct SimulatedClassifier {
   std::unique_ptr<Environment> env;
   std::unique_ptr<P2PClassifier> algo;
+  /// `algo` as a protocol with durable, refreshable peer state (CEMPaR and
+  /// PACE); null for the baselines.
+  StatefulP2PClassifier* stateful = nullptr;
 };
 
 /// Creates `options.env`, builds `options.algorithm` on it (MakeClassifier),

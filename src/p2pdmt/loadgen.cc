@@ -116,10 +116,6 @@ double SessionLoadGenerator::BurstMultiplier(double t) const {
   return LoadGenBurstMultiplier(options_, t);
 }
 
-const FlashCrowdBurst* SessionLoadGenerator::ActiveBurst(double t) const {
-  return LoadGenActiveBurst(options_, t);
-}
-
 std::size_t SessionLoadGenerator::PickDoc(std::size_t session, std::size_t idx,
                                           double t) const {
   return LoadGenPickDoc(options_, doc_samplers_, session, idx, t);
@@ -147,7 +143,7 @@ void SessionLoadGenerator::Run(
       // First request after one think interval; the chain continues from
       // OnOutcome as each answer lands.
       Rng rng(DeriveSeed(options_.seed, s, 0));
-      const double t0 = rng.Exponential(options_.think_time);
+      const double t0 = rng.Exponential(kThinkTime);
       sim_.Schedule(t0, [this, s] { IssueRequest(s, 0, /*issued_at=*/0.0, 0); });
     } else {
       // Open loop: the whole Poisson schedule is computed up front, so a
@@ -236,7 +232,7 @@ void SessionLoadGenerator::OnOutcome(std::size_t session, std::size_t idx,
   if (options_.closed_loop && idx + 1 < session_len_[session]) {
     Rng rng(DeriveSeed(options_.seed, session, idx + 1));
     const double mult = std::max(BurstMultiplier(now - start_), 1e-9);
-    const double gap = rng.Exponential(options_.think_time) / mult;
+    const double gap = rng.Exponential(kThinkTime) / mult;
     sim_.Schedule(gap, [this, session, idx] {
       IssueRequest(session, idx + 1, /*issued_at=*/0.0, 0);
     });

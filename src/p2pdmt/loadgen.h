@@ -33,6 +33,10 @@ struct FlashCrowdBurst {
   std::size_t hot_docs = 8;
 };
 
+/// Mean think time (sim seconds) between a closed-loop session's answer and
+/// its next request.
+inline constexpr double kThinkTime = 0.05;
+
 struct LoadGenOptions {
   bool enabled = false;
   /// Concurrent user sessions replayed.
@@ -42,11 +46,10 @@ struct LoadGenOptions {
   std::size_t min_docs = 50;
   std::size_t max_docs = 200;
   /// Closed loop: each session waits for the previous answer plus a think
-  /// time before issuing the next request. Open loop (default): requests
-  /// arrive on a Poisson schedule regardless of completions — the mode that
-  /// actually overloads a server.
+  /// time (kThinkTime) before issuing the next request. Open loop
+  /// (default): requests arrive on a Poisson schedule regardless of
+  /// completions — the mode that actually overloads a server.
   bool closed_loop = false;
-  double think_time = 0.05;
   /// Aggregate offered request rate across all sessions (requests per sim
   /// second), split evenly between sessions; bursts multiply it.
   double arrival_rate = 50.0;
@@ -162,8 +165,6 @@ class SessionLoadGenerator {
  private:
   /// Burst rate multiplier in effect `t` seconds after the replay started.
   double BurstMultiplier(double t) const;
-  /// Burst active `t` seconds into the replay (redirects to the hot set).
-  const FlashCrowdBurst* ActiveBurst(double t) const;
   /// Document index for request (session, idx) issued `t` seconds into the
   /// replay.
   std::size_t PickDoc(std::size_t session, std::size_t idx, double t) const;

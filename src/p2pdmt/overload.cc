@@ -8,10 +8,16 @@
 
 namespace p2pdt {
 
+namespace {
+
+/// Simulated-time budget for the load replay to finish.
+constexpr double kMaxLoadSimSeconds = 86400.0;
+
+}  // namespace
+
 Result<OverloadRunStats> RunOverloadExperiment(
     const VectorizedCorpus& corpus, const OverloadExperimentOptions& options) {
-  CorpusSplit split =
-      SplitCorpus(corpus, options.train_fraction, options.seed);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, options.seed);
   if (split.train.size() == 0 || split.test.size() == 0) {
     return Status::InvalidArgument(
         "overload harness needs non-empty train and test splits");
@@ -37,7 +43,7 @@ Result<OverloadRunStats> RunOverloadExperiment(
 
   OverloadRunStats stats;
   Result<double> train_seconds =
-      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+      TrainToQuiescence(env, algo, kMaxTrainSimSeconds);
   if (!train_seconds.ok()) return train_seconds.status();
   stats.train_sim_seconds = *train_seconds;
 
@@ -61,7 +67,7 @@ Result<OverloadRunStats> RunOverloadExperiment(
       stats.load = r;
       load_done = true;
     });
-    env.RunUntilFlag(load_done, options.max_load_sim_seconds);
+    env.RunUntilFlag(load_done, kMaxLoadSimSeconds);
     if (!load_done) {
       return Status::Internal("overload harness: load did not quiesce");
     }
@@ -79,7 +85,7 @@ Result<OverloadRunStats> RunOverloadExperiment(
                      pred = std::move(p);
                      done = true;
                    });
-      env.RunUntilFlag(done, options.max_load_sim_seconds);
+      env.RunUntilFlag(done, kMaxLoadSimSeconds);
       if (!done) {
         return Status::Internal("overload harness: eval did not quiesce");
       }
@@ -98,15 +104,15 @@ Result<OverloadRunStats> RunOverloadExperiment(
     stats.load.fingerprint = digest.state;
   }
 
-  const PeerRuntime* runtime = algo.runtime();
-  if (const ServeQueueSet* serve = runtime ? runtime->serve_queue() : nullptr) {
-    stats.requests_shed = serve->shed();
-  }
-  if (const PredictCacheSet* cache =
-          runtime ? runtime->predict_cache() : nullptr) {
-    stats.cache_hits = cache->hits();
-    stats.cache_misses = cache->misses();
-    stats.cache_stale = cache->stale();
+  if (const StatefulP2PClassifier* stateful = sim->stateful) {
+    if (const ServeQueueSet* serve = stateful->runtime().serve_queue()) {
+      stats.requests_shed = serve->shed();
+    }
+    if (const PredictCacheSet* cache = stateful->runtime().predict_cache()) {
+      stats.cache_hits = cache->hits();
+      stats.cache_misses = cache->misses();
+      stats.cache_stale = cache->stale();
+    }
   }
   const NetworkStats& net_stats = env.net().stats();
   stats.give_ups = net_stats.give_ups();

@@ -6,7 +6,7 @@ namespace p2pdt {
 
 RecoveryCoordinator::RecoveryCoordinator(Simulator& sim, PhysicalNetwork& net,
                                          ChurnDriver& churn,
-                                         P2PClassifier& classifier,
+                                         StatefulP2PClassifier& classifier,
                                          CheckpointManager& checkpoints,
                                          RecoveryOptions options)
     : sim_(sim),
@@ -39,10 +39,6 @@ Status RecoveryCoordinator::CheckpointPeer(NodeId peer) {
 }
 
 Status RecoveryCoordinator::CheckpointAll() {
-  if (!classifier_.SupportsDurability()) {
-    return Status::Unavailable(classifier_.name() +
-                               " does not support durability");
-  }
   // Every peer is checkpointed, online or not: a peer that is offline right
   // now still holds its trained state (nothing evicts until Attach), and
   // skipping it would silently condemn its next rejoin to a cold start.
@@ -53,7 +49,7 @@ Status RecoveryCoordinator::CheckpointAll() {
 }
 
 void RecoveryCoordinator::OnTransition(NodeId node, bool online) {
-  if (!options_.enabled || !classifier_.SupportsDurability()) return;
+  if (!options_.enabled) return;
   if (!online) {
     // A crash destroys the peer's RAM; the checkpoint on disk survives.
     classifier_.EvictPeer(node);

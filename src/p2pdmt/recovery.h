@@ -77,7 +77,7 @@ struct RecoveryStats {
 class RecoveryCoordinator {
  public:
   RecoveryCoordinator(Simulator& sim, PhysicalNetwork& net,
-                      ChurnDriver& churn, P2PClassifier& classifier,
+                      ChurnDriver& churn, StatefulP2PClassifier& classifier,
                       CheckpointManager& checkpoints,
                       RecoveryOptions options);
 
@@ -104,7 +104,7 @@ class RecoveryCoordinator {
   Simulator& sim_;
   PhysicalNetwork& net_;
   ChurnDriver& churn_;
-  P2PClassifier& classifier_;
+  StatefulP2PClassifier& classifier_;
   CheckpointManager& checkpoints_;
   RecoveryOptions options_;
   RecoveryStats stats_;

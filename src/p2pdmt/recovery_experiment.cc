@@ -25,8 +25,7 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
                            const ExperimentOptions& options,
                            std::size_t num_crashed_peers) {
   PassOutput out;
-  CorpusSplit split =
-      SplitCorpus(corpus, options.train_fraction, options.seed);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, options.seed);
   Result<std::vector<DatasetShard>> peers = DistributeDataShared(
       std::make_shared<const MultiLabelDataset>(split.train),
       options.env.num_peers, options.distribution, &split.train_user);
@@ -37,10 +36,11 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
   Environment& env = *sim->env;
   P2PClassifier& algo = *sim->algo;
   P2PDT_RETURN_IF_ERROR(
-      TrainToQuiescence(env, algo, options.max_train_sim_seconds).status());
+      TrainToQuiescence(env, algo, kMaxTrainSimSeconds).status());
 
   if (num_crashed_peers > 0) {
-    if (!algo.SupportsDurability()) {
+    StatefulP2PClassifier* stateful = sim->stateful;
+    if (stateful == nullptr) {
       return Status::FailedPrecondition(algo.name() +
                                         " does not support durable state");
     }
@@ -59,29 +59,29 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
     // restore from the checkpoint — the exact warm-rejoin path.
     std::vector<std::string> blobs(victims.size());
     for (std::size_t i = 0; i < victims.size(); ++i) {
-      Result<std::string> blob = algo.Snapshot(victims[i]);
+      Result<std::string> blob = stateful->Snapshot(victims[i]);
       if (!blob.ok()) return blob.status();
       blobs[i] = std::move(blob).value();
       out.checkpoint_bytes += blobs[i].size();
     }
-    for (NodeId v : victims) algo.EvictPeer(v);
+    for (NodeId v : victims) stateful->EvictPeer(v);
     for (std::size_t i = 0; i < victims.size(); ++i) {
-      P2PDT_RETURN_IF_ERROR(algo.Restore(victims[i], blobs[i]));
+      P2PDT_RETURN_IF_ERROR(stateful->Restore(victims[i], blobs[i]));
       ++out.restored;
       // Byte-exact round trip: re-snapshotting a restored peer must
       // reproduce the pre-crash blob.
-      Result<std::string> again = algo.Snapshot(victims[i]);
+      Result<std::string> again = stateful->Snapshot(victims[i]);
       if (!again.ok() || *again != blobs[i]) ++out.resnapshot_mismatches;
     }
     // One anti-entropy round, as a real rejoin would run.
     std::size_t outstanding = victims.size();
     bool resynced = (outstanding == 0);
     for (NodeId v : victims) {
-      algo.ResyncPeer(v, [&] {
+      stateful->ResyncPeer(v, [&] {
         if (--outstanding == 0) resynced = true;
       });
     }
-    env.RunUntilFlag(resynced, options.max_train_sim_seconds);
+    env.RunUntilFlag(resynced, kMaxTrainSimSeconds);
     if (!resynced) return Status::Internal("resync did not quiesce");
   }
 
@@ -105,7 +105,7 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
       if (--outstanding == 0) predict_done = true;
     });
   }
-  env.RunUntilFlag(predict_done, options.max_predict_sim_seconds);
+  env.RunUntilFlag(predict_done, kMaxPredictSimSeconds);
   if (!predict_done) return Status::Internal("prediction did not quiesce");
   return out;
 }

@@ -9,7 +9,7 @@ namespace p2pdt {
 
 Result<std::unique_ptr<TrainedService>> BuildTrainedService(
     const VectorizedCorpus& corpus, const ServiceHarnessOptions& options) {
-  CorpusSplit split = SplitCorpus(corpus, options.train_fraction, options.seed);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, options.seed);
   if (split.train.size() == 0 || split.test.size() == 0) {
     return Status::InvalidArgument(
         "service harness needs non-empty train and test splits");
@@ -34,14 +34,13 @@ Result<std::unique_ptr<TrainedService>> BuildTrainedService(
   service->classifier = std::move(sim->algo);
   service->num_peers = setup.env.num_peers;
   Environment& env = *service->env;
-  Result<double> train_seconds = TrainToQuiescence(
-      env, *service->classifier, options.max_train_sim_seconds);
+  Result<double> train_seconds =
+      TrainToQuiescence(env, *service->classifier, kMaxTrainSimSeconds);
   if (!train_seconds.ok()) return train_seconds.status();
   service->train_sim_seconds = *train_seconds;
 
   service->catalog =
-      BuildServiceCatalog(corpus, options.train_fraction, options.max_docs,
-                          options.seed);
+      BuildServiceCatalog(corpus, options.max_docs, options.seed);
 
   service->host =
       std::make_unique<ServiceHost>(&env.sim(), service->classifier.get());
@@ -49,10 +48,9 @@ Result<std::unique_ptr<TrainedService>> BuildTrainedService(
 }
 
 std::vector<SparseVector> BuildServiceCatalog(const VectorizedCorpus& corpus,
-                                              double train_fraction,
                                               std::size_t max_docs,
                                               uint64_t seed) {
-  CorpusSplit split = SplitCorpus(corpus, train_fraction, seed);
+  CorpusSplit split = SplitCorpus(corpus, kTrainFraction, seed);
   const std::size_t catalog =
       max_docs == 0 ? split.test.size()
                     : std::min(max_docs, split.test.size());

@@ -39,10 +39,11 @@ struct ServiceHarnessOptions {
   DataDistributionOptions distribution;
   CemparOptions cempar;
   PaceOptions pace;
-  double train_fraction = 0.2;
+  /// Always the paper's split; a member so callers can read it off the
+  /// options they trained with.
+  static constexpr double train_fraction = kTrainFraction;
   /// Cap on the catalog drawn from the test split (0 = all).
   std::size_t max_docs = 0;
-  double max_train_sim_seconds = 3600.0;
   uint64_t seed = 777;
 };
 
@@ -59,7 +60,6 @@ Result<std::unique_ptr<TrainedService>> BuildTrainedService(
 /// p2pdt_client reconstructs the documents to tag without any transfer —
 /// both sides derive them deterministically from (corpus seed, split seed).
 std::vector<SparseVector> BuildServiceCatalog(const VectorizedCorpus& corpus,
-                                              double train_fraction,
                                               std::size_t max_docs,
                                               uint64_t seed);
 

@@ -182,7 +182,7 @@ void Replay::ChainClosedLoop(const Pending& p, double now) {
   Rng rng(DeriveSeed(options_.schedule.seed, p.session, p.idx + 1));
   const double mult = std::max(
       LoadGenBurstMultiplier(options_.schedule, now - start_), 1e-9);
-  const double gap = rng.Exponential(options_.schedule.think_time) / mult;
+  const double gap = rng.Exponential(kThinkTime) / mult;
   due_.push(IssueEvent{now - start_ + gap, p.session, p.idx + 1, 0, -1.0});
 }
 
@@ -269,7 +269,7 @@ Result<ServiceLoadResult> Replay::Run() {
   for (std::size_t s = 0; s < sched.sessions; ++s) {
     if (sched.closed_loop) {
       Rng rng(DeriveSeed(sched.seed, s, 0));
-      due_.push(IssueEvent{rng.Exponential(sched.think_time), s, 0, 0, -1.0});
+      due_.push(IssueEvent{rng.Exponential(kThinkTime), s, 0, 0, -1.0});
     } else {
       const std::vector<double> offsets =
           LoadGenOpenLoopOffsets(sched, s, lengths_[s]);

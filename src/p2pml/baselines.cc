@@ -38,15 +38,10 @@ std::vector<MultiLabelDataset> Materialize(
 // CentralizedClassifier
 // ---------------------------------------------------------------------------
 
-CentralizedClassifier::CentralizedClassifier(Simulator& sim,
-                                             PhysicalNetwork& net,
-                                             CentralizedOptions options)
-    : sim_(sim), net_(net), options_(options) {}
-
 Status CentralizedClassifier::SetupShards(std::vector<DatasetShard> peer_data,
                                           TagId num_tags) {
   P2PDT_RETURN_IF_ERROR(CheckOneShardPerNode(peer_data.size(), net_));
-  if (options_.coordinator >= peer_data.size()) {
+  if (kCoordinator >= peer_data.size()) {
     return Status::InvalidArgument("coordinator node does not exist");
   }
   peer_data_ = Materialize(peer_data);
@@ -63,7 +58,7 @@ void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
       return;
     }
     Result<OneVsAllModel> model =
-        TrainOneVsAll(pooled_, MakeLinearTrainer(options_.svm));
+        TrainOneVsAll(pooled_, MakeLinearTrainer(LinearSvmOptions{}));
     if (!model.ok()) {
       on_complete(model.status());
       return;
@@ -75,7 +70,7 @@ void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
 
   for (NodeId peer = 0; peer < peer_data_.size(); ++peer) {
     if (!net_.IsOnline(peer) || peer_data_[peer].empty()) continue;
-    if (peer == options_.coordinator) {
+    if (peer == kCoordinator) {
       pooled_.Merge(peer_data_[peer]);
       continue;
     }
@@ -83,7 +78,7 @@ void CentralizedClassifier::Train(std::function<void(Status)> on_complete) {
     // The whole local corpus travels — this is the data-centralization
     // cost (and privacy exposure) the paper's motivation criticizes.
     net_.Send(
-        peer, options_.coordinator, peer_data_[peer].WireSize(),
+        peer, kCoordinator, peer_data_[peer].WireSize(),
         MessageType::kDataTransfer,
         [this, peer, barrier] {
           pooled_.Merge(peer_data_[peer]);
@@ -107,24 +102,24 @@ void CentralizedClassifier::Predict(NodeId requester, const SparseVector& x,
   auto answer = [this, shared_done](const SparseVector& vec) {
     P2PPrediction out;
     out.scores = model_.Scores(vec);
-    out.tags = DecideTags(out.scores, options_.policy);
+    out.tags = DecideTags(out.scores, TagDecisionPolicy{});
     out.success = true;
     return out;
   };
 
-  if (requester == options_.coordinator) {
+  if (requester == kCoordinator) {
     sim_.Schedule(0.0, [answer, shared_done, x] {
       (*shared_done)(answer(x));
     });
     return;
   }
   net_.Send(
-      requester, options_.coordinator, PredictionRequestBytes(x),
+      requester, kCoordinator, PredictionRequestBytes(x),
       MessageType::kPredictionRequest,
       [this, requester, x, answer, shared_done] {
         P2PPrediction out = answer(x);
         net_.Send(
-            options_.coordinator, requester, 16 + 12 * out.scores.size(),
+            kCoordinator, requester, 16 + 12 * out.scores.size(),
             MessageType::kPredictionResponse,
             [shared_done, out] { (*shared_done)(out); },
             [shared_done] { (*shared_done)({{}, {}, false}); });
@@ -135,10 +130,6 @@ void CentralizedClassifier::Predict(NodeId requester, const SparseVector& x,
 // ---------------------------------------------------------------------------
 // LocalOnlyClassifier
 // ---------------------------------------------------------------------------
-
-LocalOnlyClassifier::LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net,
-                                         LocalOnlyOptions options)
-    : sim_(sim), net_(net), options_(options) {}
 
 Status LocalOnlyClassifier::SetupShards(std::vector<DatasetShard> peer_data,
                                         TagId num_tags) {
@@ -156,8 +147,8 @@ void LocalOnlyClassifier::Train(std::function<void(Status)> on_complete) {
     if (!net_.IsOnline(peer) || peer_data_[peer].empty()) continue;
     MultiLabelDataset padded = peer_data_[peer];
     padded.set_num_tags(num_tags_);
-    LinearSvmOptions svm = options_.svm;
-    svm.seed = options_.svm.seed + peer;
+    LinearSvmOptions svm;
+    svm.seed += peer;
     Result<OneVsAllModel> model =
         TrainOneVsAll(padded, MakeLinearTrainer(svm));
     if (!model.ok()) {
@@ -185,7 +176,7 @@ void LocalOnlyClassifier::Predict(NodeId requester, const SparseVector& x,
     }
     P2PPrediction out;
     out.scores = models_[requester].Scores(x);
-    out.tags = DecideTags(out.scores, options_.policy);
+    out.tags = DecideTags(out.scores, TagDecisionPolicy{});
     out.success = true;
     done(std::move(out));
   });
@@ -194,11 +185,6 @@ void LocalOnlyClassifier::Predict(NodeId requester, const SparseVector& x,
 // ---------------------------------------------------------------------------
 // ModelAveragingClassifier
 // ---------------------------------------------------------------------------
-
-ModelAveragingClassifier::ModelAveragingClassifier(
-    Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
-    ModelAveragingOptions options)
-    : sim_(sim), net_(net), overlay_(overlay), options_(options) {}
 
 Status ModelAveragingClassifier::SetupShards(
     std::vector<DatasetShard> peer_data, TagId num_tags) {
@@ -224,8 +210,8 @@ void ModelAveragingClassifier::Train(std::function<void(Status)> on_complete) {
       if (t >= counts.size() || counts[t] == 0 || counts[t] == data.size()) {
         continue;  // degenerate; contributes nothing for this tag
       }
-      LinearSvmOptions svm = options_.svm;
-      svm.seed = options_.svm.seed + peer * 131 + t;
+      LinearSvmOptions svm;
+      svm.seed += peer * 131 + t;
       Result<LinearSvmModel> model =
           TrainLinearSvm(data.OneAgainstAll(t), svm);
       if (model.ok()) {
@@ -286,7 +272,7 @@ void ModelAveragingClassifier::Predict(
   for (TagId t = 0; t < num_tags_; ++t) {
     if (counts[t] > 0) out.scores[t] /= static_cast<double>(counts[t]);
   }
-  out.tags = DecideTags(out.scores, options_.policy);
+  out.tags = DecideTags(out.scores, TagDecisionPolicy{});
   out.success = true;
   sim_.Schedule(0.0, [done = std::move(done), out = std::move(out)] {
     done(std::move(out));

@@ -12,23 +12,22 @@
 
 namespace p2pdt {
 
-struct CentralizedOptions {
-  LinearSvmOptions svm;
-  TagDecisionPolicy policy;
-  /// Underlay node acting as the central server.
-  NodeId coordinator = 0;
-};
-
 /// The centralized strawman the paper argues against: every peer ships its
 /// raw training documents to one coordinator, which trains a single global
 /// model and answers every prediction request. Its accuracy is the upper
 /// bound CEMPaR/PACE are compared to; its costs are (a) raw data on the
 /// wire — the privacy problem — and (b) a single point of failure: when
 /// the coordinator is offline, every prediction fails.
+///
+/// The three baselines train default LinearSvmOptions per tag and decide
+/// tags with the default TagDecisionPolicy.
 class CentralizedClassifier final : public P2PClassifier {
  public:
-  CentralizedClassifier(Simulator& sim, PhysicalNetwork& net,
-                        CentralizedOptions options = {});
+  /// Underlay node acting as the central server.
+  static constexpr NodeId kCoordinator = 0;
+
+  CentralizedClassifier(Simulator& sim, PhysicalNetwork& net)
+      : sim_(sim), net_(net) {}
 
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
@@ -40,17 +39,11 @@ class CentralizedClassifier final : public P2PClassifier {
  private:
   Simulator& sim_;
   PhysicalNetwork& net_;
-  CentralizedOptions options_;
   std::vector<MultiLabelDataset> peer_data_;
   TagId num_tags_ = 0;
   MultiLabelDataset pooled_;
   OneVsAllModel model_;
   bool trained_ = false;
-};
-
-struct LocalOnlyOptions {
-  LinearSvmOptions svm;
-  TagDecisionPolicy policy;
 };
 
 /// The no-collaboration strawman: each peer trains only on its own few
@@ -59,8 +52,8 @@ struct LocalOnlyOptions {
 /// the value of collaboration, the paper's central claim.
 class LocalOnlyClassifier final : public P2PClassifier {
  public:
-  LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net,
-                      LocalOnlyOptions options = {});
+  LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net)
+      : sim_(sim), net_(net) {}
 
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
@@ -72,17 +65,11 @@ class LocalOnlyClassifier final : public P2PClassifier {
  private:
   Simulator& sim_;
   PhysicalNetwork& net_;
-  LocalOnlyOptions options_;
   std::vector<MultiLabelDataset> peer_data_;
   TagId num_tags_ = 0;
   std::vector<OneVsAllModel> models_;
   std::vector<bool> has_model_;
   bool trained_ = false;
-};
-
-struct ModelAveragingOptions {
-  LinearSvmOptions svm;
-  TagDecisionPolicy policy;
 };
 
 /// A simple distributed baseline between LocalOnly and PACE: peers
@@ -93,8 +80,8 @@ struct ModelAveragingOptions {
 class ModelAveragingClassifier final : public P2PClassifier {
  public:
   ModelAveragingClassifier(Simulator& sim, PhysicalNetwork& net,
-                           Overlay& overlay,
-                           ModelAveragingOptions options = {});
+                           Overlay& overlay)
+      : sim_(sim), net_(net), overlay_(overlay) {}
 
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
@@ -107,7 +94,6 @@ class ModelAveragingClassifier final : public P2PClassifier {
   Simulator& sim_;
   PhysicalNetwork& net_;
   Overlay& overlay_;
-  ModelAveragingOptions options_;
   std::vector<MultiLabelDataset> peer_data_;
   TagId num_tags_ = 0;
   /// Per-contributor linear models (shared storage; receipt is tracked).

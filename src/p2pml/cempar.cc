@@ -486,8 +486,8 @@ void Cempar::AggregateVotes(const std::vector<PredictVote>& votes,
     for (std::size_t i = 0; i < votes.size(); ++i) {
       const PredictVote& v = votes[i];
       if (!std::isfinite(v.score) || !std::isfinite(v.weight) ||
-          std::fabs(v.score) > options_.sanitize.max_abs_value ||
-          v.weight < 0.0 || v.weight > options_.sanitize.max_abs_value) {
+          std::fabs(v.score) > kSanitizeMaxAbsValue || v.weight < 0.0 ||
+          v.weight > kSanitizeMaxAbsValue) {
         keep[i] = 0;
         ++discarded;
       }

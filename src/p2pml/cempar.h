@@ -96,7 +96,7 @@ struct CemparOptions {
 /// key to the next owner. RepairRound() lets peers re-upload their local
 /// models to the new owner, restoring regional models — this is what the
 /// fault-tolerance experiment (CLAIM6) drives.
-class Cempar final : public P2PClassifier {
+class Cempar final : public StatefulP2PClassifier {
  public:
   Cempar(Simulator& sim, PhysicalNetwork& net, ChordOverlay& chord,
          CemparOptions options = {});
@@ -120,7 +120,6 @@ class Cempar final : public P2PClassifier {
   // Durability: a CEMPaR peer's crash-volatile state is its locally
   // trained per-(tag, region) kernel SVMs (regional cascades live at
   // super-peers and are repaired through the DHT, not checkpointed here).
-  bool SupportsDurability() const override { return true; }
   /// Blob: format version, num_tags/regions guards, then each local model
   /// as (home index, serialized kernel SVM).
   Result<std::string> Snapshot(NodeId peer) const override;
@@ -143,7 +142,6 @@ class Cempar final : public P2PClassifier {
   // then the home re-cascades. That is the stale-vs-fresh reconciliation:
   // an old version can never clobber a refreshed one, and a refreshed one
   // evicts the old the moment it lands.
-  bool SupportsOnlineRefresh() const override { return true; }
   Status ReplacePeerData(NodeId peer, DatasetShard window) override;
   void RefreshPeer(NodeId peer, std::function<void()> done) override;
   uint64_t ModelVersion(NodeId peer) const override;
@@ -164,7 +162,7 @@ class Cempar final : public P2PClassifier {
   std::size_t NumReplicatedHomes() const;
 
   /// Transport, serving queues, prediction cache and defense counters.
-  const PeerRuntime* runtime() const override { return &runtime_; }
+  const PeerRuntime& runtime() const override { return runtime_; }
 
  private:
   struct Home {

@@ -61,7 +61,9 @@ struct DefenseStats {
 /// and communication cost come from the same run.
 ///
 /// Lifecycle: Setup(per-peer data) → Train(completion callback) → any
-/// number of Predict() calls, all driven by Simulator::RunUntil.
+/// number of Predict() calls, all driven by Simulator::RunUntil. This is
+/// all the paper asks of a pluggable algorithm, and all the baselines
+/// implement; StatefulP2PClassifier adds the peer-state hooks.
 class P2PClassifier {
  public:
   virtual ~P2PClassifier() = default;
@@ -96,102 +98,6 @@ class P2PClassifier {
   /// Protocol name for reports ("cempar", "pace", ...).
   virtual std::string name() const = 0;
 
-  /// The shared peer runtime (transport, serving queues, prediction cache,
-  /// defense bookkeeping); null for protocols without one.
-  virtual const PeerRuntime* runtime() const { return nullptr; }
-
-  /// Byzantine-defense counters; all zero for protocols without a runtime.
-  DefenseStats defense_stats() const;
-
-  // --- Durability hooks (optional) -----------------------------------------
-  //
-  // A peer's trained state normally lives only in memory: a crash loses it
-  // and a rejoin starts cold. Protocols that override these hooks let a
-  // RecoveryCoordinator checkpoint per-peer state to durable storage and
-  // warm-restore it on rejoin. The defaults make every protocol safely
-  // non-durable (Snapshot/Restore report Unavailable; eviction and cold
-  // restart are no-ops).
-
-  /// True when Snapshot/Restore are meaningful for this protocol.
-  virtual bool SupportsDurability() const { return false; }
-
-  /// Serializes everything peer-local that would be lost in a crash:
-  /// trained models plus whatever received/replicated state the peer holds.
-  /// The blob is opaque to callers; only Restore of the same protocol can
-  /// consume it. Integrity (checksums, atomic writes) is the storage
-  /// layer's job, not encoded here.
-  virtual Result<std::string> Snapshot(NodeId peer) const {
-    (void)peer;
-    return Status::Unavailable(name() + " does not support snapshots");
-  }
-
-  /// Reinstates a peer's state from a Snapshot blob. Malformed blobs are
-  /// rejected with a non-OK status and leave the peer evicted (cold).
-  virtual Status Restore(NodeId peer, const std::string& blob) {
-    (void)peer;
-    (void)blob;
-    return Status::Unavailable(name() + " does not support restore");
-  }
-
-  /// Drops the peer's volatile state, simulating what a crash destroys.
-  virtual void EvictPeer(NodeId peer) { (void)peer; }
-
-  /// Cold-start path: retrains the peer's local models from its retained
-  /// training data. Returns the number of training examples refit — the
-  /// retrain-work metric warm rejoin avoids (0 when nothing to retrain).
-  virtual std::size_t ColdRestart(NodeId peer) {
-    (void)peer;
-    return 0;
-  }
-
-  /// One anti-entropy round bringing a rejoined peer (and any state it was
-  /// responsible for) back in sync with the network: CEMPaR re-uploads to
-  /// repair dead homes, PACE re-fetches missed model bundles. `done` fires
-  /// in simulated time when the repair traffic quiesces.
-  virtual void ResyncPeer(NodeId peer, std::function<void()> done) {
-    (void)peer;
-    done();
-  }
-
-  // --- Online-refresh hooks (optional) -------------------------------------
-  //
-  // Non-stationary workloads (tag drift, vocabulary growth) make a
-  // trained-once model rot. Protocols that override these hooks let the
-  // drift harness swap a peer's training window and republish a refreshed,
-  // version-stamped model through the protocol's own dissemination path —
-  // reusing its reliable-transport / sanitation / reputation gates, so a
-  // refreshed model is vetted exactly like an initial one. The defaults
-  // make every protocol safely refresh-less.
-
-  /// True when ReplacePeerData / RefreshPeer are meaningful.
-  virtual bool SupportsOnlineRefresh() const { return false; }
-
-  /// Replaces the peer's training data with a new sliding window (old
-  /// documents aged out, fresh ones in). Does not retrain — pair with
-  /// RefreshPeer.
-  virtual Status ReplacePeerData(NodeId peer, DatasetShard window) {
-    (void)peer;
-    (void)window;
-    return Status::Unavailable(name() + " does not support online refresh");
-  }
-
-  /// Retrains the peer's local model(s) on its current window and
-  /// republishes them with a bumped version stamp: PACE re-broadcasts the
-  /// bundle, CEMPaR re-uploads to the responsible super-peers (which
-  /// replace the peer's old-version model — stale-vs-fresh reconciliation).
-  /// `done` fires in simulated time once the republication traffic settles.
-  virtual void RefreshPeer(NodeId peer, std::function<void()> done) {
-    (void)peer;
-    done();
-  }
-
-  /// Version stamp of the peer's currently published model (0 until the
-  /// first refresh; bumped by each RefreshPeer).
-  virtual uint64_t ModelVersion(NodeId peer) const {
-    (void)peer;
-    return 0;
-  }
-
  protected:
   /// SetupShards' precondition: one shard per underlay node.
   static Status CheckOneShardPerNode(std::size_t shards,
@@ -206,6 +112,77 @@ class P2PClassifier {
     return Status::InvalidArgument(std::string(op) + " of unknown peer " +
                                    std::to_string(peer));
   }
+};
+
+/// A P2PClassifier whose peers run on a PeerRuntime and hold state that can
+/// be checkpointed, restored and refreshed: CEMPaR and PACE. The harnesses
+/// reach these hooks only through this type, so a baseline cannot be asked
+/// for durability or online refresh.
+class StatefulP2PClassifier : public P2PClassifier {
+ public:
+  /// The shared peer runtime (transport, serving queues, prediction cache,
+  /// defense bookkeeping).
+  virtual const PeerRuntime& runtime() const = 0;
+
+  /// Byzantine-defense counters, read from the runtime.
+  DefenseStats defense_stats() const;
+
+  // --- Durability ----------------------------------------------------------
+  //
+  // A peer's trained state normally lives only in memory: a crash loses it
+  // and a rejoin starts cold. These hooks let a RecoveryCoordinator
+  // checkpoint per-peer state to durable storage and warm-restore it on
+  // rejoin.
+
+  /// Serializes everything peer-local that would be lost in a crash:
+  /// trained models plus whatever received/replicated state the peer holds.
+  /// The blob is opaque to callers; only Restore of the same protocol can
+  /// consume it. Integrity (checksums, atomic writes) is the storage
+  /// layer's job, not encoded here.
+  virtual Result<std::string> Snapshot(NodeId peer) const = 0;
+
+  /// Reinstates a peer's state from a Snapshot blob. Malformed blobs are
+  /// rejected with a non-OK status and leave the peer evicted (cold).
+  virtual Status Restore(NodeId peer, const std::string& blob) = 0;
+
+  /// Drops the peer's volatile state, simulating what a crash destroys.
+  virtual void EvictPeer(NodeId peer) = 0;
+
+  /// Cold-start path: retrains the peer's local models from its retained
+  /// training data. Returns the number of training examples refit — the
+  /// retrain-work metric warm rejoin avoids (0 when nothing to retrain).
+  virtual std::size_t ColdRestart(NodeId peer) = 0;
+
+  /// One anti-entropy round bringing a rejoined peer (and any state it was
+  /// responsible for) back in sync with the network: CEMPaR re-uploads to
+  /// repair dead homes, PACE re-fetches missed model bundles. `done` fires
+  /// in simulated time when the repair traffic quiesces.
+  virtual void ResyncPeer(NodeId peer, std::function<void()> done) = 0;
+
+  // --- Online refresh ------------------------------------------------------
+  //
+  // Non-stationary workloads (tag drift, vocabulary growth) make a
+  // trained-once model rot. These hooks let the drift harness swap a peer's
+  // training window and republish a refreshed, version-stamped model
+  // through the protocol's own dissemination path — reusing its
+  // reliable-transport / sanitation / reputation gates, so a refreshed
+  // model is vetted exactly like an initial one.
+
+  /// Replaces the peer's training data with a new sliding window (old
+  /// documents aged out, fresh ones in). Does not retrain — pair with
+  /// RefreshPeer.
+  virtual Status ReplacePeerData(NodeId peer, DatasetShard window) = 0;
+
+  /// Retrains the peer's local model(s) on its current window and
+  /// republishes them with a bumped version stamp: PACE re-broadcasts the
+  /// bundle, CEMPaR re-uploads to the responsible super-peers (which
+  /// replace the peer's old-version model — stale-vs-fresh reconciliation).
+  /// `done` fires in simulated time once the republication traffic settles.
+  virtual void RefreshPeer(NodeId peer, std::function<void()> done) = 0;
+
+  /// Version stamp of the peer's currently published model (0 until the
+  /// first refresh; bumped by each RefreshPeer).
+  virtual uint64_t ModelVersion(NodeId peer) const = 0;
 };
 
 }  // namespace p2pdt

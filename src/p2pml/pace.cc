@@ -269,7 +269,7 @@ void Pace::AcceptBundle(NodeId receiver, NodeId contributor) {
 
 void Pace::ProbeQuarantined(NodeId requester) {
   // Re-score only quarantined contributors: re-admits any that retrained
-  // honestly (trust climbs past readmit_threshold) and keeps decaying ones
+  // honestly (trust climbs past kReadmitThreshold) and keeps decaying ones
   // out. Honest runs have no quarantined pairs, so this is a strict no-op
   // there — the bit-identical-baseline requirement.
   ReputationManager* reputation = runtime_.reputation();
@@ -461,9 +461,8 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
     // Probation cadence: every Nth prediction this requester re-examines
     // its quarantined contributors (no-op when there are none).
     ++predict_count_[requester];
-    if (options_.reputation.probation_interval > 0 &&
-        predict_count_[requester] % options_.reputation.probation_interval ==
-            0) {
+    if (predict_count_[requester] % ReputationManager::kProbationInterval ==
+        0) {
       ProbeQuarantined(requester);
     }
     // Contributors that were accepted and later quarantined lose their

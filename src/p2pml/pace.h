@@ -89,7 +89,7 @@ struct PaceOptions {
 ///
 /// Privacy note: unlike CEMPaR, "no document vectors are propagated" —
 /// only weight vectors and centroids.
-class Pace final : public P2PClassifier {
+class Pace final : public StatefulP2PClassifier {
  public:
   Pace(Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
        PaceOptions options = {});
@@ -112,14 +112,13 @@ class Pace final : public P2PClassifier {
   std::size_t repair_rounds_run() const { return repair_rounds_run_; }
 
   /// Transport, serving queues, prediction cache and defense counters.
-  const PeerRuntime* runtime() const override { return &runtime_; }
+  const PeerRuntime& runtime() const override { return runtime_; }
 
   // Durability: a PACE peer's crash-volatile state is its own trained
   // bundle (one-vs-all linear models, centroids, accuracy weights) plus
   // its view of which other contributors' bundles it holds. A cold rejoin
   // must both retrain locally and re-fetch every missed bundle; a warm
   // rejoin restores both from the checkpoint.
-  bool SupportsDurability() const override { return true; }
   Result<std::string> Snapshot(NodeId peer) const override;
   Status Restore(NodeId peer, const std::string& blob) override;
   /// The peer forgets every bundle it received (including its own copy);
@@ -139,7 +138,6 @@ class Pace final : public P2PClassifier {
   // initial one. Receivers holding an older version are stale: their copy
   // is evicted (version mismatch fails the Holds check) until the fresh
   // bundle reaches them, so no one ever votes with a superseded model.
-  bool SupportsOnlineRefresh() const override { return true; }
   Status ReplacePeerData(NodeId peer, DatasetShard window) override;
   void RefreshPeer(NodeId peer, std::function<void()> done) override;
   uint64_t ModelVersion(NodeId peer) const override;

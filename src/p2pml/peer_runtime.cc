@@ -233,9 +233,8 @@ Status PeerRuntime::GetSnapshotHeader(const std::string& blob,
   return Status::OK();
 }
 
-DefenseStats P2PClassifier::defense_stats() const {
-  const PeerRuntime* rt = runtime();
-  return rt == nullptr ? DefenseStats{} : rt->defense_stats();
+DefenseStats StatefulP2PClassifier::defense_stats() const {
+  return runtime().defense_stats();
 }
 
 }  // namespace p2pdt

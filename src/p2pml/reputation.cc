@@ -28,7 +28,7 @@ void ReputationManager::SetHoldoutImpl(NodeId observer, const Data& local) {
   h.examples.clear();
   h.positives.assign(local.num_tags(), 0);
   if (local.empty()) return;
-  std::size_t want = std::min(options_.holdout_size, local.size());
+  std::size_t want = std::min(kHoldoutSize, local.size());
   // Seeded from plan identity only, so the slice — and therefore every
   // trust score — is identical across serial and parallel runs and across
   // repeated calls.
@@ -122,8 +122,8 @@ bool ReputationManager::Observe(NodeId observer, NodeId contributor,
     p.trust = score;
     p.seen = true;
   } else {
-    p.trust = (1.0 - options_.ewma_alpha) * p.trust +
-              options_.ewma_alpha * score;
+    p.trust = (1.0 - kEwmaAlpha) * p.trust +
+              kEwmaAlpha * score;
   }
   ++observations_;
   if (metrics_ != nullptr) {
@@ -131,12 +131,12 @@ bool ReputationManager::Observe(NodeId observer, NodeId contributor,
         .Observe(p.trust);
   }
   bool entered_quarantine = false;
-  if (!p.quarantined && p.trust < options_.quarantine_threshold) {
+  if (!p.quarantined && p.trust < kQuarantineThreshold) {
     p.quarantined = true;
     ++current_quarantined_;
     ++total_quarantines_;
     entered_quarantine = true;
-  } else if (p.quarantined && p.trust >= options_.readmit_threshold) {
+  } else if (p.quarantined && p.trust >= kReadmitThreshold) {
     p.quarantined = false;
     --current_quarantined_;
     ++total_readmissions_;
@@ -169,7 +169,7 @@ bool ReputationManager::IsSuspect(NodeId observer, NodeId contributor) const {
     return false;
   }
   const PairState& p = pairs_[observer][contributor];
-  return p.seen && !p.quarantined && p.trust < options_.suspect_threshold;
+  return p.seen && !p.quarantined && p.trust < kSuspectThreshold;
 }
 
 }  // namespace p2pdt

@@ -20,28 +20,6 @@ namespace p2pdt {
 /// re-weighting) that never trigger for honest contributors.
 struct ReputationOptions {
   bool enabled = false;
-  /// Examples in the local held-out validation slice. The slice is a
-  /// deterministic subsample of the peer's local data and is NOT removed
-  /// from training, so trained models are unchanged by enabling reputation.
-  std::size_t holdout_size = 16;
-  /// EWMA smoothing for trust updates after the first observation (the
-  /// first observation sets trust outright, so one delivery of an
-  /// anti-correlated model is enough to quarantine its author).
-  double ewma_alpha = 0.4;
-  /// Trust below this quarantines the contributor: its models are excluded
-  /// from voting and new uploads are refused.
-  double quarantine_threshold = 0.3;
-  /// A quarantined contributor is re-admitted when probation observations
-  /// push trust back above this (hysteresis: readmit > quarantine).
-  double readmit_threshold = 0.5;
-  /// Below this (but above quarantine) a contributor is "suspect": its
-  /// self-reported accuracy is replaced by min(self, observed) and its
-  /// vote weight is scaled by trust.
-  double suspect_threshold = 0.45;
-  /// Every Nth prediction a requester re-scores its contributors
-  /// (probation): quarantined peers that retrained honestly climb back
-  /// above readmit_threshold, sleepers that turned malicious decay.
-  std::size_t probation_interval = 8;
   uint64_t seed = 0x5EED7;
 };
 
@@ -62,6 +40,29 @@ struct ReputationOptions {
 /// adds no cross-thread traffic and keeps serial == parallel determinism.
 class ReputationManager {
  public:
+  /// Examples in the local held-out validation slice. The slice is a
+  /// deterministic subsample of the peer's local data and is NOT removed
+  /// from training, so trained models are unchanged by enabling reputation.
+  static constexpr std::size_t kHoldoutSize = 16;
+  /// EWMA smoothing for trust updates after the first observation (the
+  /// first observation sets trust outright, so one delivery of an
+  /// anti-correlated model is enough to quarantine its author).
+  static constexpr double kEwmaAlpha = 0.4;
+  /// Trust below this quarantines the contributor: its models are excluded
+  /// from voting and new uploads are refused.
+  static constexpr double kQuarantineThreshold = 0.3;
+  /// A quarantined contributor is re-admitted when probation observations
+  /// push trust back above this (hysteresis: readmit > quarantine).
+  static constexpr double kReadmitThreshold = 0.5;
+  /// Below this (but above quarantine) a contributor is "suspect": its
+  /// self-reported accuracy is replaced by min(self, observed) and its
+  /// vote weight is scaled by trust.
+  static constexpr double kSuspectThreshold = 0.45;
+  /// Every Nth prediction a requester re-scores its contributors
+  /// (probation): quarantined peers that retrained honestly climb back
+  /// above kReadmitThreshold, sleepers that turned malicious decay.
+  static constexpr std::size_t kProbationInterval = 8;
+
   /// `metrics` may be null (no-op recording); `classifier` labels the
   /// emitted metric families (peer_trust, quarantined_peers).
   ReputationManager(const ReputationOptions& options, MetricsRegistry* metrics,
@@ -116,8 +117,6 @@ class ReputationManager {
   uint64_t total_quarantines() const { return total_quarantines_; }
   uint64_t total_readmissions() const { return total_readmissions_; }
   uint64_t observations() const { return observations_; }
-
-  const ReputationOptions& options() const { return options_; }
 
  private:
   struct PairState {

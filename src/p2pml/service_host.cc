@@ -20,28 +20,19 @@ struct PredictSlot {
 
 }  // namespace
 
-ServiceHost::ServiceHost(Simulator* sim, P2PClassifier* classifier,
-                         std::size_t max_events_per_request,
-                         double max_sim_seconds_per_request)
-    : sim_(sim),
-      classifier_(classifier),
-      max_events_(max_events_per_request),
-      max_sim_seconds_(max_sim_seconds_per_request) {}
-
 P2PPrediction ServiceHost::Predict(NodeId requester, const SparseVector& x) {
   auto slot = std::make_shared<PredictSlot>();
   classifier_->Predict(requester, x, [slot](P2PPrediction p) {
     slot->prediction = std::move(p);
     slot->done = true;
   });
-  const double deadline = sim_->Now() + max_sim_seconds_;
+  const double deadline = sim_->Now() + kMaxSimSecondsPerRequest;
   std::size_t steps = 0;
   while (!slot->done) {
-    if (steps >= max_events_ || sim_->Now() > deadline) {
+    if (steps >= kMaxEventsPerRequest || sim_->Now() > deadline) {
       // The protocol is spinning on recurring maintenance events or wedged;
       // answer failure rather than stall the serving thread. The abandoned
       // callback keeps `slot` alive, so a late completion is harmless.
-      ++budget_exhausted_;
       P2PDT_LOG(Warning) << "predict budget exhausted after " << steps
                          << " events (sim now=" << sim_->Now() << ")";
       P2PPrediction failed;
@@ -57,7 +48,6 @@ P2PPrediction ServiceHost::Predict(NodeId requester, const SparseVector& x) {
     }
     ++steps;
   }
-  ++served_;
   return slot->prediction;
 }
 

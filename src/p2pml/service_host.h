@@ -16,30 +16,26 @@ namespace p2pdt {
 /// by being single-threaded.
 ///
 /// Bounded on two axes so a wedged protocol cannot wedge the daemon: a
-/// per-request event budget and a simulated-time budget. Exhausting either
-/// yields a failed (success=false) prediction, never a hang.
+/// per-request event budget (kMaxEventsPerRequest) and a simulated-time
+/// budget (kMaxSimSecondsPerRequest). Exhausting either yields a failed
+/// (success=false) prediction, never a hang.
 class ServiceHost {
  public:
+  static constexpr std::size_t kMaxEventsPerRequest = 1u << 22;
+  static constexpr double kMaxSimSecondsPerRequest = 600.0;
+
   /// `sim` and `classifier` must outlive the host. The classifier must be
   /// trained (Setup + Train already driven to completion on `sim`).
-  ServiceHost(Simulator* sim, P2PClassifier* classifier,
-              std::size_t max_events_per_request = 1u << 22,
-              double max_sim_seconds_per_request = 600.0);
+  ServiceHost(Simulator* sim, P2PClassifier* classifier)
+      : sim_(sim), classifier_(classifier) {}
 
   /// Synchronous predict: schedules the request and drains simulator events
   /// until the protocol answers (or a budget trips).
   P2PPrediction Predict(NodeId requester, const SparseVector& x);
 
-  uint64_t served() const { return served_; }
-  uint64_t budget_exhausted() const { return budget_exhausted_; }
-
  private:
   Simulator* sim_;
   P2PClassifier* classifier_;
-  std::size_t max_events_;
-  double max_sim_seconds_;
-  uint64_t served_ = 0;
-  uint64_t budget_exhausted_ = 0;
 };
 
 }  // namespace p2pdt

@@ -9,6 +9,18 @@ namespace p2pdt {
 
 namespace {
 
+/// Successor-list length for fault tolerance.
+constexpr std::size_t kSuccessorListSize = 8;
+/// Wire size of one routing hop request.
+constexpr std::size_t kLookupMessageBytes = 64;
+/// Wire size of one maintenance probe.
+constexpr std::size_t kMaintenanceMessageBytes = 48;
+/// Period of the stabilization round that refreshes successor lists and
+/// finger tables (seconds). Between rounds, routing state goes stale —
+/// this staleness is what churn experiments measure.
+constexpr double kStabilizeIntervalSec = 10.0;
+constexpr uint64_t kKeyMask = (uint64_t{1} << ChordOverlay::kKeyBits) - 1;
+
 uint64_t Mix64(uint64_t z) {
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
@@ -19,15 +31,10 @@ uint64_t Mix64(uint64_t z) {
 
 ChordOverlay::ChordOverlay(Simulator& sim, PhysicalNetwork& net,
                            ChordOptions options)
-    : sim_(sim), net_(net), options_(options), rng_(options.seed) {
-  assert(options_.key_bits >= 8 && options_.key_bits <= 64);
-  key_mask_ = options_.key_bits == 64
-                  ? ~uint64_t{0}
-                  : ((uint64_t{1} << options_.key_bits) - 1);
-}
+    : sim_(sim), net_(net), options_(options), rng_(options.seed) {}
 
 uint64_t ChordOverlay::HashToKey(uint64_t value) const {
-  return Mix64(value ^ 0x9E3779B97F4A7C15ULL) & key_mask_;
+  return Mix64(value ^ 0x9E3779B97F4A7C15ULL) & kKeyMask;
 }
 
 uint64_t ChordOverlay::KeyOf(NodeId node) const {
@@ -42,7 +49,7 @@ void ChordOverlay::AddNode(NodeId node) {
   // Draw a unique ring key.
   uint64_t key;
   do {
-    key = rng_.NextU64() & key_mask_;
+    key = rng_.NextU64() & kKeyMask;
   } while (members_.count(key) > 0);
   s.key = key;
   s.member = true;
@@ -79,19 +86,19 @@ NodeId ChordOverlay::SuccessorOnRing(uint64_t key) const {
 }
 
 NodeId ChordOverlay::OwnerOf(uint64_t key) const {
-  return SuccessorOnRing(key & key_mask_);
+  return SuccessorOnRing(key & kKeyMask);
 }
 
 void ChordOverlay::RefreshNode(NodeId node) {
   NodeState& s = state_[node];
   if (!s.member || !net_.IsOnline(node)) return;
 
-  // Successor list: the next `successor_list_size` online members clockwise.
+  // Successor list: the next kSuccessorListSize online members clockwise.
   s.successors.clear();
   auto it = members_.upper_bound(s.key);
   for (std::size_t scanned = 0;
        scanned < members_.size() &&
-       s.successors.size() < options_.successor_list_size;
+       s.successors.size() < kSuccessorListSize;
        ++scanned) {
     if (it == members_.end()) it = members_.begin();
     if (it->second != node && net_.IsOnline(it->second)) {
@@ -101,9 +108,9 @@ void ChordOverlay::RefreshNode(NodeId node) {
   }
 
   // Finger table: finger[i] = successor(key + 2^i).
-  s.fingers.assign(options_.key_bits, kInvalidNode);
-  for (std::size_t i = 0; i < options_.key_bits; ++i) {
-    uint64_t target = (s.key + (uint64_t{1} << i)) & key_mask_;
+  s.fingers.assign(kKeyBits, kInvalidNode);
+  for (std::size_t i = 0; i < kKeyBits; ++i) {
+    uint64_t target = (s.key + (uint64_t{1} << i)) & kKeyMask;
     NodeId f = SuccessorOnRing(target);
     if (f != node) s.fingers[i] = f;
   }
@@ -117,7 +124,7 @@ void ChordOverlay::RefreshNode(NodeId node) {
   distinct.erase(std::unique(distinct.begin(), distinct.end()),
                  distinct.end());
   for (NodeId target : distinct) {
-    net_.Send(node, target, options_.maintenance_message_bytes,
+    net_.Send(node, target, kMaintenanceMessageBytes,
               MessageType::kOverlayMaintenance, nullptr, nullptr);
   }
 }
@@ -141,7 +148,7 @@ std::vector<NodeId> ChordOverlay::FingersOf(NodeId node) const {
 void ChordOverlay::StartStabilization() {
   if (stabilizing_) return;
   stabilizing_ = true;
-  sim_.Schedule(options_.stabilize_interval_sec, [this] {
+  sim_.Schedule(kStabilizeIntervalSec, [this] {
     stabilizing_ = false;
     StabilizeRound();
     StartStabilization();
@@ -166,10 +173,10 @@ NodeId ChordOverlay::NextHop(NodeId current, uint64_t key,
     const NodeState& cs = state_[cand];
     if (!cs.member) return;
     // Strictly-inside check: cand.key in (s.key, key) on the ring.
-    uint64_t rel_cand = (cs.key - s.key) & key_mask_;
-    uint64_t rel_key = (key - s.key) & key_mask_;
+    uint64_t rel_cand = (cs.key - s.key) & kKeyMask;
+    uint64_t rel_key = (key - s.key) & kKeyMask;
     if (rel_cand == 0 || rel_cand >= rel_key) return;
-    uint64_t rel_best = (best_key - s.key) & key_mask_;
+    uint64_t rel_best = (best_key - s.key) & kKeyMask;
     if (best == kInvalidNode || rel_cand > rel_best) {
       best = cand;
       best_key = cs.key;
@@ -182,7 +189,7 @@ NodeId ChordOverlay::NextHop(NodeId current, uint64_t key,
 
 void ChordOverlay::Lookup(NodeId origin, uint64_t key,
                           std::function<void(LookupResult)> done) {
-  key &= key_mask_;
+  key &= kKeyMask;
   auto ctx = std::make_shared<LookupContext>();
   ctx->key = key;
   ctx->current = origin;
@@ -266,7 +273,7 @@ void ChordOverlay::Step(std::shared_ptr<LookupContext> ctx) {
       NodeId target = cs.successors[idx];
       ++ctx->hops;
       net_.Send(
-          ctx->current, target, options_.lookup_message_bytes,
+          ctx->current, target, kLookupMessageBytes,
           MessageType::kLookup,
           [ctx, target] { ctx->done({true, target, ctx->hops}); },
           [self, ctx, idx] { self(self, idx + 1); });
@@ -297,7 +304,7 @@ void ChordOverlay::Step(std::shared_ptr<LookupContext> ctx) {
     }
     ++ctx->hops;
     net_.Send(
-        ctx->current, next, options_.lookup_message_bytes,
+        ctx->current, next, kLookupMessageBytes,
         MessageType::kLookup,
         [this, ctx, next] {
           ctx->current = next;
@@ -340,18 +347,18 @@ void ChordOverlay::Broadcast(NodeId origin, std::size_t payload_bytes,
     // Collect distinct fingers inside (key(at), limit), ascending by ring
     // distance from `at`.
     const NodeState& s = state_[at];
-    uint64_t rel_limit = (limit - s.key) & key_mask_;
-    if (rel_limit == 0) rel_limit = key_mask_;  // root covers the full ring
+    uint64_t rel_limit = (limit - s.key) & kKeyMask;
+    if (rel_limit == 0) rel_limit = kKeyMask;  // root covers the full ring
     std::vector<NodeId> targets;
     for (NodeId f : s.fingers) {
       if (f == kInvalidNode || f == at) continue;
-      uint64_t rel_f = (state_[f].key - s.key) & key_mask_;
+      uint64_t rel_f = (state_[f].key - s.key) & kKeyMask;
       if (rel_f == 0 || rel_f >= rel_limit) continue;
       targets.push_back(f);
     }
     std::sort(targets.begin(), targets.end(), [&](NodeId a, NodeId b) {
-      return ((state_[a].key - s.key) & key_mask_) <
-             ((state_[b].key - s.key) & key_mask_);
+      return ((state_[a].key - s.key) & kKeyMask) <
+             ((state_[b].key - s.key) & kKeyMask);
     });
     targets.erase(std::unique(targets.begin(), targets.end()),
                   targets.end());

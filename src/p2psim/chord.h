@@ -15,18 +15,6 @@
 namespace p2pdt {
 
 struct ChordOptions {
-  /// Key-space width in bits (m in the Chord paper); also the finger count.
-  std::size_t key_bits = 32;
-  /// Successor-list length for fault tolerance.
-  std::size_t successor_list_size = 8;
-  /// Wire size of one routing hop request.
-  std::size_t lookup_message_bytes = 64;
-  /// Wire size of one maintenance probe.
-  std::size_t maintenance_message_bytes = 48;
-  /// Period of the stabilization round that refreshes successor lists and
-  /// finger tables (seconds). Between rounds, routing state goes stale —
-  /// this staleness is what churn experiments measure.
-  double stabilize_interval_sec = 10.0;
   /// Safety cap on routing hops before a lookup is declared failed.
   int max_hops = 64;
   uint64_t seed = 11;
@@ -34,7 +22,7 @@ struct ChordOptions {
 
 /// Chord DHT overlay (Stoica et al. 2001) on top of the simulated underlay.
 ///
-/// Peers get uniformly random keys in a 2^key_bits ring. Routing is
+/// Peers get uniformly random keys in a 2^kKeyBits ring. Routing is
 /// iterative greedy closest-preceding-finger with successor-list fallback;
 /// every hop is a real simulated message with latency and loss. Finger
 /// tables and successor lists are refreshed only at stabilization rounds,
@@ -48,6 +36,9 @@ struct ChordOptions {
 /// the tag's hashed key.
 class ChordOverlay final : public Overlay {
  public:
+  /// Key-space width in bits (m in the Chord paper); also the finger count.
+  static constexpr std::size_t kKeyBits = 32;
+
   ChordOverlay(Simulator& sim, PhysicalNetwork& net, ChordOptions options = {});
 
   void AddNode(NodeId node) override;
@@ -137,7 +128,6 @@ class ChordOverlay final : public Overlay {
   PhysicalNetwork& net_;
   ChordOptions options_;
   Rng rng_;
-  uint64_t key_mask_;
   std::vector<NodeState> state_;       // indexed by NodeId
   std::map<uint64_t, NodeId> members_; // key -> node, all members (on+off)
   bool stabilizing_ = false;

@@ -133,7 +133,6 @@ class PhysicalNetwork {
   /// Installs (or clears, with nullptr) the fault hook. At most one hook is
   /// active; FaultInjector composes multiple fault rules behind one hook.
   void SetFaultHook(FaultHook hook) { fault_hook_ = std::move(hook); }
-  bool HasFaultHook() const { return static_cast<bool>(fault_hook_); }
 
   NetworkStats& stats() { return stats_; }
   const NetworkStats& stats() const { return stats_; }

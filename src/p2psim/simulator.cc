@@ -1,13 +1,13 @@
 #include "p2psim/simulator.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace p2pdt {
 
 void Simulator::ScheduleAt(SimTime when, Callback fn) {
-  when = std::max(when, now_);
-  queue_.Push(std::isfinite(when) ? when : 0.0, std::move(fn));
+  // A past, infinite or NaN time runs now: time never goes backwards.
+  if (!std::isfinite(when) || when < now_) when = now_;
+  queue_.Push(when, std::move(fn));
 }
 
 bool Simulator::Step() {

@@ -43,8 +43,8 @@ class Simulator {
     ScheduleAt(now_ + delay, std::move(fn));
   }
 
-  /// Schedules `fn` at an absolute simulated time, clamped to >= Now(); a
-  /// clamped time that is infinite or NaN is scheduled at 0 instead.
+  /// Schedules `fn` at an absolute simulated time; a time before Now(), or
+  /// one that is infinite or NaN, runs at Now().
   void ScheduleAt(SimTime when, Callback fn);
 
   /// Runs events until the queue empties or simulated time would exceed

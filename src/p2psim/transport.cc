@@ -7,6 +7,17 @@
 
 namespace p2pdt {
 
+namespace {
+
+/// Initial retransmission timeout = kRtoMultiplier × estimated RTT
+/// (propagation both ways plus data and ACK transmission time).
+constexpr double kRtoMultiplier = 3.0;
+/// Wire size of an acknowledgement and of an overload NACK.
+constexpr std::size_t kAckBytes = 24;
+constexpr std::size_t kNackBytes = 24;
+
+}  // namespace
+
 ReliableTransport::ReliableTransport(Simulator& sim, PhysicalNetwork& net,
                                      ReliableTransportOptions options)
     : sim_(sim), net_(net), options_(options) {
@@ -18,7 +29,7 @@ double ReliableTransport::EstimateRtt(NodeId from, NodeId to,
                                       std::size_t bytes) const {
   double bw = net_.options().bandwidth_bytes_per_sec;
   return 2.0 * net_.Latency(from, to) +
-         static_cast<double>(bytes + options_.ack_bytes) / bw;
+         static_cast<double>(bytes + kAckBytes) / bw;
 }
 
 double ReliableTransport::RetransmissionTimeout(MsgId id, std::size_t attempt,
@@ -31,7 +42,7 @@ double ReliableTransport::RetransmissionTimeout(MsgId id, std::size_t attempt,
     Rng jitter_rng(DeriveSeed(options_.seed, id, attempt));
     rto *= jitter_rng.Uniform(1.0 - options_.jitter, 1.0 + options_.jitter);
   }
-  return std::clamp(rto, options_.rto_min, options_.rto_max);
+  return std::clamp(rto, kRtoMin, kRtoMax);
 }
 
 ReliableTransport::MsgId ReliableTransport::SendReliable(
@@ -83,7 +94,7 @@ void ReliableTransport::Attempt(std::shared_ptr<Pending> p) {
               tracer->Instant("overload_shed", sim_.Now(), p->to, p->trace);
             }
             const double retry_after = v.retry_after;
-            net_.Send(p->to, p->from, options_.nack_bytes,
+            net_.Send(p->to, p->from, kNackBytes,
                       MessageType::kOverloadNack,
                       [this, p, retry_after] {
                         HandleOverloadNack(p, retry_after);
@@ -105,12 +116,12 @@ void ReliableTransport::Attempt(std::shared_ptr<Pending> p) {
         } else if (delivered_.insert(p->id).second && p->on_deliver) {
           p->on_deliver();
         }
-        net_.Send(p->to, p->from, options_.ack_bytes, MessageType::kAck,
+        net_.Send(p->to, p->from, kAckBytes, MessageType::kAck,
                   [this, p] { HandleAck(p); }, nullptr);
       },
       nullptr);
 
-  double base_rto = options_.rto_multiplier *
+  double base_rto = kRtoMultiplier *
                     EstimateRtt(p->from, p->to, p->bytes);
   double timeout = RetransmissionTimeout(p->id, attempt, base_rto);
   sim_.Schedule(timeout, [this, p, attempt] { HandleTimeout(p, attempt); });
@@ -174,7 +185,7 @@ void ReliableTransport::HandleOverloadNack(std::shared_ptr<Pending> p,
   if (Tracer* tracer = net_.tracer()) {
     tracer->Instant("overload_nack", sim_.Now(), p->from, p->trace);
   }
-  if (p->overload_rejects > options_.max_overload_retries) {
+  if (p->overload_rejects > kMaxOverloadRetries) {
     p->overloaded = true;
     GiveUp(std::move(p));
     return;
@@ -182,7 +193,7 @@ void ReliableTransport::HandleOverloadNack(std::shared_ptr<Pending> p,
   // Honor the server's retry-after (with deterministic jitter so a burst
   // of shed senders does not re-arrive in lockstep), suppressing the
   // standard backoff timer until the retry fires.
-  double delay = std::max(retry_after, options_.rto_min);
+  double delay = std::max(retry_after, kRtoMin);
   if (options_.jitter > 0.0) {
     Rng jitter_rng(
         DeriveSeed(options_.seed ^ 0x0AD, p->id, p->overload_rejects));
@@ -242,10 +253,6 @@ bool ReliableTransport::IsSuspected(NodeId node) const {
 
 std::size_t ReliableTransport::SuspicionLevel(NodeId node) const {
   return node < suspicion_.size() ? suspicion_[node] : 0;
-}
-
-void ReliableTransport::ClearSuspicion(NodeId node) {
-  if (node < suspicion_.size()) suspicion_[node] = 0;
 }
 
 }  // namespace p2pdt

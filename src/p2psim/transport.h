@@ -19,28 +19,14 @@ namespace p2pdt {
 struct ReliableTransportOptions {
   /// Retransmissions after the first attempt; attempts = max_retries + 1.
   std::size_t max_retries = 6;
-  /// Initial retransmission timeout = rto_multiplier × estimated RTT
-  /// (propagation both ways plus data and ACK transmission time).
-  double rto_multiplier = 3.0;
-  /// Floor / ceiling on any single timeout (seconds).
-  double rto_min = 0.05;
-  double rto_max = 30.0;
   /// Timeout growth per retry (exponential backoff).
   double backoff_factor = 2.0;
   /// Jitter: each timeout is scaled by a factor drawn uniformly from
   /// [1 - jitter, 1 + jitter] with a DeriveSeed(seed, msg_id, attempt)
   /// stream, so backoff schedules are bit-reproducible at any thread count.
   double jitter = 0.1;
-  /// Wire size of an acknowledgement.
-  std::size_t ack_bytes = 24;
   /// Consecutive give-ups targeting one peer before it is suspected dead.
   std::size_t suspicion_threshold = 2;
-  /// Overload rejects tolerated per message before giving up. Deliberately
-  /// much smaller than max_retries: hammering an overloaded peer with the
-  /// full retry budget is the retry storm that amplifies a flash crowd.
-  std::size_t max_overload_retries = 2;
-  /// Wire size of an overload NACK.
-  std::size_t nack_bytes = 24;
   uint64_t seed = 0x5EED7A6;
 };
 
@@ -77,6 +63,14 @@ struct AdmissionVerdict {
 /// (seed, msg_id, attempt), never by wall clock or thread identity.
 class ReliableTransport {
  public:
+  /// Floor / ceiling on any single timeout (seconds).
+  static constexpr double kRtoMin = 0.05;
+  static constexpr double kRtoMax = 30.0;
+  /// Overload rejects tolerated per message before giving up. Deliberately
+  /// much smaller than max_retries: hammering an overloaded peer with the
+  /// full retry budget is the retry storm that amplifies a flash crowd.
+  static constexpr std::size_t kMaxOverloadRetries = 2;
+
   using MsgId = uint64_t;
   using SuspicionListener = std::function<void(NodeId suspect)>;
   using AdmissionHook =
@@ -102,7 +96,6 @@ class ReliableTransport {
 
   bool IsSuspected(NodeId node) const;
   std::size_t SuspicionLevel(NodeId node) const;
-  void ClearSuspicion(NodeId node);
   void SetSuspicionListener(SuspicionListener listener) {
     suspicion_listener_ = std::move(listener);
   }
@@ -132,7 +125,7 @@ class ReliableTransport {
     MessageType type = MessageType::kCount;
     std::size_t attempts = 0;  // attempts issued so far
     bool settled = false;      // acked or given up
-    /// Overload NACKs received; capped by max_overload_retries.
+    /// Overload NACKs received; capped by kMaxOverloadRetries.
     std::size_t overload_rejects = 0;
     /// True while waiting out a server-suggested retry-after; suppresses
     /// the standard timeout path so a shed message is retried exactly once

@@ -4,6 +4,16 @@
 
 namespace p2pdt {
 
+namespace {
+
+/// Wire header of each flooded copy (carries the broadcast id peers use
+/// for duplicate suppression).
+constexpr std::size_t kHeaderBytes = 24;
+/// Neighbors contacted per hop in kGossip mode.
+constexpr std::size_t kGossipFanout = 3;
+
+}  // namespace
+
 UnstructuredOverlay::UnstructuredOverlay(Simulator& sim, PhysicalNetwork& net,
                                          UnstructuredOptions options)
     : sim_(sim), net_(net), options_(options), rng_(options.seed) {}
@@ -81,16 +91,16 @@ void UnstructuredOverlay::Broadcast(NodeId origin, std::size_t payload_bytes,
     st->relay = nullptr;  // break the cycle
   };
 
-  std::size_t bytes = payload_bytes + options_.header_bytes;
+  std::size_t bytes = payload_bytes + kHeaderBytes;
   st->relay = [this, st, bytes, type, finish_one](NodeId at, int ttl) {
     if (ttl <= 0) return;
     // Flooding forwards to every neighbor; gossip samples a fanout-sized
     // random subset per hop.
     std::vector<NodeId> targets = adjacency_[at];
     if (options_.mode == DisseminationMode::kGossip &&
-        targets.size() > options_.gossip_fanout) {
+        targets.size() > kGossipFanout) {
       rng_.Shuffle(targets);
-      targets.resize(options_.gossip_fanout);
+      targets.resize(kGossipFanout);
     }
     for (NodeId nb : targets) {
       // Senders do not know receiver liveness; they do suppress neighbors

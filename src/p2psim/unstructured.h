@@ -17,7 +17,7 @@ enum class DisseminationMode {
   /// Forward to every neighbor (Gnutella query flooding): maximal
   /// redundancy, fastest coverage, highest cost.
   kFlood,
-  /// Push gossip: forward to `gossip_fanout` random neighbors per round.
+  /// Push gossip: forward to kGossipFanout (3) random neighbors per round.
   /// Epidemic dissemination — near-full coverage at a fraction of
   /// flooding's message count, at the price of probabilistic misses.
   kGossip,
@@ -30,10 +30,6 @@ struct UnstructuredOptions {
   /// ceil(log_{d-1} N) + slack reaches nearly everyone.
   int flood_ttl = 8;
   DisseminationMode mode = DisseminationMode::kFlood;
-  /// Neighbors contacted per hop in kGossip mode.
-  std::size_t gossip_fanout = 3;
-  /// Per-message duplicate-suppression: peers remember broadcast ids.
-  std::size_t header_bytes = 24;
   uint64_t seed = 13;
 };
 

@@ -17,7 +17,6 @@ constexpr std::size_t kDocsPerClaim = 32;
 
 Preprocessor::Preprocessor(Options options)
     : options_(options),
-      tokenizer_(options.tokenizer),
       vectorizer_(options.vectorizer),
       lexicon_(options.hashed_dimensions > 0
                    ? Lexicon::Hashed(options.hashed_dimensions)

@@ -26,7 +26,6 @@ namespace p2pdt {
 /// One `Preprocessor` is owned per peer; with a hashed lexicon all peers
 /// produce id-compatible vectors without exchanging vocabulary state.
 struct PreprocessorOptions {
-  TokenizerOptions tokenizer;
   VectorizerOptions vectorizer;
   /// When > 0 the lexicon uses the hashing trick with this many
   /// dimensions; when 0 ids grow densely in first-seen order.

@@ -2,8 +2,6 @@
 
 namespace p2pdt {
 
-Tokenizer::Tokenizer(TokenizerOptions options) : options_(options) {}
-
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
   ForEachToken(text,

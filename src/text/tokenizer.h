@@ -8,31 +8,23 @@
 
 namespace p2pdt {
 
-/// Options controlling tokenization of raw document text.
-struct TokenizerOptions {
-  /// Lowercase tokens (matches IR convention; the paper's preprocessing is
-  /// case-insensitive because tags and words are matched by id).
-  bool lowercase = true;
-  /// Minimum token length after normalization; shorter tokens are dropped.
-  std::size_t min_token_length = 2;
-  /// Maximum token length; longer tokens (base64 blobs, URLs run-ons) are
-  /// dropped rather than truncated.
-  std::size_t max_token_length = 40;
-  /// Keep tokens containing digits ("win32", "2010"). Pure punctuation is
-  /// always dropped.
-  bool keep_alphanumeric = true;
-};
-
 /// Splits raw text into word tokens: maximal runs of ASCII letters/digits
 /// (plus intra-word apostrophes, which are stripped). Everything else —
-/// punctuation, whitespace, control characters — is a separator.
+/// punctuation, whitespace, control characters — is a separator. Tokens
+/// are lowercased (the paper's preprocessing is case-insensitive because
+/// tags and words are matched by id); tokens with digits ("win32", "2010")
+/// are kept.
 ///
 /// This is the first stage of the paper's Document Preprocessing step
 /// (Sec. 2): tokenize → stop-word / sensitive-word filter → Porter stem →
 /// vectorize.
 class Tokenizer {
  public:
-  explicit Tokenizer(TokenizerOptions options = {});
+  /// Minimum token length after normalization; shorter tokens are dropped.
+  static constexpr std::size_t kMinTokenLength = 2;
+  /// Maximum token length; longer tokens (base64 blobs, URLs run-ons) are
+  /// dropped rather than truncated.
+  static constexpr std::size_t kMaxTokenLength = 40;
 
   /// Calls `visit(std::string_view token)` for each normalized token of
   /// `text`, in order. Tokens are built in one reused buffer, so nothing is
@@ -42,36 +34,22 @@ class Tokenizer {
 
   /// Tokenizes `text` into normalized tokens (ForEachToken, collected).
   std::vector<std::string> Tokenize(std::string_view text) const;
-
-  const TokenizerOptions& options() const { return options_; }
-
- private:
-  bool Keep(std::size_t length) const {
-    return length >= options_.min_token_length &&
-           length <= options_.max_token_length;
-  }
-
-  TokenizerOptions options_;
 };
 
 template <typename Visit>
 void Tokenizer::ForEachToken(std::string_view text, Visit&& visit) const {
-  // Tokens longer than max_token_length are dropped, so the buffer stops
+  // Tokens longer than kMaxTokenLength are dropped, so the buffer stops
   // filling there and `length` alone decides. No token outgrows the text.
-  std::string buffer(std::min(options_.max_token_length, text.size()) + 1,
-                     '\0');
+  std::string buffer(std::min(kMaxTokenLength, text.size()) + 1, '\0');
   char* const token = buffer.data();
   const std::size_t capacity = buffer.size();
   std::size_t length = 0;
-  bool has_digit = false;
 
   auto flush = [&] {
-    if (length > 0 && (!has_digit || options_.keep_alphanumeric) &&
-        Keep(length)) {
+    if (length >= kMinTokenLength && length <= kMaxTokenLength) {
       visit(std::string_view(token, length));
     }
     length = 0;
-    has_digit = false;
   };
   auto append = [&](char ch) {
     if (length < capacity) token[length] = ch;
@@ -84,10 +62,9 @@ void Tokenizer::ForEachToken(std::string_view text, Visit&& visit) const {
     const unsigned char c = static_cast<unsigned char>(raw);
     const unsigned char lower = c | 0x20;
     if (static_cast<unsigned char>(lower - 'a') < 26) {
-      append(options_.lowercase ? static_cast<char>(lower) : raw);
+      append(static_cast<char>(lower));
     } else if (static_cast<unsigned char>(c - '0') < 10) {
       append(raw);
-      has_digit = true;
     } else if (raw == '\'' && length > 0) {
       // Intra-word apostrophe ("don't" -> "dont"): strip, keep the run going.
       continue;

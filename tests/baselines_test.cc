@@ -84,21 +84,11 @@ TEST(CentralizedTest, ShipsRawDataToCoordinator) {
 
 TEST(CentralizedTest, CoordinatorIsSinglePointOfFailure) {
   auto env = MakeEnv(8);
-  CentralizedOptions opt;
-  opt.coordinator = 2;
-  CentralizedClassifier algo(env->sim(), env->net(), opt);
+  CentralizedClassifier algo(env->sim(), env->net());
   ASSERT_TRUE(TrainSync(*env, algo, MakePeerData(8, 10, 3), 3).ok());
-  ASSERT_TRUE(PredictSync(*env, algo, 0, TagVector(0)).success);
-  env->net().SetOnline(2, false);
-  EXPECT_FALSE(PredictSync(*env, algo, 0, TagVector(0)).success);
-}
-
-TEST(CentralizedTest, RejectsBadCoordinator) {
-  auto env = MakeEnv(4);
-  CentralizedOptions opt;
-  opt.coordinator = 99;
-  CentralizedClassifier algo(env->sim(), env->net(), opt);
-  EXPECT_FALSE(algo.Setup(MakePeerData(4, 4, 4), 3).ok());
+  ASSERT_TRUE(PredictSync(*env, algo, 1, TagVector(0)).success);
+  env->net().SetOnline(CentralizedClassifier::kCoordinator, false);
+  EXPECT_FALSE(PredictSync(*env, algo, 1, TagVector(0)).success);
 }
 
 TEST(LocalOnlyTest, ZeroCommunication) {

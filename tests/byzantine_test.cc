@@ -99,20 +99,19 @@ TEST(AdversaryPlanTest, DeterministicFractionalSelection) {
 // Sanitation bounds.
 
 TEST(SanitizeTest, RejectsNonFiniteAndOversizedValues) {
-  SanitizeOptions opts;
-  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, 1.0}}), opts),
+  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, 1.0}})),
             ModelRejectReason::kNone);
-  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, kNan}}), opts),
+  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, kNan}})),
             ModelRejectReason::kNonFinite);
-  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, kInf}}), opts),
+  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, kInf}})),
             ModelRejectReason::kNonFinite);
-  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, 1.0e30}}), opts),
+  EXPECT_EQ(SanitizeVector(SparseVector::FromPairs({{3, 1.0e30}})),
             ModelRejectReason::kNormBound);
-  EXPECT_EQ(SanitizeVector(
-                SparseVector::FromPairs({{opts.max_dimension, 1.0}}), opts),
-            ModelRejectReason::kDimension);
+  EXPECT_EQ(
+      SanitizeVector(SparseVector::FromPairs({{kSanitizeMaxDimension, 1.0}})),
+      ModelRejectReason::kDimension);
 
-  EXPECT_EQ(SanitizeLinear(LinearSvmModel(SparseVector(), kNan), opts),
+  EXPECT_EQ(SanitizeLinear(LinearSvmModel(SparseVector(), kNan)),
             ModelRejectReason::kNonFinite);
 }
 

@@ -208,11 +208,9 @@ TEST(ChordTest, StabilizationRunsPeriodically) {
 }
 
 TEST(ChordTest, HashToKeyDeterministicAndMasked) {
-  ChordOptions opt;
-  opt.key_bits = 16;
-  Ring ring(4, opt);
+  Ring ring(4);
   EXPECT_EQ(ring.chord->HashToKey(5), ring.chord->HashToKey(5));
-  EXPECT_LT(ring.chord->HashToKey(5), uint64_t{1} << 16);
+  EXPECT_LT(ring.chord->HashToKey(5), uint64_t{1} << ChordOverlay::kKeyBits);
 }
 
 TEST(ChordTest, LookupsStayConsistentUnderSustainedChurn) {

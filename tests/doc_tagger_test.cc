@@ -187,9 +187,7 @@ TEST(DocTaggerTest, GlobalScorerDrivesSuggestions) {
 }
 
 TEST(DocTaggerTest, GlobalAndLocalScoresBlend) {
-  DocTaggerOptions options;
-  options.global_weight = 0.5;
-  DocTagger tagger(options);
+  DocTagger tagger;
   for (const char* text : kCookingDocs) tagger.AddDocument("c", text);
   for (DocId id = 0; id < 4; ++id) {
     ASSERT_TRUE(tagger.ManualTag(id, {"cooking"}).ok());

@@ -131,16 +131,6 @@ TEST(LinearSvmTest, WireSizeTracksSparsity) {
   EXPECT_EQ(model->WireSize(), model->weights().WireSize() + 8);
 }
 
-TEST(LinearSvmTest, BiasDisabled) {
-  LinearSvmOptions opt;
-  opt.use_bias = false;
-  std::vector<Example> data = {Make({{0, 1.0}}, 1), Make({{1, 1.0}}, -1)};
-  Result<LinearSvmModel> model = TrainLinearSvm(data, opt);
-  ASSERT_TRUE(model.ok());
-  EXPECT_DOUBLE_EQ(model->bias(), 0.0);
-  EXPECT_GT(model->Decision(data[0].x), 0.0);
-}
-
 // Property sweep: for any soft-margin C, separable data must be classified
 // perfectly and the solution must respect the dual box constraints
 // (verified indirectly via the margin bound y·f(x) growing with C).

@@ -331,7 +331,6 @@ TEST(LoadGenTest, ClosedLoopNeverOverlapsWithinSession) {
   opt.sessions = 3;
   opt.min_docs = 4;
   opt.max_docs = 6;
-  opt.think_time = 0.01;
   Simulator sim;
   StubClassifier stub(sim, 0.2);
   // 3 sessions on 3 distinct requesters: closed-loop sessions wait for the

@@ -45,18 +45,6 @@ TEST(PassiveAggressiveTest, RepeatedUpdatesConverge) {
                    std::max(0.0, 1.0 - model.Decision(x)));
 }
 
-TEST(PassiveAggressiveTest, LargerCMovesFaster) {
-  LinearSvmModel slow, fast;
-  SparseVector x = X({{0, 1.0}});
-  OnlineUpdateOptions small;
-  small.c = 0.1;
-  OnlineUpdateOptions big;
-  big.c = 10.0;
-  PassiveAggressiveUpdate(slow, x, 1.0, small);
-  PassiveAggressiveUpdate(fast, x, 1.0, big);
-  EXPECT_GT(fast.Decision(x), slow.Decision(x));
-}
-
 OneVsAllModel TwoTagModel() {
   OneVsAllModel model;
   model.SetModel(0, std::make_unique<LinearSvmModel>(X({{0, 1.0}}), 0.0));

@@ -34,7 +34,8 @@ const VectorizedCorpus& SmallCorpus() {
 /// them, with direct access for fine-grained cache assertions.
 struct Trained {
   std::unique_ptr<Environment> env;
-  std::unique_ptr<P2PClassifier> algo;
+  std::unique_ptr<P2PClassifier> owned;
+  StatefulP2PClassifier* algo = nullptr;
   CorpusSplit split;
 
   static Trained Make(AlgorithmType algorithm,
@@ -43,21 +44,12 @@ struct Trained {
     Trained t;
     t.split = SplitCorpus(corpus, 0.2, 777);
 
-    EnvironmentOptions env_options;
-    env_options.num_peers = corpus.num_users;
-    env_options.observe.metrics = true;
-    Result<std::unique_ptr<Environment>> env = Environment::Create(env_options);
-    EXPECT_TRUE(env.ok());
-    t.env = std::move(env).value();
-
     ExperimentOptions algo_options;
     algo_options.algorithm = algorithm;
+    algo_options.env.num_peers = corpus.num_users;
+    algo_options.env.observe.metrics = true;
     algo_options.pace.predict_cache = cache;
     algo_options.cempar.predict_cache = cache;
-    Result<std::unique_ptr<P2PClassifier>> algo =
-        MakeClassifier(*t.env, algo_options);
-    EXPECT_TRUE(algo.ok());
-    t.algo = std::move(algo).value();
 
     auto shared = std::make_shared<const MultiLabelDataset>(t.split.train);
     DataDistributionOptions dist;
@@ -69,11 +61,13 @@ struct Trained {
     for (std::size_t p = 0; p < corpus.num_users; ++p) {
       shards.emplace_back(shared, std::move((*indices)[p]));
     }
-    EXPECT_TRUE(
-        t.algo->SetupShards(std::move(shards), corpus.dataset.num_tags())
-            .ok());
+    Result<SimulatedClassifier> sim = SetupClassifier(
+        algo_options, std::move(shards), corpus.dataset.num_tags());
+    EXPECT_TRUE(sim.ok());
+    t.env = std::move(sim->env);
+    t.owned = std::move(sim->algo);
+    t.algo = sim->stateful;
 
-    t.env->StartDynamics();
     bool done = false;
     t.algo->Train([&](Status s) {
       EXPECT_TRUE(s.ok()) << s.ToString();
@@ -97,7 +91,7 @@ struct Trained {
   }
 
   const PredictCacheSet* cache() const {
-    return algo->runtime()->predict_cache();
+    return algo->runtime().predict_cache();
   }
 };
 

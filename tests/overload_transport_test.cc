@@ -87,9 +87,7 @@ TEST(OverloadTransportTest, ShedThenAcceptRetriesAtRetryAfter) {
 }
 
 TEST(OverloadTransportTest, PersistentOverloadGivesUpWithoutSuspicion) {
-  ReliableTransportOptions topt;
-  topt.max_overload_retries = 2;
-  Fixture f(4, {}, topt);
+  Fixture f(4);
   f.transport.SetAdmissionHook([](NodeId, MessageType) {
     AdmissionVerdict v;
     v.accept = false;
@@ -103,9 +101,11 @@ TEST(OverloadTransportTest, PersistentOverloadGivesUpWithoutSuspicion) {
   f.sim.RunUntil(300.0);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(gave_up, 1);
-  // Initial attempt + max_overload_retries retries, each shed and NACKed.
-  EXPECT_EQ(f.net.stats().dropped(DropReason::kOverloadShed), 3u);
-  EXPECT_EQ(f.transport.overload_rejects(), 3u);
+  // Initial attempt + kMaxOverloadRetries retries, each shed and NACKed.
+  EXPECT_EQ(f.net.stats().dropped(DropReason::kOverloadShed),
+            1 + ReliableTransport::kMaxOverloadRetries);
+  EXPECT_EQ(f.transport.overload_rejects(),
+            1 + ReliableTransport::kMaxOverloadRetries);
   // An overloaded server answered every attempt — that is proof of life,
   // not death: the failure detector must NOT suspect it.
   EXPECT_FALSE(f.transport.IsSuspected(1));

@@ -186,11 +186,12 @@ ServeOptions Defended() {
 /// Drives one protocol through one scenario and digests what it answered.
 class Runner {
  public:
-  Runner(std::unique_ptr<Environment> env, std::unique_ptr<P2PClassifier> algo)
+  Runner(std::unique_ptr<Environment> env,
+         std::unique_ptr<StatefulP2PClassifier> algo)
       : env_(std::move(env)), algo_(std::move(algo)) {}
 
   Environment& env() { return *env_; }
-  P2PClassifier& algo() { return *algo_; }
+  StatefulP2PClassifier& algo() { return *algo_; }
 
   void Train(std::vector<MultiLabelDataset> data) {
     ASSERT_TRUE(algo_->Setup(std::move(data), kTags).ok());
@@ -282,7 +283,7 @@ class Runner {
 
  private:
   std::unique_ptr<Environment> env_;
-  std::unique_ptr<P2PClassifier> algo_;
+  std::unique_ptr<StatefulP2PClassifier> algo_;
   Fnv64 tags_{kPinBasis};
   Fnv64 scores_{kPinBasis};
   std::size_t cached_ = 0;

@@ -49,7 +49,7 @@ std::string ScratchDir(const void* self) {
 
 struct Fixture {
   std::unique_ptr<Environment> env;
-  std::unique_ptr<P2PClassifier> algo;
+  std::unique_ptr<StatefulP2PClassifier> algo;
 
   Fixture(AlgorithmType type, std::size_t peers,
           ChurnType churn = ChurnType::kNone) {
@@ -110,7 +110,6 @@ class SnapshotRestoreTest : public ::testing::TestWithParam<AlgorithmType> {};
 TEST_P(SnapshotRestoreTest, RoundTripIsByteExact) {
   Fixture f(GetParam(), 10);
   ASSERT_TRUE(f.Train(MakePeerData(10, 8, 1)).ok());
-  ASSERT_TRUE(f.algo->SupportsDurability());
 
   Result<std::string> blob = f.algo->Snapshot(3);
   ASSERT_TRUE(blob.ok());

@@ -254,7 +254,7 @@ TEST(ReliableProtocolsTest, CemparReplicatesAndPromotesStandbys) {
   // standby is promoted. Other homes still answer, so it succeeds.
   P2PPrediction first = f.PredictSync(requester, TagVector(0));
   EXPECT_TRUE(first.success);
-  EXPECT_TRUE(f.cempar->runtime()->transport()->IsSuspected(victim));
+  EXPECT_TRUE(f.cempar->runtime().transport()->IsSuspected(victim));
   // Promotion restored every home to a live owner.
   EXPECT_EQ(f.cempar->NumLiveHomes(), 4u);
 

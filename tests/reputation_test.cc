@@ -48,9 +48,8 @@ MultiLabelDataset TwoTagDataset() {
   return data;
 }
 
-ReputationManager MakeManager(std::size_t num_peers,
-                              ReputationOptions opts = {}) {
-  ReputationManager rep(opts, /*metrics=*/nullptr, "test");
+ReputationManager MakeManager(std::size_t num_peers) {
+  ReputationManager rep(ReputationOptions{}, /*metrics=*/nullptr, "test");
   rep.Reset(num_peers);
   return rep;
 }
@@ -128,9 +127,7 @@ TEST(ReputationTest, ScoreOneVsAllHonorsInformedFilter) {
 }
 
 TEST(ReputationTest, ObserveFirstSetsThenEwma) {
-  ReputationOptions opts;
-  opts.ewma_alpha = 0.4;
-  ReputationManager rep = MakeManager(4, opts);
+  ReputationManager rep = MakeManager(4);
   EXPECT_DOUBLE_EQ(rep.Trust(0, 1), 1.0);  // unseen peers are trusted
 
   rep.Observe(0, 1, 0.8);
@@ -146,7 +143,6 @@ TEST(ReputationTest, ObserveFirstSetsThenEwma) {
 
 TEST(ReputationTest, QuarantineLifecycle) {
   ReputationManager rep = MakeManager(4);
-  const ReputationOptions& o = rep.options();
 
   // Decay -> exclusion: an anti-correlated score lands below the
   // quarantine threshold in one observation; only the transition edge
@@ -160,14 +156,14 @@ TEST(ReputationTest, QuarantineLifecycle) {
   EXPECT_FALSE(rep.IsQuarantined(2, 1));
 
   // Probation -> re-admission with hysteresis: trust must climb back past
-  // readmit_threshold (0.5), strictly above the quarantine line (0.3).
+  // kReadmitThreshold (0.5), strictly above the quarantine line (0.3).
   std::size_t probes = 0;
   while (rep.IsQuarantined(0, 1) && probes < 32) {
     rep.Observe(0, 1, 1.0);
     ++probes;
   }
   EXPECT_FALSE(rep.IsQuarantined(0, 1));
-  EXPECT_GE(rep.Trust(0, 1), o.readmit_threshold);
+  EXPECT_GE(rep.Trust(0, 1), ReputationManager::kReadmitThreshold);
   EXPECT_GT(probes, 1u);  // hysteresis: one good probe is not enough
   EXPECT_EQ(rep.num_quarantined(), 0u);
   EXPECT_EQ(rep.total_readmissions(), 1u);
@@ -176,8 +172,8 @@ TEST(ReputationTest, QuarantineLifecycle) {
 
 TEST(ReputationTest, SuspectBandBetweenThresholds) {
   ReputationManager rep = MakeManager(4);
-  const ReputationOptions& o = rep.options();
-  double mid = 0.5 * (o.quarantine_threshold + o.suspect_threshold);
+  double mid = 0.5 * (ReputationManager::kQuarantineThreshold +
+                      ReputationManager::kSuspectThreshold);
 
   rep.Observe(0, 1, mid);
   EXPECT_FALSE(rep.IsQuarantined(0, 1));

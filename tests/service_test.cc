@@ -389,10 +389,10 @@ TEST(ServiceDaemonTest, FaultInjectorFullScriptPasses) {
   fo.io_timeout = 5.0;
   Result<SocketFaultReport> report = RunSocketFaults(fo);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_EQ(report->resets_done, fo.resets);
-  EXPECT_EQ(report->partial_frames_ok, fo.partial_write_frames);
+  EXPECT_EQ(report->resets_done, kSocketFaultResets);
+  EXPECT_EQ(report->partial_frames_ok, kSocketFaultPartialWriteFrames);
   EXPECT_GT(report->typed_errors_received, 0);
-  EXPECT_EQ(report->stalls_reaped, fo.mid_frame_stalls);
+  EXPECT_EQ(report->stalls_reaped, kSocketFaultMidFrameStalls);
   EXPECT_GT(report->flood_refused_typed + report->flood_refused_closed, 0);
   EXPECT_TRUE(report->liveness_ok);
   h.StopAndJoin();

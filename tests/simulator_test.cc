@@ -1,5 +1,7 @@
 #include "p2psim/simulator.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace p2pdt {
@@ -52,6 +54,21 @@ TEST(SimulatorTest, ScheduleAtClampsToNow) {
   sim.ScheduleAt(2.0, [&] { when = sim.Now(); });
   sim.RunAll();
   EXPECT_DOUBLE_EQ(when, 10.0);
+}
+
+TEST(SimulatorTest, NonFiniteTimeRunsNow) {
+  Simulator sim;
+  sim.RunUntil(5.0);
+  std::vector<double> ran_at;
+  sim.ScheduleAt(std::numeric_limits<double>::infinity(),
+                 [&] { ran_at.push_back(sim.Now()); });
+  sim.ScheduleAt(std::numeric_limits<double>::quiet_NaN(),
+                 [&] { ran_at.push_back(sim.Now()); });
+  sim.Schedule(std::numeric_limits<double>::infinity(),
+               [&] { ran_at.push_back(sim.Now()); });
+  sim.RunAll();
+  EXPECT_EQ(ran_at, (std::vector<double>{5.0, 5.0, 5.0}));
+  EXPECT_DOUBLE_EQ(sim.Now(), 5.0);  // time never goes backward
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundaryInclusive) {

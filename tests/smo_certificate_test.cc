@@ -7,7 +7,7 @@
 //    training example, y·f(x) >= 1 - tol when alpha = 0, |y·f(x) - 1| <= tol
 //    when 0 < alpha < C, and y·f(x) <= 1 + tol when alpha = C;
 //  - the equality constraint sum(alpha·y) = 0 up to rounding;
-//  - no problem stopped at max_iterations (the SMO iteration count comes
+//  - no problem stopped at kSmoMaxIterations (the SMO iteration count comes
 //    from the cost ledger).
 // The duality gap of each problem is printed. PACE's dual coordinate
 // descent keeps its duals internal, so it is not certified here.
@@ -92,18 +92,18 @@ Certificate Certify(const KernelSvmModel& model,
 
   double quad = 0.0;  // alpha^T Q alpha = sum_i alpha_i y_i (f(x_i) - b)
   double slack = 0.0;
-  cert.worst_violation = -options.tolerance;
+  cert.worst_violation = -kSmoTolerance;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const double y = data[i].y;
     const double margin = y * model.Decision(data[i].x);
     double excess = 0.0;  // how far outside [condition] +- tol, minus tol
     if (alpha[i] == 0.0) {
-      excess = (1.0 - margin) - options.tolerance;
+      excess = (1.0 - margin) - kSmoTolerance;
     } else if (alpha[i] < options.c) {
       ++cert.free_svs;
-      excess = std::fabs(margin - 1.0) - options.tolerance;
+      excess = std::fabs(margin - 1.0) - kSmoTolerance;
     } else {
-      excess = (margin - 1.0) - options.tolerance;
+      excess = (margin - 1.0) - kSmoTolerance;
     }
     if (excess > cert.worst_violation) {
       cert.worst_violation = excess;
@@ -145,8 +145,8 @@ void ExpectCertified(const std::string& name, const KernelSvmModel& model,
       name.c_str(), c.n, model.num_support_vectors(), c.free_svs,
       static_cast<unsigned long long>(iterations), c.worst_violation,
       c.sum_alpha_y, gap, gap / std::max(1.0, std::fabs(c.primal)));
-  EXPECT_LT(iterations, static_cast<uint64_t>(options.max_iterations))
-      << "SMO stopped at max_iterations";
+  EXPECT_LT(iterations, static_cast<uint64_t>(kSmoMaxIterations))
+      << "SMO stopped at kSmoMaxIterations";
   if (!may_use_fallback) {
     EXPECT_GT(c.free_svs, 0u) << "bias came from the all-at-bound fallback";
   }

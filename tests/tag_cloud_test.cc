@@ -78,17 +78,6 @@ TEST(TagCloudTest, EdgesCarryCoOccurrenceWeights) {
   }
 }
 
-TEST(TagCloudTest, MinEdgeWeightFilters) {
-  TagLibrary lib;
-  lib.Index(Doc(0, {"a", "b"}));
-  lib.Index(Doc(1, {"a", "b"}));
-  lib.Index(Doc(2, {"a", "c"}));
-  TagCloudOptions opt;
-  opt.min_edge_weight = 2;
-  TagCloud cloud = TagCloud::Build(lib, opt);
-  ASSERT_EQ(cloud.edges().size(), 1u);
-}
-
 TEST(TagCloudTest, DisconnectedTagsFormClusters) {
   TagLibrary lib;
   lib.Index(Doc(0, {"a", "b"}));

@@ -280,9 +280,7 @@ TEST(ChordTraceTest, LookupHopsNestUnderLookupSpan) {
   PhysicalNetwork net(sim);
   Tracer tracer;
   net.SetTracer(&tracer);
-  ChordOptions copt;
-  copt.key_bits = 16;
-  ChordOverlay chord(sim, net, copt);
+  ChordOverlay chord(sim, net);
   net.AddNodes(32);
   for (NodeId n = 0; n < 32; ++n) chord.AddNode(n);
   chord.Bootstrap();

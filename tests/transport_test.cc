@@ -191,12 +191,11 @@ TEST(TransportTest, BackoffGrowsAndJitterIsDeterministic) {
 }
 
 TEST(TransportTest, TimeoutsClampToConfiguredRange) {
-  ReliableTransportOptions topt;
-  topt.rto_min = 0.2;
-  topt.rto_max = 1.0;
-  Fixture f(2, {}, topt);
-  EXPECT_GE(f.transport.RetransmissionTimeout(1, 0, 1e-6), 0.2);
-  EXPECT_LE(f.transport.RetransmissionTimeout(1, 20, 0.5), 1.0);
+  Fixture f(2);
+  EXPECT_GE(f.transport.RetransmissionTimeout(1, 0, 1e-6),
+            ReliableTransport::kRtoMin);
+  EXPECT_LE(f.transport.RetransmissionTimeout(1, 20, 0.5),
+            ReliableTransport::kRtoMax);
 }
 
 TEST(TransportTest, RttEstimateCoversBothDirections) {

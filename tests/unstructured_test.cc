@@ -131,7 +131,6 @@ TEST(UnstructuredTest, GossipCoversMostPeersCheaper) {
   flood_opt.flood_ttl = 10;
   UnstructuredOptions gossip_opt = flood_opt;
   gossip_opt.mode = DisseminationMode::kGossip;
-  gossip_opt.gossip_fanout = 3;
 
   auto run = [](const UnstructuredOptions& opt) {
     Graph g(120, opt);

@@ -17,6 +17,9 @@ churn, byzantine, drift, overload or service. A spec is data:
   identities   rows matching `where`, grouped by `key`, must agree on the
                `agree` columns (every other column when None) and hold one
                row per value of `pair`
+  contrasts    rows matching `where` must differ, in some column that is
+               neither in `key` nor an enum, from the `base` row with the
+               same `key`
   each_algorithm_has   rows every algorithm must have
 
 plus one strict-witness function, the acceptance bar --strict adds.
@@ -25,8 +28,9 @@ plus one strict-witness function, the acceptance bar --strict adds.
 repository's bench_results/ must pass --strict; then one corruption
 per spec entry must fail with that entry's message: a dropped column, an
 unknown enum value, a value outside [0, 1], a negative count or real, a
-broken row rule, one perturbed member of an identity group, an algorithm
-missing required rows, and (failing --strict only) a degraded witness row.
+broken row rule, one perturbed member of an identity group, a contrasted
+row overwritten with its base row, an algorithm missing required rows,
+and (failing --strict only) a degraded witness row.
 
 Pure stdlib. Exit codes: 0 ok, 1 violation or selfcheck failure, 2 usage
 or IO error.
@@ -65,6 +69,10 @@ def rule(text, then, corrupt, when=lambda r: True):
 def identity(text, key, agree, pair=None, where=lambda r: True):
     return {"text": text, "where": where, "key": key, "agree": agree,
             "pair": pair}
+
+
+def contrast(text, key, base, where):
+    return {"text": text, "key": key, "base": base, "where": where}
 
 
 # Row rules several CSVs share, each written once.
@@ -147,6 +155,17 @@ SPECS["fault"] = {
                  pair=("reliable", FLAG),
                  where=lambda r: (num(r, "loss_rate") == 0.0
                                   and r["plan"] == "none")),
+    ],
+    # A fault window that opens after the run has ended leaves its row
+    # equal to plan=none. Exempt: spike (no column times its delay) and
+    # fire-and-forget rows, whose one-shot traffic may all fall outside
+    # the window.
+    "contrasts": [
+        contrast("each fault plan but spike changes its reliable row",
+                 key=["algorithm", "loss_rate", "reliable"],
+                 base=lambda r: r["plan"] == "none",
+                 where=lambda r: (r["reliable"] == "1"
+                                  and r["plan"] not in ("none", "spike"))),
     ],
     "witness": fault_witness,
     "degrade": lambda rows: next(
@@ -617,6 +636,13 @@ def validate(spec, header, rows, strict):
                 if len({r[col] for r in group}) > 1:
                     errors.append(f"{label}: rows disagree on {col} "
                                   f"{sorted({r[col] for r in group})}")
+    for con in spec.get("contrasts", []):
+        for r, base in contrasted(con, rows):
+            label = f"'{con['text']}' for {'/'.join(r[k] for k in con['key'])}"
+            if base is None:
+                errors.append(f"{label}: no base row")
+            elif all(r[c] == base[c] for c in contrasted_columns(con, spec)):
+                errors.append(f"{label}: {r['plan']} row equals its base")
     for text, pred in spec.get("each_algorithm_has", []):
         for algo in algorithms(rows):
             if not any(r["algorithm"] == algo and pred(r) for r in rows):
@@ -640,6 +666,19 @@ def agreed_columns(ident, spec):
     pair_col = ident["pair"][0] if ident["pair"] else None
     return [c for c in spec["columns"]
             if c != pair_col and c not in ident["key"]]
+
+
+def contrasted(con, rows):
+    """(row, its base row or None) for every row the contrast checks."""
+    bases = {tuple(r[k] for k in con["key"]): r for r in rows
+             if con["base"](r)}
+    return [(r, bases.get(tuple(r[k] for k in con["key"])))
+            for r in rows if con["where"](r)]
+
+
+def contrasted_columns(con, spec):
+    return [c for c in spec["columns"]
+            if c not in con["key"] and c not in spec["enums"]]
 
 
 def load(path):
@@ -721,6 +760,16 @@ def corruptions(spec, header, rows):
             group[-1][col] = perturb(group[-1][col])
         yield (f"identity '{ident['text']}'", *edited(perturb_member), False,
                f"'{ident['text']}'")
+    for con in spec.get("contrasts", []):
+        def copy_base(c, t, con=con):
+            pair = next(((r, b) for r, b in contrasted(con, t)
+                         if b is not None), None)
+            if pair is None:
+                raise LookupError(f"no row exercises '{con['text']}'")
+            row, base = pair
+            row.update({k: base[k] for k in contrasted_columns(con, spec)})
+        yield (f"contrast '{con['text']}'", *edited(copy_base), False,
+               f"'{con['text']}'")
     for text, pred in spec.get("each_algorithm_has", []):
         def drop_rows(c, t, pred=pred):
             algo = t[0]["algorithm"]

@@ -108,8 +108,8 @@ Result<std::vector<SparseVector>> MakeCatalog(const Flags& flags) {
   corpus_options.seed = flags.seed;
   Result<VectorizedCorpus> corpus = MakeVectorizedCorpus(corpus_options);
   if (!corpus.ok()) return corpus.status();
-  return BuildServiceCatalog(*corpus, /*train_fraction=*/0.2, flags.max_docs,
-                             flags.seed);
+  // The daemon's split (kTrainFraction) is fixed, so the catalog matches.
+  return BuildServiceCatalog(*corpus, flags.max_docs, flags.seed);
 }
 
 }  // namespace
