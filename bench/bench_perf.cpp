@@ -19,11 +19,10 @@ using namespace p2pdt_bench;
 namespace {
 
 /// Scale-tier settings mirroring bench_scalability's ScaleDefaults:
-/// sharded simulation, sampled evaluation, windowed dissemination.
+/// sampled evaluation, windowed dissemination.
 ExperimentOptions TierOptions(AlgorithmType algorithm,
                               std::size_t num_peers) {
   ExperimentOptions opt = MacroDefaults(algorithm, num_peers);
-  opt.sim_shards = 8;
   opt.max_eval_peers = 64;
   opt.max_test_documents = 100;
   opt.pace.max_concurrent_broadcasts = 64;

@@ -1,8 +1,8 @@
 // DEMO2 — "modifying the network parameters, such as the network size"
 // (paper Sec. 3): accuracy and communication cost as the number of peers
 // grows from 16 to 512 on the same corpus, then the scale tier: 1k / 10k /
-// 100k peers on the flyweight + binary-heap event queue + sharded engine,
-// with wall-clock and peak-RSS recorded per row.
+// 100k peers on the flyweight + binary-heap event queue engine, with
+// wall-clock and peak-RSS recorded per row.
 //
 // Expected shape: accuracy roughly flat for CEMPaR / Centralized (the same
 // pooled knowledge, just spread thinner per peer); PACE degrades slightly
@@ -30,13 +30,12 @@ constexpr double kMiB = 1024.0 * 1024.0;
 // past this.
 constexpr double kSmokeRssCeilingMib = 4096.0;
 
-/// Scale-tier settings: sharded training, windowed dissemination, sampled
-/// evaluation. Every knob is bit-identical-by-construction or
-/// measurement-only, so rows stay comparable with the legacy tier.
+/// Scale-tier settings: windowed dissemination, sampled evaluation. Each
+/// knob is bit-identical-by-construction or measurement-only, so rows stay
+/// comparable with the legacy tier.
 ExperimentOptions ScaleDefaults(AlgorithmType algorithm,
                                 std::size_t num_peers) {
   ExperimentOptions opt = MacroDefaults(algorithm, num_peers);
-  opt.sim_shards = 8;
   opt.max_eval_peers = 64;
   opt.max_test_documents = 150;
   opt.pace.max_concurrent_broadcasts = 64;

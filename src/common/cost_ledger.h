@@ -29,7 +29,7 @@ namespace p2pdt {
 /// One block of deterministic operation counts. Every field is a plain
 /// uint64 total: integers are additive and commutative, so per-thread
 /// blocks summed at a quiesce point are bit-identical for any work
-/// partition (serial == sharded) — the property the scale-determinism
+/// partition (serial == parallel) — the property the scale-determinism
 /// tests assert. Wire messages and bytes are not here: NetworkStats counts
 /// every simulated send once.
 struct CostCounts {
@@ -58,9 +58,9 @@ struct CostCounts {
 /// increments; Collect() sums every block under the registry mutex.
 ///
 /// Determinism contract: Collect() is only meaningful at a quiesce point —
-/// after ParallelFor / ShardedPhase joins — where the pool's completion
-/// handshake gives the driver a happens-before edge over every worker
-/// charge. Counters are cumulative and never reset; callers diff two
+/// after ParallelFor / ComputeCommitPhase joins — where the pool's
+/// completion handshake gives the driver a happens-before edge over every
+/// worker charge. Counters are cumulative and never reset; callers diff two
 /// Collect() snapshots to cost a phase, exactly like MetricsSnapshot.
 class CostLedger {
  public:

@@ -13,14 +13,22 @@ namespace p2pdt {
 namespace {
 
 thread_local bool t_in_pool_worker = false;
+// Set while the calling thread runs chunks of its own ParallelFor.
+thread_local bool t_in_parallel_for = false;
+
+constexpr std::size_t kMaxConcurrency = 256;
 
 std::size_t ResolveConcurrencyFromEnvironment() {
+  // Decimal digits only: strtoul would also take a sign (or leading space),
+  // so "-1" would wrap to ULONG_MAX and resolve to the clamp.
   if (const char* env = std::getenv("P2PDT_THREADS")) {
-    char* end = nullptr;
-    unsigned long v = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) {
-      return std::min<std::size_t>(v, 256);
+    std::size_t v = 0;
+    const char* p = env;
+    for (; *p >= '0' && *p <= '9'; ++p) {
+      v = std::min<std::size_t>(v * 10 + static_cast<std::size_t>(*p - '0'),
+                                kMaxConcurrency);
     }
+    if (p != env && *p == '\0' && v > 0) return v;
   }
   unsigned hc = std::thread::hardware_concurrency();
   return hc > 0 ? hc : 1;
@@ -97,19 +105,18 @@ bool ThreadPool::InWorker() { return t_in_pool_worker; }
 
 void ThreadPool::ParallelFor(
     std::size_t begin, std::size_t end, std::size_t chunk,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t max_threads) {
+    const std::function<void(std::size_t, std::size_t)>& body) {
   if (end <= begin) return;
   if (chunk == 0) chunk = 1;
   const std::size_t total = end - begin;
   const std::size_t num_chunks = (total + chunk - 1) / chunk;
 
-  // Serial path: no workers, a single chunk, or a nested call from inside a
-  // worker (inline to avoid queue deadlock and oversubscription).
-  std::size_t helpers = workers_.size();
-  if (max_threads > 0) helpers = std::min(helpers, max_threads - 1);
-  helpers = std::min(helpers, num_chunks - 1);
-  if (helpers == 0 || InWorker()) {
+  // Serial path: no workers, a single chunk, or a nested call — from inside
+  // a worker, or from a caller running chunks of an outer loop (inline to
+  // avoid queue deadlock and oversubscription; a nested caller would
+  // otherwise wait for helpers queued behind the outer loop's own tasks).
+  const std::size_t helpers = std::min(workers_.size(), num_chunks - 1);
+  if (helpers == 0 || InWorker() || t_in_parallel_for) {
     body(begin, end);
     return;
   }
@@ -161,7 +168,9 @@ void ThreadPool::ParallelFor(
       if (--shared->active == 0) shared->done_cv.notify_all();
     });
   }
+  t_in_parallel_for = true;
   drain(state);  // the caller is a full participant
+  t_in_parallel_for = false;
   {
     std::unique_lock<std::mutex> lock(state.done_mu);
     state.done_cv.wait(lock, [&] { return state.active == 0; });
@@ -198,14 +207,23 @@ void ThreadPool::SetGlobalConcurrency(std::size_t threads) {
 }
 
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t chunk,
-                 std::size_t threads,
                  const std::function<void(std::size_t, std::size_t)>& body) {
-  if (end <= begin) return;
-  if (threads == 1) {  // explicit serial: bypass the pool entirely
-    body(begin, end);
-    return;
+  ThreadPool::Global().ParallelFor(begin, end, chunk, body);
+}
+
+void ComputeCommitPhase(
+    std::size_t num_items,
+    const std::function<UniqueFunction(std::size_t)>& work) {
+  // Compute fan-out: each claimed item fills only its own commit slot, so
+  // the phase needs no locks.
+  std::vector<UniqueFunction> commits(num_items);
+  ParallelFor(0, num_items, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t item = lo; item < hi; ++item) commits[item] = work(item);
+  });
+  // Commit serially in item order, independent of completion order.
+  for (UniqueFunction& commit : commits) {
+    if (commit) commit();
   }
-  ThreadPool::Global().ParallelFor(begin, end, chunk, body, threads);
 }
 
 }  // namespace p2pdt

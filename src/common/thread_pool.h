@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/function.h"
+
 namespace p2pdt {
 
 /// Fixed-size worker pool with a bounded task queue and a dynamically
@@ -46,28 +48,29 @@ class ThreadPool {
   void Submit(std::function<void()> task);
 
   /// Runs `body(lo, hi)` over subranges of [begin, end) in chunks of
-  /// `chunk` iterations, using the calling thread plus up to
-  /// `max_threads - 1` workers (max_threads = 0 means "all workers").
+  /// `chunk` iterations, using the calling thread plus every worker.
   /// Blocks until every iteration completed. Chunks are claimed from a
   /// shared atomic counter, so skewed per-iteration cost balances
   /// dynamically. If any chunk throws, the exception from the
   /// lowest-indexed throwing chunk is rethrown here (deterministic
   /// regardless of scheduling).
   ///
-  /// Nested calls from inside a pool worker run inline (serial) — this
-  /// keeps per-peer tasks free to call parallel trainers without deadlock
-  /// or oversubscription.
+  /// Nested calls — from inside a pool worker, or from the caller while it
+  /// runs chunks of an outer ParallelFor — run inline (serial). This keeps
+  /// per-peer tasks free to call parallel trainers without deadlock or
+  /// oversubscription.
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t chunk,
-                   const std::function<void(std::size_t, std::size_t)>& body,
-                   std::size_t max_threads = 0);
+                   const std::function<void(std::size_t, std::size_t)>& body);
 
   /// True when called from one of this process's pool worker threads.
   static bool InWorker();
 
-  /// Process-wide pool shared by the ML layer. Sized by the P2PDT_THREADS
-  /// environment variable on first use (default: hardware_concurrency;
-  /// 1 = fully serial). The value T is total concurrency — the global pool
-  /// holds T-1 workers and ParallelFor callers contribute the Tth thread.
+  /// Process-wide pool behind every parallel phase. Sized by the
+  /// P2PDT_THREADS environment variable on first use: a decimal count,
+  /// clamped at 256 (1 = fully serial); unset, 0 or anything else — a sign
+  /// included — means hardware_concurrency. The value T is total
+  /// concurrency — the global pool holds T-1 workers and ParallelFor
+  /// callers contribute the Tth thread.
   static ThreadPool& Global();
 
   /// The resolved global concurrency T (>= 1).
@@ -90,13 +93,33 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Convenience wrapper over the global pool: `threads` = 1 runs serially
-/// with zero pool involvement, 0 uses the full global concurrency, N > 1
-/// caps concurrency at N (never exceeding the global pool size). This is
-/// the knob every parallelized trainer exposes as `num_threads`.
+/// ThreadPool::ParallelFor on the global pool. The global concurrency is
+/// the only setting: results are bit-identical at every value, so no caller
+/// picks its own thread count.
 void ParallelFor(std::size_t begin, std::size_t end, std::size_t chunk,
-                 std::size_t threads,
                  const std::function<void(std::size_t, std::size_t)>& body);
+
+/// Runs a compute/commit phase over `num_items` items on the global pool.
+///
+/// Items are claimed one at a time (ParallelFor with a chunk of 1), so
+/// skewed per-item cost balances dynamically. `work(item)` does the
+/// *compute* — it must touch only per-item state (its own output slot) —
+/// and returns a *commit* action (possibly empty) holding everything with
+/// cross-item effects: simulator scheduling, network sends, shared-container
+/// writes. The phase hands out no randomness; work that needs some keys it
+/// on item identity, so results cannot depend on which thread ran it.
+///
+/// After every item is computed, the commits run on the calling thread in
+/// item order 0..num_items-1 — exactly the order a serial loop would have
+/// issued them, whatever order the items finished in. That is what makes a
+/// parallel run bit-identical to a serial one: the simulator sees one
+/// deterministic sequence of calls either way.
+///
+/// Commits are UniqueFunction, so a commit may own move-only payloads (a
+/// trained model moved from the worker into the closure, never copied).
+void ComputeCommitPhase(
+    std::size_t num_items,
+    const std::function<UniqueFunction(std::size_t item)>& work);
 
 }  // namespace p2pdt
 

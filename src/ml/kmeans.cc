@@ -74,39 +74,40 @@ Result<KMeansResult> KMeansCluster(const std::vector<SparseVector>& points,
   std::vector<std::size_t> assignment(n, 0);
   // The assignment step reads shared centroids and writes only
   // assignment[i], so it fans out over the pool for large peer datasets;
-  // small inputs stay serial to dodge the dispatch overhead. Either path
-  // produces the same assignments.
-  const bool parallel_assign = n * k >= 4096;
+  // small inputs run as one chunk on the caller to dodge the dispatch
+  // overhead. Either path produces the same assignments, and centroid
+  // recomputation stays serial to keep floating-point summation order
+  // fixed.
+  const std::size_t assign_chunk = n * k >= 4096 ? 256 : n;
   int iter = 0;
   for (; iter < kMaxIterations; ++iter) {
     std::atomic<bool> changed{false};
-    ParallelFor(0, n, 256, parallel_assign ? options.num_threads : 1,
-                [&](std::size_t lo, std::size_t hi) {
-                  bool local_changed = false;
-                  for (std::size_t i = lo; i < hi; ++i) {
-                    double best = std::numeric_limits<double>::infinity();
-                    std::size_t best_c = 0;
-                    for (std::size_t c = 0; c < k; ++c) {
-                      double d = dist2(i, c);
-                      if (d < best) {
-                        best = d;
-                        best_c = c;
-                      }
-                    }
-                    if (assignment[i] != best_c) {
-                      assignment[i] = best_c;
-                      local_changed = true;
-                    }
-                  }
-                  if (local_changed) {
-                    changed.store(true, std::memory_order_relaxed);
-                  }
-                  // Per-chunk aggregate: the sum over chunks is n*k for any
-                  // partition, keeping the ledger shard-invariant.
-                  if (CostLedger::enabled()) {
-                    CostLedger::Tls().kmeans_distance_evals += (hi - lo) * k;
-                  }
-                });
+    ParallelFor(0, n, assign_chunk, [&](std::size_t lo, std::size_t hi) {
+      bool local_changed = false;
+      for (std::size_t i = lo; i < hi; ++i) {
+        double best = std::numeric_limits<double>::infinity();
+        std::size_t best_c = 0;
+        for (std::size_t c = 0; c < k; ++c) {
+          double d = dist2(i, c);
+          if (d < best) {
+            best = d;
+            best_c = c;
+          }
+        }
+        if (assignment[i] != best_c) {
+          assignment[i] = best_c;
+          local_changed = true;
+        }
+      }
+      if (local_changed) {
+        changed.store(true, std::memory_order_relaxed);
+      }
+      // Per-chunk aggregate: the sum over chunks is n*k for any
+      // partition, keeping the ledger partition-invariant.
+      if (CostLedger::enabled()) {
+        CostLedger::Tls().kmeans_distance_evals += (hi - lo) * k;
+      }
+    });
     // Stop early when no assignment changed.
     if (!changed.load(std::memory_order_relaxed) && iter > 0) break;
 

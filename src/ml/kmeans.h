@@ -13,12 +13,6 @@ struct KMeansOptions {
   /// Number of clusters requested; clamped down to the number of points.
   std::size_t k = 8;
   uint64_t seed = 1;
-  /// Threads for the assignment step on large inputs (0 = global
-  /// P2PDT_THREADS setting, 1 = serial). Per-point assignments are
-  /// independent, so results are bit-identical for every value; centroid
-  /// recomputation stays serial to keep floating-point summation order
-  /// fixed.
-  std::size_t num_threads = 0;
 };
 
 /// Result of a k-means run: cluster centroids (sparse, in the global

@@ -75,8 +75,7 @@ namespace {
 /// return bit-identical results for those.
 template <typename Data>
 Result<OneVsAllModel> TrainOneVsAllImpl(const Data& data,
-                                        const IndexedBinaryTrainer& trainer,
-                                        const OneVsAllTrainOptions& options) {
+                                        const IndexedBinaryTrainer& trainer) {
   if (data.empty()) {
     return Status::InvalidArgument("cannot train one-vs-all on empty data");
   }
@@ -101,7 +100,7 @@ Result<OneVsAllModel> TrainOneVsAllImpl(const Data& data,
   // which thread hit it first.
   std::vector<Status> failures(work.size(), Status::OK());
   // One tag per task gives the best balance under Zipf-skewed per-tag cost.
-  ParallelFor(0, work.size(), /*grain=*/1, options.num_threads,
+  ParallelFor(0, work.size(), /*chunk=*/1,
               [&](std::size_t lo, std::size_t hi) {
                 for (std::size_t i = lo; i < hi; ++i) {
                   const TagId t = work[i];
@@ -131,27 +130,23 @@ IndexedBinaryTrainer IgnoreTag(const BinaryTrainer& trainer) {
 }  // namespace
 
 Result<OneVsAllModel> TrainOneVsAll(const MultiLabelDataset& data,
-                                    const BinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options) {
-  return TrainOneVsAllImpl(data, IgnoreTag(trainer), options);
+                                    const BinaryTrainer& trainer) {
+  return TrainOneVsAllImpl(data, IgnoreTag(trainer));
 }
 
 Result<OneVsAllModel> TrainOneVsAll(const MultiLabelDataset& data,
-                                    const IndexedBinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options) {
-  return TrainOneVsAllImpl(data, trainer, options);
+                                    const IndexedBinaryTrainer& trainer) {
+  return TrainOneVsAllImpl(data, trainer);
 }
 
 Result<OneVsAllModel> TrainOneVsAll(const DatasetShard& data,
-                                    const BinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options) {
-  return TrainOneVsAllImpl(data, IgnoreTag(trainer), options);
+                                    const BinaryTrainer& trainer) {
+  return TrainOneVsAllImpl(data, IgnoreTag(trainer));
 }
 
 Result<OneVsAllModel> TrainOneVsAll(const DatasetShard& data,
-                                    const IndexedBinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options) {
-  return TrainOneVsAllImpl(data, trainer, options);
+                                    const IndexedBinaryTrainer& trainer) {
+  return TrainOneVsAllImpl(data, trainer);
 }
 
 }  // namespace p2pdt

@@ -29,13 +29,6 @@ using IndexedBinaryTrainer =
     std::function<Result<std::unique_ptr<BinaryClassifier>>(
         const std::vector<Example>&, TagId)>;
 
-/// Controls the per-tag training fan-out of TrainOneVsAll.
-struct OneVsAllTrainOptions {
-  /// 0 = the global P2PDT_THREADS setting, 1 = serial (no pool), N > 1 caps
-  /// concurrency at N. Results are bit-identical for every value.
-  std::size_t num_threads = 0;
-};
-
 /// Constant decision function; used for degenerate single-class tags (a
 /// peer that has only ever seen — or never seen — a tag has nothing to
 /// learn, just a fixed opinion).
@@ -119,23 +112,19 @@ std::vector<TagId> DecideTags(const std::vector<double>& scores,
 /// randomness is seeded from data identity, not thread identity. On error,
 /// the failure of the lowest-numbered failing tag is returned.
 Result<OneVsAllModel> TrainOneVsAll(const MultiLabelDataset& data,
-                                    const BinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options = {});
+                                    const BinaryTrainer& trainer);
 
 Result<OneVsAllModel> TrainOneVsAll(const MultiLabelDataset& data,
-                                    const IndexedBinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options = {});
+                                    const IndexedBinaryTrainer& trainer);
 
 /// Flyweight overloads: train directly from a DatasetShard view without
 /// materializing the peer's data. Bit-identical to training on
 /// `data.Materialize()`.
 Result<OneVsAllModel> TrainOneVsAll(const DatasetShard& data,
-                                    const BinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options = {});
+                                    const BinaryTrainer& trainer);
 
 Result<OneVsAllModel> TrainOneVsAll(const DatasetShard& data,
-                                    const IndexedBinaryTrainer& trainer,
-                                    const OneVsAllTrainOptions& options = {});
+                                    const IndexedBinaryTrainer& trainer);
 
 }  // namespace p2pdt
 

@@ -103,7 +103,7 @@ struct DriftExperimentResult {
   /// Order-sensitive FNV-1a digest over every epoch's macro-F1 bit pattern,
   /// document count, retrain count and traffic — two runs with the same
   /// digest observed the same quality trajectory *and* the same simulated
-  /// protocol behavior. The serial==sharded and armed-vs-idle bit-identity
+  /// protocol behavior. The serial==parallel and armed-vs-idle bit-identity
   /// tests compare exactly this.
   uint64_t fingerprint = 0;
 };

@@ -17,10 +17,10 @@ namespace p2pdt {
 ///
 /// The draw uses a local Rng seeded from `seed` alone, so the same
 /// (n, k, seed) triple yields the same sample on every run, at every thread
-/// and shard count, regardless of what any other RNG in the process has
-/// consumed. This is what lets sampled evaluation at 100k peers (a
-/// requester pool instead of the full network) stay a pure function of the
-/// experiment seed. k >= n returns the full range [0, n).
+/// count, regardless of what any other RNG in the process has consumed.
+/// This is what lets sampled evaluation at 100k peers (a requester pool
+/// instead of the full network) stay a pure function of the experiment
+/// seed. k >= n returns the full range [0, n).
 std::vector<std::size_t> DeterministicSample(std::size_t n, std::size_t k,
                                              uint64_t seed);
 

@@ -69,17 +69,12 @@ Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
         return Status::FailedPrecondition(
             "CEMPaR requires a DHT (Chord) overlay");
       }
-      CemparOptions cempar = options.cempar;
-      if (options.sim_shards != 0) cempar.sim_shards = options.sim_shards;
       return std::unique_ptr<P2PClassifier>(std::make_unique<Cempar>(
-          env.sim(), env.net(), *env.chord(), cempar));
+          env.sim(), env.net(), *env.chord(), options.cempar));
     }
-    case AlgorithmType::kPace: {
-      PaceOptions pace = options.pace;
-      if (options.sim_shards != 0) pace.sim_shards = options.sim_shards;
+    case AlgorithmType::kPace:
       return std::unique_ptr<P2PClassifier>(std::make_unique<Pace>(
-          env.sim(), env.net(), env.overlay(), pace));
-    }
+          env.sim(), env.net(), env.overlay(), options.pace));
     case AlgorithmType::kCentralized:
       return std::unique_ptr<P2PClassifier>(
           std::make_unique<CentralizedClassifier>(env.sim(), env.net()));
@@ -308,7 +303,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
 
   // Sampled evaluation: with max_eval_peers set, requesters are drawn from
   // a deterministic subsample of the network instead of all of it (same
-  // pool for every run/thread/shard count). Empty = legacy full-network
+  // pool for every run and thread count). Empty = legacy full-network
   // draw, with the RNG call sequence untouched.
   std::vector<std::size_t> eval_peers;
   if (options.max_eval_peers > 0 &&

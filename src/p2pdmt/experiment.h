@@ -56,10 +56,6 @@ struct ExperimentOptions {
   /// state (caches, probation clocks) without changing what is measured —
   /// see DeterministicSample in p2pdmt/evaluation.h.
   std::size_t max_eval_peers = 0;
-  /// Forwarded into the chosen classifier's sim_shards knob when non-zero
-  /// (0 leaves each protocol's own default). Bit-identical results for
-  /// every value; see CemparOptions::sim_shards.
-  std::size_t sim_shards = 0;
   /// Warm-up simulated seconds before training starts (lets churn and
   /// stabilization reach steady state).
   double warmup_sim_seconds = 0.0;

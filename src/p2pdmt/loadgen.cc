@@ -216,7 +216,7 @@ void SessionLoadGenerator::OnOutcome(std::size_t session, std::size_t idx,
   }
 
   // Order-independent: per-request digests are summed, so the fingerprint
-  // is invariant to completion interleaving across shard counts.
+  // is invariant to completion interleaving across thread counts.
   Fnv64 h;
   h.Mix(static_cast<uint64_t>(session));
   h.Mix(static_cast<uint64_t>(idx));

@@ -146,7 +146,7 @@ double LoadGenRetryDelay(const LoadGenOptions& options, std::size_t session,
 /// simulator. Deterministic: every random choice (session length, arrival
 /// gap, document pick, retry jitter) draws from the schedule primitives
 /// above, so two runs with the same options produce bit-identical request
-/// schedules and fingerprints at any thread or shard count.
+/// schedules and fingerprints at any thread count.
 class SessionLoadGenerator {
  public:
   /// `docs` is the request catalog in popularity order (index 0 = most

@@ -29,7 +29,6 @@ Result<OverloadRunStats> RunOverloadExperiment(
   setup.env.observe.metrics = true;  // the SLO histogram lives here
   setup.cempar = options.cempar;
   setup.pace = options.pace;
-  setup.sim_shards = options.sim_shards;
   const std::size_t num_peers = setup.env.num_peers;
   Result<std::vector<DatasetShard>> shards = DistributeDataShared(
       std::make_shared<const MultiLabelDataset>(split.train), num_peers,

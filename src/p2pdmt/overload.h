@@ -20,9 +20,6 @@ struct OverloadExperimentOptions {
   CemparOptions cempar;
   PaceOptions pace;
   LoadGenOptions loadgen;
-  /// Forwarded into the classifier's sim_shards knob when non-zero; armed
-  /// load-generation results are bit-identical for every value.
-  std::size_t sim_shards = 0;
   /// Cap on the request catalog drawn from the test split (0 = all).
   std::size_t max_docs = 0;
   uint64_t seed = 777;

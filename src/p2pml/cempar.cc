@@ -10,7 +10,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ml/serialization.h"
-#include "p2psim/sharding.h"
 
 namespace p2pdt {
 
@@ -138,9 +137,7 @@ void Cempar::UploadModel(NodeId peer, std::size_t h, KernelSvmModel model,
       settled();
       return;
     }
-    if (options_.cache_super_peer_lookups) {
-      owner_cache_[peer][h] = res.owner;
-    }
+    owner_cache_[peer][h] = res.owner;
     auto install = [this, h, peer, version, owner = res.owner, model] {
       Home& home = homes_[h];
       if (home.owner == kInvalidNode) home.owner = owner;
@@ -258,16 +255,13 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
   // lock-free (null when metrics are disabled).
   Histogram* train_hist = runtime_.phase(Phase::kLocalTrain);
 
-  // Sharded compute/commit phase. Each grid cell fits its SVM on a pool
-  // worker and stages the protocol side as a commit; ShardedPhase then runs
-  // the commits on the driver thread in grid order — exactly the order the
-  // old serial loop used — so the simulated message schedule is unchanged
-  // for every shard and thread count. The fitted model is *moved* through
-  // the commit closure, never copied.
-  ShardPlanOptions plan;
-  plan.shards = options_.sim_shards;
-  plan.num_threads = options_.num_threads;
-  ShardedPhase(grid.size(), plan, [&](std::size_t i) -> UniqueFunction {
+  // Compute/commit phase. Each grid cell fits its SVM on a pool worker and
+  // stages the protocol side as a commit; ComputeCommitPhase then runs the
+  // commits on the driver thread in grid order — the order a serial loop
+  // issues them in — so the simulated message schedule is the same at every
+  // thread count. The fitted model is *moved* through the commit closure,
+  // never copied.
+  ComputeCommitPhase(grid.size(), [&](std::size_t i) -> UniqueFunction {
     const GridCell cell = grid[i];
     PhaseTimer timer(Phase::kLocalTrain, train_hist);
     std::vector<Example> train =
@@ -603,7 +597,7 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
     ctx->done(std::move(out));
   };
 
-  // Resolve the owner of every home (from cache when allowed), then group
+  // Resolve the owner of every home (from cache when known), then group
   // homes by owner so the document vector travels once per super-peer.
   auto dispatch = [this, ctx, requester, x, finalize_one](
                       const std::vector<std::pair<std::size_t, NodeId>>&
@@ -658,11 +652,7 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
       auto invalidate = [this, requester, home_list] {
         // Request lost: invalidate cached owners so the next prediction
         // re-resolves through the DHT.
-        if (options_.cache_super_peer_lookups) {
-          for (std::size_t h : home_list) {
-            owner_cache_[requester].erase(h);
-          }
-        }
+        for (std::size_t h : home_list) owner_cache_[requester].erase(h);
       };
       if (transport != nullptr) {
         // Reliable paths. A group can settle through several routes
@@ -768,7 +758,7 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
   for (std::size_t h = 0; h < homes_.size(); ++h) {
     auto& cache = owner_cache_[requester];
     auto it = cache.find(h);
-    if (options_.cache_super_peer_lookups && it != cache.end()) {
+    if (it != cache.end()) {
       resolved->emplace_back(h, it->second);
       continue;
     }
@@ -778,9 +768,7 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
                       ChordOverlay::LookupResult lr) {
       if (lr.success) {
         resolved->emplace_back(h, lr.owner);
-        if (options_.cache_super_peer_lookups) {
-          owner_cache_[requester][h] = lr.owner;
-        }
+        owner_cache_[requester][h] = lr.owner;
       }
       lookups->Settle();
     });
@@ -876,9 +864,7 @@ void Cempar::ReplicateHome(std::size_t h) {
 }
 
 void Cempar::ReplicateRegionals() {
-  if (runtime_.transport() == nullptr || !options_.replicate_regional_models) {
-    return;
-  }
+  if (runtime_.transport() == nullptr) return;
   for (std::size_t h = 0; h < homes_.size(); ++h) ReplicateHome(h);
 }
 
@@ -890,7 +876,6 @@ void Cempar::OnSuspect(NodeId suspect) {
       it = it->second == suspect ? cache.erase(it) : std::next(it);
     }
   }
-  if (!options_.replicate_regional_models) return;
   for (std::size_t h = 0; h < homes_.size(); ++h) {
     // Without a usable replica, RepairRound can rebuild the home later.
     if (homes_[h].owner != suspect || !PromoteStandby(homes_[h])) continue;

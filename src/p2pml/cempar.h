@@ -28,33 +28,16 @@ struct CemparOptions {
   std::size_t regions_per_tag = 1;
   /// Tag-assignment policy applied to the voted scores.
   TagDecisionPolicy policy;
-  /// Requesters cache tag→super-peer resolutions learned from lookups and
-  /// invalidate them when a request is dropped.
-  bool cache_super_peer_lookups = true;
-  /// Threads for the (peer × tag) local SVM grid in Train (0 = global
-  /// P2PDT_THREADS setting, 1 = serial). Only the SMO fitting fans out;
-  /// uploads and all other simulator traffic are issued afterwards on the
-  /// driver thread in the same order as a serial run, so the simulated
-  /// protocol — and the trained models (SMO is deterministic) — are
-  /// bit-identical for every value.
-  std::size_t num_threads = 0;
-  /// Contiguous shards the training grid is split into for the sharded
-  /// compute/commit phase (0 = one shard per available thread). Purely a
-  /// scheduling knob: compute is keyed by data identity and all simulator
-  /// traffic is committed in grid order on the driver thread, so results
-  /// are bit-identical for every value.
-  std::size_t sim_shards = 0;
   /// Reliable delivery (ACK / RTT-derived timeout / backoff / bounded
   /// retries) for upload, replication and prediction traffic. Off by
   /// default: fire-and-forget is the baseline the original experiments
-  /// measured; the robustness harness compares both.
+  /// measured; the robustness harness compares both. With it on, each
+  /// (tag, region) cascade model is also replicated to the owner's first
+  /// live successor; when the transport suspects the primary dead
+  /// (consecutive give-ups), the standby is promoted and a fresh replica is
+  /// pushed to the next successor.
   bool reliable_transport = false;
   ReliableTransportOptions transport;
-  /// With the reliable transport on, each (tag, region) cascade model is
-  /// replicated to the owner's first live successor. When the transport
-  /// suspects the primary dead (consecutive give-ups), the standby is
-  /// promoted and a fresh replica is pushed to the next successor.
-  bool replicate_regional_models = true;
   /// Model sanitation at every ingestion point (super-peer SV intake,
   /// cascade merge, checkpoint restore) plus the requester-side vote gate.
   /// On by default: honest models always pass, so baselines are
@@ -280,7 +263,8 @@ class Cempar final : public StatefulP2PClassifier {
   /// Per-peer publish version counter (0 until the first online refresh;
   /// store-side metadata, not checkpointed).
   std::vector<uint32_t> model_version_;
-  /// Per-requester cache: home index -> last known owner.
+  /// Per-requester cache: home index -> last known owner, learned from
+  /// lookups and dropped when a request to that owner is lost.
   std::vector<std::unordered_map<std::size_t, NodeId>> owner_cache_;
   bool trained_ = false;
 };

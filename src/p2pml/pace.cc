@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "ml/serialization.h"
-#include "p2psim/sharding.h"
 
 namespace p2pdt {
 
@@ -143,9 +142,7 @@ void Pace::TrainLocal(NodeId peer) {
     // documents.
     DatasetShard padded = data;
     padded.set_num_tags(num_tags_);
-    OneVsAllTrainOptions ova;
-    ova.num_threads = options_.num_threads;
-    Result<OneVsAllModel> model = TrainOneVsAll(padded, trainer, ova);
+    Result<OneVsAllModel> model = TrainOneVsAll(padded, trainer);
     if (!model.ok()) {
       P2PDT_LOG(Warning) << "peer " << peer
                          << " PACE local training failed: "
@@ -191,7 +188,6 @@ void Pace::TrainLocal(NodeId peer) {
   for (std::size_t i = 0; i < data.size(); ++i) points.push_back(data[i].x);
   KMeansOptions km = options_.clustering;
   km.seed = DeriveSeed(options_.clustering.seed, peer);
-  km.num_threads = options_.num_threads;
   Result<KMeansResult> clusters = KMeansCluster(points, km);
   if (!clusters.ok()) {
     P2PDT_LOG(Warning) << "peer " << peer << " PACE clustering failed: "
@@ -305,15 +301,12 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   // Resolved on the driver thread; workers record wall time per peer
   // lock-free (null when metrics are disabled).
   Histogram* train_hist = runtime_.phase(Phase::kLocalTrain);
-  ShardPlanOptions plan;
-  plan.shards = options_.sim_shards;
-  plan.num_threads = options_.num_threads;
-  ShardedPhase(training_peers.size(), plan,
-               [&](std::size_t i) -> UniqueFunction {
-                 PhaseTimer timer(Phase::kLocalTrain, train_hist);
-                 TrainLocal(training_peers[i]);
-                 return {};  // all protocol traffic is issued below
-               });
+  ComputeCommitPhase(training_peers.size(),
+                     [&](std::size_t i) -> UniqueFunction {
+                       PhaseTimer timer(Phase::kLocalTrain, train_hist);
+                       TrainLocal(training_peers[i]);
+                       return {};  // all protocol traffic is issued below
+                     });
 
   // Build the shared LSH index over all contributed centroids.
   {

@@ -29,19 +29,6 @@ struct PaceOptions {
   /// Tag-assignment policy over the ensemble scores. A consulted model
   /// votes with weight accuracy / (1 + distance).
   TagDecisionPolicy policy;
-  /// Threads for the local-training phase (0 = global P2PDT_THREADS
-  /// setting, 1 = serial). Only the pure compute of SVM fitting, accuracy
-  /// estimation and clustering fans out, across peers; all simulator and
-  /// overlay traffic stays on the driver thread. Trained models are
-  /// bit-identical for every value: per-task RNG streams are keyed by
-  /// (peer, tag), never by thread.
-  std::size_t num_threads = 0;
-  /// Contiguous shards the per-peer local-training phase is split into for
-  /// the sharded compute/commit fan-out (0 = one shard per available
-  /// thread). Purely a scheduling knob: per-task RNG streams stay keyed by
-  /// (peer, tag) and all overlay traffic is issued on the driver thread in
-  /// peer order, so results are bit-identical for every value.
-  std::size_t sim_shards = 0;
   /// Cap on contributor broadcasts in flight at once during dissemination
   /// (0 = unlimited, the legacy behavior). Every contributor still
   /// broadcasts — completions launch the next in peer order — but at 100k

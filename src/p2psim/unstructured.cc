@@ -11,6 +11,8 @@ namespace {
 constexpr std::size_t kHeaderBytes = 24;
 /// Neighbors contacted per hop in kGossip mode.
 constexpr std::size_t kGossipFanout = 3;
+/// Random existing members each joining peer links to.
+constexpr std::size_t kJoinLinks = 6;
 
 }  // namespace
 
@@ -34,7 +36,7 @@ void UnstructuredOverlay::AddNode(NodeId node) {
   if (member_[node]) return;
   member_[node] = true;
 
-  // Attach to `degree` random existing members (bootstrap-server model);
+  // Attach to kJoinLinks random existing members (bootstrap-server model);
   // early nodes get linked by later arrivals, giving a connected
   // Gnutella-like random graph.
   std::vector<NodeId> candidates;
@@ -42,7 +44,7 @@ void UnstructuredOverlay::AddNode(NodeId node) {
     if (n != node && member_[n]) candidates.push_back(n);
   }
   rng_.Shuffle(candidates);
-  std::size_t links = std::min(options_.degree, candidates.size());
+  std::size_t links = std::min(kJoinLinks, candidates.size());
   for (std::size_t i = 0; i < links; ++i) Connect(node, candidates[i]);
 }
 

@@ -24,10 +24,9 @@ enum class DisseminationMode {
 };
 
 struct UnstructuredOptions {
-  /// Target neighbor count per peer (Gnutella-style random graph).
-  std::size_t degree = 6;
-  /// TTL for broadcasts (hops). With degree d and N peers, a TTL of
-  /// ceil(log_{d-1} N) + slack reaches nearly everyone.
+  /// TTL for broadcasts (hops). Each joining peer links to 6 random
+  /// members (Gnutella-style random graph), so mean degree d is about 12
+  /// and a TTL of ceil(log_{d-1} N) + slack reaches nearly everyone.
   int flood_ttl = 8;
   DisseminationMode mode = DisseminationMode::kFlood;
   uint64_t seed = 13;

@@ -72,7 +72,7 @@ std::vector<SparseVector> Preprocessor::ProcessAll(
   std::vector<std::vector<std::string>> first_seen(texts.size());
   std::atomic<std::size_t> next{0};
   const std::size_t tasks = ThreadPool::GlobalConcurrency();
-  ParallelFor(0, tasks, 1, /*threads=*/0, [&](std::size_t, std::size_t) {
+  ParallelFor(0, tasks, 1, [&](std::size_t, std::size_t) {
     TokenMemo memo;
     std::vector<uint32_t> ids;
     for (;;) {

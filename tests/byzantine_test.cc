@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "ml/sanitize.h"
 #include "p2pdmt/byzantine.h"
 #include "p2pdmt/experiment.h"
@@ -210,12 +211,9 @@ ExperimentOptions BaseOptions(AlgorithmType algo, bool defended) {
 }
 
 ExperimentResult RunWith(AlgorithmType algo, bool defended,
-                         FaultPlanSpec plan = {},
-                         std::size_t num_threads = 0) {
+                         FaultPlanSpec plan = {}) {
   ExperimentOptions opt = BaseOptions(algo, defended);
   opt.env.fault = std::move(plan);
-  opt.cempar.num_threads = num_threads;
-  opt.pace.num_threads = num_threads;
   Result<ExperimentResult> r = RunExperiment(Corpus(), opt);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
@@ -318,12 +316,15 @@ TEST(ByzantineE2eTest, SerialEqualsParallelWithAdversaries) {
   plan.adversaries.insert(plan.adversaries.end(), garbage.adversaries.begin(),
                           garbage.adversaries.end());
   for (AlgorithmType algo : {AlgorithmType::kCempar, AlgorithmType::kPace}) {
-    ExperimentResult serial = RunWith(algo, true, plan, /*num_threads=*/1);
-    ExperimentResult parallel = RunWith(algo, true, plan, /*num_threads=*/4);
+    ThreadPool::SetGlobalConcurrency(1);
+    ExperimentResult serial = RunWith(algo, true, plan);
+    ThreadPool::SetGlobalConcurrency(4);
+    ExperimentResult parallel = RunWith(algo, true, plan);
     ExpectBitIdentical(serial, parallel);
     EXPECT_EQ(serial.models_rejected, parallel.models_rejected);
     EXPECT_EQ(serial.quarantined_pairs, parallel.quarantined_pairs);
   }
+  ThreadPool::SetGlobalConcurrency(0);
 }
 
 }  // namespace

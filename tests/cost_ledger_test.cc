@@ -1,7 +1,7 @@
 // The cost-ledger contract: counters are behavior-neutral, additive across
 // threads, and bit-identical for any work partition — the property that
 // lets BENCH_baseline.json gate at 0% tolerance and lets the scale suite
-// assert serial == sharded ledgers.
+// assert serial == parallel ledgers.
 
 #include "common/cost_ledger.h"
 
@@ -111,7 +111,6 @@ TEST(CostLedgerTest, LshQueryIsCounted) {
 // The core determinism property: per-thread TLS blocks summed at a
 // quiesce point are identical for ANY partition of the same work.
 TEST(CostLedgerTest, TlsSumIsPartitionInvariant) {
-  ThreadPool::SetGlobalConcurrency(4);
   ScopedCostLedger on(true);
   CostCounts reference;
   bool have_reference = false;
@@ -119,16 +118,15 @@ TEST(CostLedgerTest, TlsSumIsPartitionInvariant) {
                               std::size_t{4}}) {
     for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
                               std::size_t{64}}) {
+      ThreadPool::SetGlobalConcurrency(threads);
       CostCounts before = CostLedger::Collect();
-      ParallelFor(0, 1000, chunk, threads,
-                  [](std::size_t lo, std::size_t hi) {
-                    // Per-chunk aggregate, exactly like the kmeans hot
-                    // path: the sum over chunks must not depend on the
-                    // partition.
-                    CostCounts& tls = CostLedger::Tls();
-                    tls.sparse_dot_ops += (hi - lo) * 3;
-                    tls.sparse_dot_calls += hi - lo;
-                  });
+      ParallelFor(0, 1000, chunk, [](std::size_t lo, std::size_t hi) {
+        // Per-chunk aggregate, exactly like the kmeans hot path: the sum
+        // over chunks must not depend on the partition.
+        CostCounts& tls = CostLedger::Tls();
+        tls.sparse_dot_ops += (hi - lo) * 3;
+        tls.sparse_dot_calls += hi - lo;
+      });
       CostCounts delta = CostLedger::Collect() - before;
       if (!have_reference) {
         reference = delta;

@@ -1,6 +1,6 @@
 // Drift-robustness suite: determinism of the drifting stream generator,
 // bit-identity of the armed-but-idle drift machinery on stationary
-// streams, serial==sharded bit-determinism with drift events and the
+// streams, serial==parallel bit-determinism with drift events and the
 // retrain/republish path live, and an end-to-end detection/recovery case
 // pinned to the CI smoke configuration.
 
@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "corpus/generator.h"
 #include "corpus/vectorize.h"
 #include "p2pdmt/drift.h"
@@ -170,35 +171,30 @@ TEST(DriftHarnessTest, StationaryArmedPoliciesAreBitIdentical) {
   EXPECT_GT(frozen.fingerprint, 0u);
 }
 
-// Serial vs sharded with drift events live AND the periodic retrain /
+// Serial vs parallel with drift events live AND the periodic retrain /
 // republish path firing every interval: the whole epoch loop — predict,
 // track, retrain, republish, re-evaluate — must be bit-deterministic
-// across shard and thread counts.
+// across thread counts.
 TEST(DriftHarnessTest, SerialMatchesShardedWithRetrainsLive) {
-  DriftExperimentOptions serial = HarnessOptions(RetrainPolicy::kPeriodic);
-  serial.pace.sim_shards = 1;
-  serial.pace.num_threads = 1;
-  DriftExperimentOptions sharded = HarnessOptions(RetrainPolicy::kPeriodic);
-  sharded.pace.sim_shards = 4;
-  sharded.pace.num_threads = 4;
-  DriftExperimentResult a = RunHarness(DriftingStream(), serial);
-  DriftExperimentResult b = RunHarness(DriftingStream(), sharded);
+  const DriftExperimentOptions opt = HarnessOptions(RetrainPolicy::kPeriodic);
+  ThreadPool::SetGlobalConcurrency(1);
+  DriftExperimentResult a = RunHarness(DriftingStream(), opt);
+  ThreadPool::SetGlobalConcurrency(4);
+  DriftExperimentResult b = RunHarness(DriftingStream(), opt);
+  ThreadPool::SetGlobalConcurrency(0);
   EXPECT_GT(a.retrains, 0u);
   EXPECT_EQ(a.retrains, b.retrains);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
 }
 
 TEST(DriftHarnessTest, SerialMatchesShardedWithDetectorArmed) {
-  DriftExperimentOptions serial =
+  const DriftExperimentOptions opt =
       HarnessOptions(RetrainPolicy::kDriftTriggered);
-  serial.pace.sim_shards = 1;
-  serial.pace.num_threads = 1;
-  DriftExperimentOptions sharded =
-      HarnessOptions(RetrainPolicy::kDriftTriggered);
-  sharded.pace.sim_shards = 4;
-  sharded.pace.num_threads = 4;
-  DriftExperimentResult a = RunHarness(DriftingStream(), serial);
-  DriftExperimentResult b = RunHarness(DriftingStream(), sharded);
+  ThreadPool::SetGlobalConcurrency(1);
+  DriftExperimentResult a = RunHarness(DriftingStream(), opt);
+  ThreadPool::SetGlobalConcurrency(4);
+  DriftExperimentResult b = RunHarness(DriftingStream(), opt);
+  ThreadPool::SetGlobalConcurrency(0);
   EXPECT_EQ(a.retrains, b.retrains);
   EXPECT_EQ(a.drift_detections, b.drift_detections);
   EXPECT_EQ(a.fingerprint, b.fingerprint);

@@ -59,9 +59,6 @@ struct LossyFixture {
     CemparOptions co;
     co.svm.kernel = Kernel::Linear();
     co.reliable_transport = true;
-    // Resolve super-peers through the DHT on every prediction (no owner
-    // cache), so the trace shows the full request → lookup → vote chain.
-    co.cache_super_peer_lookups = false;
     cempar = std::make_unique<Cempar>(env->sim(), env->net(), *env->chord(),
                                       co);
   }
@@ -97,11 +94,15 @@ TEST(ObservabilityE2ETest, CemparPredictionUnderLossIsOneConnectedTrace) {
   ASSERT_TRUE(f.Train().ok());
 
   // Forget everything the (traced) training produced, then run exactly one
-  // prediction so the tracer holds exactly one end-to-end operation.
+  // prediction so the tracer holds exactly one end-to-end operation. The
+  // requester also forgets the super-peers its uploads resolved, so the
+  // prediction resolves them through the DHT and the trace shows the full
+  // request → lookup → vote chain.
   Tracer* tracer = f.env->tracer();
   ASSERT_NE(tracer, nullptr);
   tracer->Clear();
   f.env->net().stats().Reset();
+  f.cempar->EvictPeer(3);
 
   P2PPrediction p = f.PredictSync(
       3, SparseVector::FromPairs({{3u, 1.0}, {4u, 1.0}}));

@@ -2,13 +2,14 @@
 //  - versioned prediction cache: a cached answer is served without network
 //    traffic, and no stale answer outlives a model-version bump or its TTL
 //    (both protocols);
-//  - the armed load generator is bit-deterministic across sim shard counts
-//    (serial == sharded);
+//  - the armed load generator is bit-deterministic across thread counts
+//    (serial == parallel);
 //  - idle overload machinery (queues, admission, cache, batching) changes
 //    no prediction: disarmed fingerprints match the pure-default config.
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "p2pdmt/overload.h"
 
 namespace p2pdt {
@@ -212,16 +213,17 @@ OverloadExperimentOptions ArmedOptions(AlgorithmType algorithm) {
 }
 
 class OverloadDeterminismTest
-    : public ::testing::TestWithParam<AlgorithmType> {};
+    : public ::testing::TestWithParam<AlgorithmType> {
+ protected:
+  void TearDown() override { ThreadPool::SetGlobalConcurrency(0); }
+};
 
 TEST_P(OverloadDeterminismTest, ArmedSerialEqualsSharded) {
-  OverloadExperimentOptions serial = ArmedOptions(GetParam());
-  serial.sim_shards = 1;
-  OverloadExperimentOptions sharded = ArmedOptions(GetParam());
-  sharded.sim_shards = 4;
-
-  Result<OverloadRunStats> a = RunOverloadExperiment(SmallCorpus(), serial);
-  Result<OverloadRunStats> b = RunOverloadExperiment(SmallCorpus(), sharded);
+  const OverloadExperimentOptions opt = ArmedOptions(GetParam());
+  ThreadPool::SetGlobalConcurrency(1);
+  Result<OverloadRunStats> a = RunOverloadExperiment(SmallCorpus(), opt);
+  ThreadPool::SetGlobalConcurrency(4);
+  Result<OverloadRunStats> b = RunOverloadExperiment(SmallCorpus(), opt);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_GT(a->load.offered, 0u);

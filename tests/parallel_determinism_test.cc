@@ -1,5 +1,5 @@
-// Asserts the core guarantee of the parallel training engine: training with
-// one thread and with many threads produces bit-identical models and
+// Asserts the core guarantee of the parallel training engine: training at
+// global concurrency 1 and at 4 produces bit-identical models and
 // predictions. Task RNG streams are keyed by (peer, tag) — data identity —
 // never by thread identity, and no floating-point reduction crosses task
 // boundaries, so exact equality (not approximate) is the contract.
@@ -76,12 +76,10 @@ TEST_F(ParallelDeterminismTest, OneVsAllScoresIdentical1VsNThreads) {
         std::make_unique<LinearSvmModel>(std::move(model).value()));
   };
 
-  OneVsAllTrainOptions serial;
-  serial.num_threads = 1;
-  OneVsAllTrainOptions parallel;
-  parallel.num_threads = 4;
-  Result<OneVsAllModel> a = TrainOneVsAll(data, trainer, serial);
-  Result<OneVsAllModel> b = TrainOneVsAll(data, trainer, parallel);
+  ThreadPool::SetGlobalConcurrency(1);
+  Result<OneVsAllModel> a = TrainOneVsAll(data, trainer);
+  ThreadPool::SetGlobalConcurrency(4);
+  Result<OneVsAllModel> b = TrainOneVsAll(data, trainer);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_EQ(a->num_tags(), b->num_tags());
   for (const SparseVector& x : ProbeVectors(25)) {
@@ -95,15 +93,14 @@ TEST_F(ParallelDeterminismTest, KMeansIdentical1VsNThreads) {
   for (const auto& ex : Corpus().dataset.examples()) points.push_back(ex.x);
   ASSERT_GE(points.size() * 16, 4096u) << "below the parallel gate";
 
-  KMeansOptions serial;
-  serial.k = 16;
-  serial.seed = 11;
-  serial.num_threads = 1;
-  KMeansOptions parallel = serial;
-  parallel.num_threads = 4;
+  KMeansOptions opt;
+  opt.k = 16;
+  opt.seed = 11;
 
-  Result<KMeansResult> a = KMeansCluster(points, serial);
-  Result<KMeansResult> b = KMeansCluster(points, parallel);
+  ThreadPool::SetGlobalConcurrency(1);
+  Result<KMeansResult> a = KMeansCluster(points, opt);
+  ThreadPool::SetGlobalConcurrency(4);
+  Result<KMeansResult> b = KMeansCluster(points, opt);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->iterations, b->iterations);
   EXPECT_EQ(a->assignment, b->assignment);
@@ -115,23 +112,32 @@ TEST_F(ParallelDeterminismTest, KMeansIdentical1VsNThreads) {
 }
 
 TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
-  auto run = [&](std::size_t num_threads) {
+  // Under loss every send draws the network's loss stream, so which uploads
+  // need retries — and when training ends — depends on the order the grid's
+  // uploads are issued in, and the (default) RBF fits take long enough for
+  // the threads' claims to interleave. The parallel run must still issue
+  // the uploads in exactly the serial order.
+  auto run = [&](std::size_t threads) {
+    ThreadPool::SetGlobalConcurrency(threads);
     EnvironmentOptions eo;
     eo.num_peers = 12;
+    eo.physical.loss_rate = 0.1;
     auto env = std::move(Environment::Create(eo)).value();
     CemparOptions opt;
-    opt.svm.kernel = Kernel::Linear();
-    opt.num_threads = num_threads;
+    opt.reliable_transport = true;
     Cempar cempar(env->sim(), env->net(), *env->chord(), opt);
     EXPECT_TRUE(
         cempar.Setup(PeerPartition(12), Corpus().dataset.num_tags()).ok());
     bool done = false;
+    double trained_at = 0.0;
     cempar.Train([&](Status s) {
       EXPECT_TRUE(s.ok());
+      trained_at = env->sim().Now();
       done = true;
     });
     env->RunUntilFlag(done, 3600);
     EXPECT_TRUE(done);
+    const uint64_t train_messages = env->net().stats().messages_sent();
 
     std::vector<std::vector<double>> scores;
     for (const SparseVector& x : ProbeVectors(10)) {
@@ -145,23 +151,24 @@ TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
       EXPECT_TRUE(pdone);
     }
     return std::make_tuple(scores, cempar.TotalRegionalSupportVectors(),
-                           cempar.HomeOwners());
+                           cempar.HomeOwners(), trained_at, train_messages);
   };
-  auto [scores1, svs1, owners1] = run(1);
-  auto [scores4, svs4, owners4] = run(4);
+  auto [scores1, svs1, owners1, at1, messages1] = run(1);
+  auto [scores4, svs4, owners4, at4, messages4] = run(4);
   EXPECT_EQ(svs1, svs4);
   EXPECT_EQ(owners1, owners4);
   EXPECT_EQ(scores1, scores4);  // exact double equality
+  EXPECT_EQ(at1, at4);
+  EXPECT_EQ(messages1, messages4);
 }
 
 TEST_F(ParallelDeterminismTest, PaceTrainIdentical1VsNThreads) {
-  auto run = [&](std::size_t num_threads) {
+  auto run = [&](std::size_t threads) {
+    ThreadPool::SetGlobalConcurrency(threads);
     EnvironmentOptions eo;
     eo.num_peers = 12;
     auto env = std::move(Environment::Create(eo)).value();
-    PaceOptions opt;
-    opt.num_threads = num_threads;
-    Pace pace(env->sim(), env->net(), env->overlay(), opt);
+    Pace pace(env->sim(), env->net(), env->overlay());
     EXPECT_TRUE(
         pace.Setup(PeerPartition(12), Corpus().dataset.num_tags()).ok());
     bool done = false;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "p2pdmt/environment.h"
 #include "p2pml/cempar.h"
 #include "p2pml/pace.h"
@@ -203,13 +204,32 @@ TEST(ReliableProtocolsTest, CemparPredictionWaitsOutOwnerDowntime) {
 TEST(ReliableProtocolsTest, CemparDegradesToLocalModelsWhenIsolated) {
   CemparOptions opt;
   opt.reliable_transport = true;
-  opt.replicate_regional_models = false;
   opt.transport.max_retries = 1;  // fail fast, the peers are gone for good
-  CemparFixture f(6, /*loss_rate=*/0.0, opt);
-  ASSERT_TRUE(f.Train(MakePeerData(6, 8, 24)).ok());
+  constexpr std::size_t kPeers = 10;
+  CemparFixture f(kPeers, /*loss_rate=*/0.0, opt);
+  ASSERT_TRUE(f.Train(MakePeerData(kPeers, 8, 24)).ok());
 
-  for (NodeId n = 1; n < 6; ++n) f.env->net().SetOnline(n, false);
-  P2PPrediction p = f.PredictSync(0, TagVector(2));
+  // Isolate a requester that neither owns a home nor holds a home's
+  // standby replica (the owner's first live successor): then no regional
+  // model stays reachable and none can be promoted onto the requester.
+  std::set<NodeId> serving;
+  for (NodeId owner : f.cempar->HomeOwners()) {
+    if (owner == kInvalidNode) continue;
+    serving.insert(owner);
+    for (NodeId succ : f.env->chord()->SuccessorsOf(owner)) {
+      if (succ != owner && f.env->net().IsOnline(succ)) {
+        serving.insert(succ);
+        break;
+      }
+    }
+  }
+  NodeId requester = 0;
+  while (serving.count(requester) > 0) ++requester;
+  ASSERT_LT(requester, kPeers);
+  for (NodeId n = 0; n < kPeers; ++n) {
+    if (n != requester) f.env->net().SetOnline(n, false);
+  }
+  P2PPrediction p = f.PredictSync(requester, TagVector(2));
   ASSERT_TRUE(p.success);
   EXPECT_TRUE(p.degraded);
   // Scores come from the peer's own local models — reduced quality, so no
@@ -217,10 +237,12 @@ TEST(ReliableProtocolsTest, CemparDegradesToLocalModelsWhenIsolated) {
   EXPECT_EQ(p.scores.size(), 4u);
 
   // The fire-and-forget baseline fails outright in the same situation.
-  CemparFixture g(6, /*loss_rate=*/0.0);
-  ASSERT_TRUE(g.Train(MakePeerData(6, 8, 24)).ok());
-  for (NodeId n = 1; n < 6; ++n) g.env->net().SetOnline(n, false);
-  P2PPrediction q = g.PredictSync(0, TagVector(2));
+  CemparFixture g(kPeers, /*loss_rate=*/0.0);
+  ASSERT_TRUE(g.Train(MakePeerData(kPeers, 8, 24)).ok());
+  for (NodeId n = 0; n < kPeers; ++n) {
+    if (n != requester) g.env->net().SetOnline(n, false);
+  }
+  P2PPrediction q = g.PredictSync(requester, TagVector(2));
   EXPECT_FALSE(q.success);
   EXPECT_FALSE(q.degraded);
 }
@@ -271,9 +293,9 @@ TEST(ReliableProtocolsTest, CemparReplicatesAndPromotesStandbys) {
 
 TEST(ReliableProtocolsTest, SerialEqualsParallelWithTransportEnabled) {
   auto run = [](std::size_t threads) {
+    ThreadPool::SetGlobalConcurrency(threads);
     PaceOptions opt;
     opt.reliable_dissemination = true;
-    opt.num_threads = threads;
     PaceFixture f(10, /*loss_rate=*/0.2, opt);
     EXPECT_TRUE(f.Train(MakePeerData(10, 8, 26)).ok());
 
@@ -312,6 +334,7 @@ TEST(ReliableProtocolsTest, SerialEqualsParallelWithTransportEnabled) {
 
   auto serial = run(1);
   auto parallel = run(4);
+  ThreadPool::SetGlobalConcurrency(0);
   EXPECT_TRUE(serial == parallel);
   EXPECT_GT(serial.retransmits, 0u);
 }

@@ -1,10 +1,9 @@
-// Scale regression: the sharded simulation path must be bit-identical to
-// the serial one. A 10k-peer experiment runs once fully serial (one shard,
-// one thread) and once sharded across the pool; macro-F1, per-phase message
-// counts and the deterministic slice of the metrics snapshot must match
-// exactly. Fault and adversary plans are armed with windows that never
-// open, pinning the contract that an idle defense/fault stack leaves
-// baselines untouched at scale.
+// Scale regression: the parallel simulation path must be bit-identical to
+// the serial one. A 10k-peer experiment runs once at global concurrency 1
+// and once at 4; macro-F1, per-phase message counts and the deterministic
+// slice of the metrics snapshot must match exactly. Fault and adversary
+// plans are armed with windows that never open, pinning the contract that
+// an idle defense/fault stack leaves baselines untouched at scale.
 
 #include <sstream>
 #include <string>
@@ -17,7 +16,6 @@
 #include "p2pdmt/evaluation.h"
 #include "p2pdmt/experiment.h"
 #include "p2psim/fault.h"
-#include "p2psim/sharding.h"
 
 namespace p2pdt {
 namespace {
@@ -123,7 +121,7 @@ ExperimentOptions ScaleOptions(AlgorithmType algo, std::size_t peers) {
                                      : OverlayType::kUnstructured;
   opt.env.observe.metrics = true;
   // The cost ledger joins the fingerprint: op counts must also be
-  // bit-identical for any shard/thread partition.
+  // bit-identical at any thread count.
   opt.env.observe.cost_ledger = true;
   opt.distribution.cls = ClassDistribution::kByUser;
   opt.max_test_documents = 40;
@@ -133,11 +131,8 @@ ExperimentOptions ScaleOptions(AlgorithmType algo, std::size_t peers) {
   return opt;
 }
 
-RunFingerprint RunWith(ExperimentOptions opt, std::size_t shards,
-                       std::size_t threads) {
-  opt.sim_shards = shards;
-  opt.cempar.num_threads = threads;
-  opt.pace.num_threads = threads;
+RunFingerprint RunWith(const ExperimentOptions& opt, std::size_t threads) {
+  ThreadPool::SetGlobalConcurrency(threads);
   Result<ExperimentResult> r = RunExperiment(Corpus(), opt);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return Fingerprint(r.value());
@@ -151,8 +146,8 @@ class ScaleDeterminismTest : public ::testing::Test {
 
 TEST_F(ScaleDeterminismTest, Pace10kSerialEqualsSharded) {
   ExperimentOptions opt = ScaleOptions(AlgorithmType::kPace, 10000);
-  RunFingerprint serial = RunWith(opt, /*shards=*/1, /*threads=*/1);
-  RunFingerprint sharded = RunWith(opt, /*shards=*/8, /*threads=*/4);
+  RunFingerprint serial = RunWith(opt, /*threads=*/1);
+  RunFingerprint sharded = RunWith(opt, /*threads=*/4);
   EXPECT_TRUE(serial == sharded);
   EXPECT_EQ(serial.metrics, sharded.metrics);
   EXPECT_EQ(serial.macro_f1, sharded.macro_f1);
@@ -170,9 +165,9 @@ TEST_F(ScaleDeterminismTest, Pace10kBroadcastWindowPreservesResults) {
   // A finite dissemination window only re-times event-queue pressure; every
   // contributor still broadcasts, so coverage and quality are unchanged.
   ExperimentOptions opt = ScaleOptions(AlgorithmType::kPace, 10000);
-  RunFingerprint unlimited = RunWith(opt, 8, 4);
+  RunFingerprint unlimited = RunWith(opt, 4);
   opt.pace.max_concurrent_broadcasts = 4;
-  RunFingerprint windowed = RunWith(opt, 8, 4);
+  RunFingerprint windowed = RunWith(opt, 4);
   EXPECT_EQ(unlimited.macro_f1, windowed.macro_f1);
   EXPECT_EQ(unlimited.coverage, windowed.coverage);
   EXPECT_EQ(unlimited.train_messages, windowed.train_messages);
@@ -184,28 +179,10 @@ TEST_F(ScaleDeterminismTest, Cempar2kSerialEqualsSharded) {
   // in sanitizer builds while still far above every tier-1 network size.
   ExperimentOptions opt = ScaleOptions(AlgorithmType::kCempar, 2048);
   opt.cempar.svm.kernel = Kernel::Linear();
-  RunFingerprint serial = RunWith(opt, 1, 1);
-  RunFingerprint sharded = RunWith(opt, 8, 4);
+  RunFingerprint serial = RunWith(opt, 1);
+  RunFingerprint sharded = RunWith(opt, 4);
   EXPECT_TRUE(serial == sharded);
   EXPECT_GT(serial.train_messages, 0u);
-}
-
-TEST_F(ScaleDeterminismTest, ShardedPhaseCommitsInItemOrderForAnyShardCount) {
-  for (std::size_t shards : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                             std::size_t{17}, std::size_t{64}}) {
-    std::vector<int> order;
-    ShardPlanOptions plan;
-    plan.shards = shards;
-    plan.num_threads = 4;
-    std::size_t resolved =
-        ShardedPhase(37, plan, [&](std::size_t item) -> UniqueFunction {
-          return [&order, item] { order.push_back(static_cast<int>(item)); };
-        });
-    EXPECT_EQ(resolved, std::min<std::size_t>(shards, 37));
-    std::vector<int> expected(37);
-    for (int i = 0; i < 37; ++i) expected[static_cast<std::size_t>(i)] = i;
-    EXPECT_EQ(order, expected) << "shards=" << shards;
-  }
 }
 
 TEST_F(ScaleDeterminismTest, DeterministicSampleIsStable) {

@@ -1,8 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,20 +133,6 @@ TEST(ThreadPoolTest, BoundedQueueStillCompletesUnderBurst) {
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(ThreadPoolTest, MaxThreadsCapsParallelism) {
-  // Functional check only: a cap of 1 must run the whole range inline.
-  ThreadPool pool(4);
-  std::vector<int> out(100, 0);
-  pool.ParallelFor(
-      0, out.size(), 10,
-      [&](std::size_t lo, std::size_t hi) {
-        EXPECT_FALSE(ThreadPool::InWorker());  // caller-only execution
-        for (std::size_t i = lo; i < hi; ++i) out[i] = 1;
-      },
-      /*max_threads=*/1);
-  EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 100);
-}
-
 TEST(ThreadPoolTest, GlobalConcurrencyKnob) {
   ThreadPool::SetGlobalConcurrency(3);
   EXPECT_EQ(ThreadPool::GlobalConcurrency(), 3u);
@@ -155,15 +143,60 @@ TEST(ThreadPoolTest, GlobalConcurrencyKnob) {
   EXPECT_EQ(ThreadPool::Global().num_workers(), 0u);
 
   std::vector<int> out(20, 0);
-  ParallelFor(0, out.size(), 4, /*threads=*/0,
-              [&](std::size_t lo, std::size_t hi) {
-                for (std::size_t i = lo; i < hi; ++i) out[i] = 1;
-              });
+  ParallelFor(0, out.size(), 4, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) out[i] = 1;
+  });
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 20);
 
   ThreadPool::SetGlobalConcurrency(4);
   EXPECT_EQ(ThreadPool::Global().num_workers(), 3u);
 }
+
+class ComputeCommitPhaseTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  void SetUp() override { ThreadPool::SetGlobalConcurrency(GetParam()); }
+  void TearDown() override { ThreadPool::SetGlobalConcurrency(0); }
+};
+
+TEST_P(ComputeCommitPhaseTest, CommitsInItemOrderWhateverOrderItemsFinish) {
+  constexpr std::size_t kItems = 37;
+  // With helpers present, item 0 is by far the most expensive: it waits
+  // until every other item has been computed. Only dynamic claims let the
+  // other threads take items 1..36 meanwhile (a contiguous split would hand
+  // them to item 0's thread, so the bounded wait would run out), and the
+  // items then finish in an order far from item order.
+  const bool parallel = GetParam() > 1;
+  std::atomic<std::size_t> computed{0};
+  bool waited_for_the_rest = false;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  ComputeCommitPhase(kItems, [&](std::size_t item) -> UniqueFunction {
+    if (item == 0 && parallel) {
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (computed.load() < kItems - 1 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      waited_for_the_rest = computed.load() == kItems - 1;
+    }
+    computed.fetch_add(1);
+    return [&, item] {
+      // Commits start only once every item is computed, on the caller.
+      EXPECT_EQ(computed.load(), kItems);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(item);
+    };
+  });
+  EXPECT_EQ(waited_for_the_rest, parallel);
+  std::vector<std::size_t> expected(kItems);
+  std::iota(expected.begin(), expected.end(), std::size_t{0});
+  EXPECT_EQ(order, expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, ComputeCommitPhaseTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{3}, std::size_t{4}));
 
 }  // namespace
 }  // namespace p2pdt

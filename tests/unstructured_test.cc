@@ -21,11 +21,9 @@ struct Graph {
 };
 
 TEST(UnstructuredTest, MeanDegreeNearTarget) {
-  UnstructuredOptions opt;
-  opt.degree = 6;
-  Graph g(100, opt);
-  // Each join adds `degree` undirected edges (except the bootstrap few), so
-  // mean degree ≈ 2 * 6 * (n - small) / n.
+  Graph g(100);
+  // Each join adds 6 undirected edges (except the bootstrap few), so mean
+  // degree ≈ 2 * 6 * (n - small) / n.
   EXPECT_GE(g.overlay->MeanDegree(), 6.0);
   EXPECT_LE(g.overlay->MeanDegree(), 13.0);
 }
@@ -77,7 +75,6 @@ TEST(UnstructuredTest, FloodCostExceedsTreeBroadcast) {
 
 TEST(UnstructuredTest, TtlBoundsPropagation) {
   UnstructuredOptions opt;
-  opt.degree = 2;
   opt.flood_ttl = 1;  // direct neighbors only
   Graph g(100, opt);
   std::set<NodeId> reached;
@@ -96,9 +93,7 @@ TEST(UnstructuredTest, TtlBoundsPropagation) {
 }
 
 TEST(UnstructuredTest, OfflinePeersBreakPropagationPaths) {
-  UnstructuredOptions opt;
-  opt.degree = 3;
-  Graph g(60, opt);
+  Graph g(60);
   // Take down half the network.
   for (NodeId n = 1; n < 60; n += 2) g.net->SetOnline(n, false);
   std::set<NodeId> reached;
@@ -127,7 +122,6 @@ TEST(UnstructuredTest, BroadcastFromOfflineOriginCompletesEmpty) {
 
 TEST(UnstructuredTest, GossipCoversMostPeersCheaper) {
   UnstructuredOptions flood_opt;
-  flood_opt.degree = 8;
   flood_opt.flood_ttl = 10;
   UnstructuredOptions gossip_opt = flood_opt;
   gossip_opt.mode = DisseminationMode::kGossip;
