@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 #include "common/cost_ledger.h"
 #include "common/profile.h"
@@ -93,22 +94,32 @@ CompactEntries CompactFeatures(const std::vector<Example>& data) {
 
 KernelSvmModel::KernelSvmModel(Kernel kernel, std::vector<SupportVector> svs,
                                double bias)
-    : kernel_(kernel), svs_(std::move(svs)), bias_(bias) {
-  sv_norm2_.reserve(svs_.size());
-  for (const SupportVector& sv : svs_) {
-    sv_norm2_.push_back(sv.x.SquaredNorm());
-    dimension_bound_ = std::max(dimension_bound_, sv.x.DimensionBound());
+    : kernel_(kernel), bias_(bias) {
+  auto body = std::make_shared<Body>();
+  body->svs = std::move(svs);
+  body->norm2.reserve(body->svs.size());
+  for (const SupportVector& sv : body->svs) {
+    body->norm2.push_back(sv.x.SquaredNorm());
+    body->dimension_bound =
+        std::max(body->dimension_bound, sv.x.DimensionBound());
   }
+  body_ = std::move(body);
+}
+
+const KernelSvmModel::Body& KernelSvmModel::body() const {
+  static const Body kEmpty;
+  return body_ != nullptr ? *body_ : kEmpty;
 }
 
 double KernelSvmModel::Decision(const SparseVector& x) const {
   PhaseScope profile("kernel_decision");
+  const Body& b = body();
   double sum = bias_;
   const double x_norm2 = x.SquaredNorm();
   // Ids at or past min(query bound, model bound) are on one side only.
-  const uint64_t bound = std::min(x.DimensionBound(), dimension_bound_);
+  const uint64_t bound = std::min(x.DimensionBound(), b.dimension_bound);
   if (!Kernel::Gatherable(x_norm2) || bound > kGatherDimensionCeiling) {
-    for (const auto& sv : svs_) sum += sv.alpha * sv.y * kernel_(sv.x, x);
+    for (const auto& sv : b.svs) sum += sv.alpha * sv.y * kernel_(sv.x, x);
     return sum;
   }
   // All-zero between calls: only the query's ids are written, and they are
@@ -122,11 +133,11 @@ double KernelSvmModel::Decision(const SparseVector& x) const {
     dense[query[scattered].first] = query[scattered].second;
   }
   uint64_t gathers = 0, ops = 0;
-  for (std::size_t s = 0; s < svs_.size(); ++s) {
-    const SupportVector& sv = svs_[s];
+  for (std::size_t s = 0; s < b.svs.size(); ++s) {
+    const SupportVector& sv = b.svs[s];
     double k;
-    if (Kernel::Gatherable(sv_norm2_[s])) {
-      k = kernel_.FromDot(GatherDot(sv.x, dense, bound, ops), sv_norm2_[s],
+    if (Kernel::Gatherable(b.norm2[s])) {
+      k = kernel_.FromDot(GatherDot(sv.x, dense, bound, ops), b.norm2[s],
                           x_norm2);
       ++gathers;
     } else {
@@ -143,7 +154,7 @@ std::size_t KernelSvmModel::WireSize() const {
   // Each SV ships its vector plus label and alpha; one double for the bias
   // and a small kernel descriptor.
   std::size_t bytes = 8 + 16;
-  for (const auto& sv : svs_) bytes += sv.x.WireSize() + 16;
+  for (const auto& sv : body().svs) bytes += sv.x.WireSize() + 16;
   return bytes;
 }
 
@@ -329,22 +340,44 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
 
 namespace {
 
+// Hash of a (vector, label) pair that agrees with ==: values that compare
+// equal hash alike, -0.0 and 0.0 included.
+uint64_t PoolHash(const SparseVector& x, double y) {
+  constexpr uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  // v + 0.0 turns -0.0 into 0.0 and leaves every other value alone.
+  auto bits = [](double v) { return std::bit_cast<uint64_t>(v + 0.0); };
+  uint64_t h = bits(y);
+  for (const auto& [id, w] : x.entries()) {
+    h = (h ^ id) * kMul;
+    h = (h ^ bits(w)) * kMul;
+  }
+  return h ^ (h >> 29);
+}
+
 // Pools the support vectors of `models` into a training set, deduplicating
 // identical (vector, label) pairs so repeated cascade levels do not inflate
-// the problem.
+// the problem. First occurrences stay, in model order; a candidate is
+// compared only with the pooled vectors of equal hash. A vector holding a
+// NaN equals nothing, itself included, so it is always pooled.
 std::vector<Example> PoolSupportVectors(
     const std::vector<const KernelSvmModel*>& models) {
+  std::size_t total = 0;
+  for (const KernelSvmModel* m : models) total += m->num_support_vectors();
   std::vector<Example> pool;
+  pool.reserve(total);
+  std::unordered_multimap<uint64_t, std::size_t> seen;
+  seen.reserve(total);
   for (const KernelSvmModel* m : models) {
     for (const auto& sv : m->support_vectors()) {
-      bool duplicate = false;
-      for (const auto& ex : pool) {
-        if (ex.y == sv.y && ex.x == sv.x) {
-          duplicate = true;
-          break;
-        }
-      }
-      if (!duplicate) pool.push_back({sv.x, sv.y});
+      const uint64_t h = PoolHash(sv.x, sv.y);
+      const auto [lo, hi] = seen.equal_range(h);
+      const bool duplicate = std::any_of(lo, hi, [&](const auto& entry) {
+        const Example& ex = pool[entry.second];
+        return ex.y == sv.y && ex.x == sv.x;
+      });
+      if (duplicate) continue;
+      seen.emplace(h, pool.size());
+      pool.push_back({sv.x, sv.y});
     }
   }
   return pool;
@@ -380,7 +413,8 @@ Result<KernelSvmModel> CascadeTree(
   if (fan_in < 2) {
     return Status::InvalidArgument("cascade fan-in must be >= 2");
   }
-  // Level-by-level merge; own the intermediate models.
+  // Level-by-level merge; own the intermediate models. The first level's
+  // copies share the inputs' support vectors.
   std::vector<KernelSvmModel> current;
   current.reserve(models.size());
   for (const KernelSvmModel* m : models) current.push_back(*m);

@@ -46,6 +46,12 @@ inline constexpr uint64_t kGatherDimensionCeiling = uint64_t{1} << 18;
 /// (paper Sec. 2). WireSize() therefore charges the support vectors
 /// themselves — which is also why CEMPaR's privacy argument is only about
 /// word-id obfuscation: actual document vectors travel.
+///
+/// The support vectors, their cached norms and the dimension bound live in
+/// one immutable body that copies, assignments and Clone() share: the
+/// simulator holds each uploaded model at the peer, at its home and in the
+/// cascade, and those copies cost one array, not three. Nothing writes the
+/// body after construction, so any number of threads may read one model.
 class KernelSvmModel final : public BinaryClassifier {
  public:
   KernelSvmModel() = default;
@@ -64,19 +70,28 @@ class KernelSvmModel final : public BinaryClassifier {
     return std::make_unique<KernelSvmModel>(*this);
   }
 
-  const std::vector<SupportVector>& support_vectors() const { return svs_; }
+  const std::vector<SupportVector>& support_vectors() const {
+    return body().svs;
+  }
   const Kernel& kernel() const { return kernel_; }
   double bias() const { return bias_; }
-  std::size_t num_support_vectors() const { return svs_.size(); }
+  std::size_t num_support_vectors() const { return body().svs.size(); }
 
  private:
+  struct Body {
+    std::vector<SupportVector> svs;
+    /// ‖sv‖² per support vector.
+    std::vector<double> norm2;
+    /// Largest SV feature id + 1 (64-bit).
+    uint64_t dimension_bound = 0;
+  };
+  /// The shared body; a default-constructed or moved-from model has none
+  /// and reads as one without support vectors.
+  const Body& body() const;
+
   Kernel kernel_;
-  std::vector<SupportVector> svs_;
+  std::shared_ptr<const Body> body_;
   double bias_ = 0.0;
-  /// ‖sv‖² per support vector, cached at construction.
-  std::vector<double> sv_norm2_;
-  /// Largest SV feature id + 1 (64-bit).
-  uint64_t dimension_bound_ = 0;
 };
 
 /// Gram matrix K(x_i, x_j) of `data`, row-major n x n and exactly

@@ -333,7 +333,15 @@ void Cempar::CascadeAll() {
   // Regional models are about to change: every cached prediction computed
   // against the old cascade is stale.
   runtime_.BumpPublishEpoch();
-  for (Home& home : homes_) {
+  // The intake checks run here on the driver thread, as Train's adversary
+  // lookups do, so the workers below only cascade.
+  struct Job {
+    std::size_t home;
+    std::vector<const KernelSvmModel*> locals;
+  };
+  std::vector<Job> jobs;
+  for (std::size_t h = 0; h < homes_.size(); ++h) {
+    Home& home = homes_[h];
     if (home.locals.empty() || !home.dirty) continue;
     home.dirty = false;
     std::vector<const KernelSvmModel*> locals;
@@ -359,18 +367,36 @@ void Cempar::CascadeAll() {
       home.weight = 0.0;
       continue;
     }
-    PhaseTimer timer = runtime_.Time(Phase::kCascadeMerge);
-    Result<KernelSvmModel> regional =
-        CascadeTree(locals, options_.svm, options_.cascade_fan_in);
-    if (!regional.ok()) {
-      P2PDT_LOG(Warning) << "cascade failed: " << regional.status().ToString();
-      continue;
-    }
-    home.regional = std::move(regional).value();
-    home.has_regional = true;
-    // Vote weight counts only the models that actually entered the merge.
-    home.weight = static_cast<double>(locals.size());
+    jobs.push_back({h, std::move(locals)});
   }
+  // Resolving the histogram registers it, and the registry holds only
+  // phases that ran.
+  if (jobs.empty()) return;
+  Histogram* hist = runtime_.phase(Phase::kCascadeMerge);
+
+  // Compute/commit phase: the homes' cascades are independent, so each runs
+  // on a pool worker, reading only its own home's locals. The commits
+  // install the regional models on the driver thread in home order, so they
+  // are the same at every thread count.
+  ComputeCommitPhase(jobs.size(), [&](std::size_t i) -> UniqueFunction {
+    const Job& job = jobs[i];
+    PhaseTimer timer(Phase::kCascadeMerge, hist);
+    Result<KernelSvmModel> regional =
+        CascadeTree(job.locals, options_.svm, options_.cascade_fan_in);
+    return [this, h = job.home, merged = job.locals.size(),
+            regional = std::move(regional)]() mutable {
+      if (!regional.ok()) {
+        P2PDT_LOG(Warning) << "cascade failed: "
+                           << regional.status().ToString();
+        return;
+      }
+      Home& home = homes_[h];
+      home.regional = std::move(regional).value();
+      home.has_regional = true;
+      // Vote weight counts only the models that actually entered the merge.
+      home.weight = static_cast<double>(merged);
+    };
+  });
 }
 
 void Cempar::EvaluateHomes(NodeId owner,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "ml/serialization.h"
 
 namespace p2pdt {
 namespace {
@@ -191,12 +192,45 @@ TEST(KernelSvmTest, WireSizeGrowsWithSupportVectors) {
   EXPECT_EQ(model->WireSize(), expected);
 }
 
-TEST(KernelSvmTest, CloneIsDeep) {
-  std::vector<Example> data = {Make({{0, 1.0}}, 1), Make({{1, 1.0}}, -1)};
+TEST(KernelSvmTest, CopiesShareOneSupportVectorArray) {
+  std::vector<Example> data = {Make({{0, 1.0}, {2, 0.5}}, 1),
+                               Make({{1, 1.0}}, -1),
+                               Make({{0, 0.4}, {1, 0.9}}, -1),
+                               Make({{2, 1.0}, {7, 0.3}}, 1)};
   Result<KernelSvmModel> model = TrainKernelSvm(data);
   ASSERT_TRUE(model.ok());
+  ASSERT_GT(model->num_support_vectors(), 0u);
+  const KernelSvmModel copy(*model);
+  KernelSvmModel assigned;
+  assigned = *model;
   std::unique_ptr<BinaryClassifier> clone = model->Clone();
-  EXPECT_DOUBLE_EQ(clone->Decision(data[0].x), model->Decision(data[0].x));
+  const auto* cloned = dynamic_cast<const KernelSvmModel*>(clone.get());
+  ASSERT_NE(cloned, nullptr);
+  const std::vector<const KernelSvmModel*> models = {&*model, &copy,
+                                                     &assigned, cloned};
+  for (const KernelSvmModel* m : models) {
+    EXPECT_EQ(&m->support_vectors(), &model->support_vectors());
+  }
+  // A model rebuilt from the same support vectors owns its own array and
+  // reads exactly as the shared copies do.
+  const KernelSvmModel rebuilt(model->kernel(), model->support_vectors(),
+                               model->bias());
+  EXPECT_NE(&rebuilt.support_vectors(), &model->support_vectors());
+  const std::string bytes = SerializeKernelSvm(rebuilt);
+  const SparseVector probe = SparseVector::FromPairs({{0, 0.7}, {7, 0.2}});
+  for (const KernelSvmModel* m : models) {
+    EXPECT_EQ(m->WireSize(), rebuilt.WireSize());
+    EXPECT_EQ(SerializeKernelSvm(*m), bytes);
+    EXPECT_EQ(m->Decision(probe), rebuilt.Decision(probe));
+    for (const Example& ex : data) {
+      EXPECT_EQ(m->Decision(ex.x), rebuilt.Decision(ex.x));
+    }
+  }
+
+  const KernelSvmModel empty;
+  EXPECT_EQ(empty.num_support_vectors(), 0u);
+  EXPECT_TRUE(empty.support_vectors().empty());
+  EXPECT_EQ(empty.Decision(probe), 0.0);
 }
 
 }  // namespace

@@ -116,8 +116,9 @@ TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
   // need retries — and when training ends — depends on the order the grid's
   // uploads are issued in, and the (default) RBF fits take long enough for
   // the threads' claims to interleave. The parallel run must still issue
-  // the uploads in exactly the serial order.
-  auto run = [&](std::size_t threads) {
+  // the uploads in exactly the serial order. The homes then cascade
+  // concurrently; at two regions per tag there are 12 of them.
+  auto run = [&](std::size_t threads, std::size_t regions_per_tag) {
     ThreadPool::SetGlobalConcurrency(threads);
     EnvironmentOptions eo;
     eo.num_peers = 12;
@@ -125,6 +126,7 @@ TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
     auto env = std::move(Environment::Create(eo)).value();
     CemparOptions opt;
     opt.reliable_transport = true;
+    opt.regions_per_tag = regions_per_tag;
     Cempar cempar(env->sim(), env->net(), *env->chord(), opt);
     EXPECT_TRUE(
         cempar.Setup(PeerPartition(12), Corpus().dataset.num_tags()).ok());
@@ -153,13 +155,17 @@ TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
     return std::make_tuple(scores, cempar.TotalRegionalSupportVectors(),
                            cempar.HomeOwners(), trained_at, train_messages);
   };
-  auto [scores1, svs1, owners1, at1, messages1] = run(1);
-  auto [scores4, svs4, owners4, at4, messages4] = run(4);
-  EXPECT_EQ(svs1, svs4);
-  EXPECT_EQ(owners1, owners4);
-  EXPECT_EQ(scores1, scores4);  // exact double equality
-  EXPECT_EQ(at1, at4);
-  EXPECT_EQ(messages1, messages4);
+  for (std::size_t regions_per_tag : {1, 2}) {
+    SCOPED_TRACE(regions_per_tag);
+    auto [scores1, svs1, owners1, at1, messages1] = run(1, regions_per_tag);
+    auto [scores4, svs4, owners4, at4, messages4] = run(4, regions_per_tag);
+    EXPECT_EQ(owners1.size(), 6 * regions_per_tag);
+    EXPECT_EQ(svs1, svs4);
+    EXPECT_EQ(owners1, owners4);
+    EXPECT_EQ(scores1, scores4);  // exact double equality
+    EXPECT_EQ(at1, at4);
+    EXPECT_EQ(messages1, messages4);
+  }
 }
 
 TEST_F(ParallelDeterminismTest, PaceTrainIdentical1VsNThreads) {

@@ -17,10 +17,17 @@
 // their average, and at C = 0.01, where many problems have every support
 // vector at a bound and the bias comes from TrainKernelSvm's fallback: the
 // midpoint of the interval the KKT conditions leave for it.
+//
+// The cascade is also checked against weak duality, which no solver
+// tolerance enters: each level's dual is at most its parent's primal, and
+// the root's dual at most the primal of one SVM trained on every local's
+// data. Its merge step must pool exactly as the quadratic reference below.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -132,10 +139,11 @@ KernelSvmModel TrainCounted(const std::vector<Example>& data,
   return model.ok() ? std::move(model).value() : KernelSvmModel();
 }
 
-void ExpectCertified(const std::string& name, const KernelSvmModel& model,
-                     const std::vector<Example>& data,
-                     const KernelSvmOptions& options, uint64_t iterations,
-                     bool may_use_fallback) {
+Certificate ExpectCertified(const std::string& name,
+                            const KernelSvmModel& model,
+                            const std::vector<Example>& data,
+                            const KernelSvmOptions& options,
+                            uint64_t iterations, bool may_use_fallback) {
   SCOPED_TRACE(name);
   const Certificate c = Certify(model, data, options);
   const double gap = c.primal - c.dual;
@@ -153,6 +161,12 @@ void ExpectCertified(const std::string& name, const KernelSvmModel& model,
   EXPECT_LE(c.worst_violation, 0.0)
       << "KKT violated beyond tol at example " << c.worst_index;
   EXPECT_LE(std::fabs(c.sum_alpha_y), 1e-10 * (1.0 + c.sum_alpha));
+  return c;
+}
+
+/// What rounding alone may leave between a dual value and a primal one.
+double RoundingSlack(double primal) {
+  return 1e-9 * std::max(1.0, std::fabs(primal));
 }
 
 struct Setting {
@@ -205,55 +219,147 @@ std::vector<Example> Pool(const std::vector<const KernelSvmModel*>& models) {
   return pool;
 }
 
+// Weak duality along the tree: a child's alpha, zero-padded, is feasible in
+// its parent's pool, which holds every one of the child's support vectors,
+// so dual(child) <= D*(parent) <= primal(parent). The root's alpha is
+// feasible in the union of the locals' data the same way (Graf et al., NIPS
+// 2004). Fan-in 2 builds three levels; 8 is CEMPaR's default, one level.
 TEST(SmoCertificate, CascadeLevelsAreOptimalOnTheirSupportVectors) {
   for (const Setting& s : Settings()) {
     KernelSvmOptions opt;
     opt.kernel = s.kernel;
     opt.c = s.c;
-    constexpr std::size_t kFanIn = 2;
-    // Eight peers' local models, then the cascade rebuilt level by level
-    // with the same grouping CascadeTree uses.
-    std::vector<KernelSvmModel> level;
+    // Eight peers' local models, each with its dual on its own data.
+    std::vector<KernelSvmModel> locals;
+    std::vector<double> local_duals;
+    std::vector<Example> all;
     for (uint64_t peer = 0; peer < 8; ++peer) {
       const std::vector<Example> local = MakeProblem(30, 77 + peer, 0.1);
+      all.insert(all.end(), local.begin(), local.end());
       uint64_t iters = 0;
-      level.push_back(TrainCounted(local, opt, &iters));
-      ExpectCertified(std::string(s.name) + "/local" + std::to_string(peer),
-                      level.back(), local, opt, iters,
-                      s.may_use_fallback);
+      locals.push_back(TrainCounted(local, opt, &iters));
+      local_duals.push_back(
+          ExpectCertified(std::string(s.name) + "/local" + std::to_string(peer),
+                          locals.back(), local, opt, iters, s.may_use_fallback)
+              .dual);
     }
-    std::vector<const KernelSvmModel*> inputs;
-    for (const KernelSvmModel& m : level) inputs.push_back(&m);
-    Result<KernelSvmModel> tree = CascadeTree(inputs, opt, kFanIn);
-    ASSERT_TRUE(tree.ok());
+    uint64_t union_iters = 0;
+    const KernelSvmModel whole = TrainCounted(all, opt, &union_iters);
+    const Certificate central =
+        ExpectCertified(std::string(s.name) + "/union", whole, all, opt,
+                        union_iters, s.may_use_fallback);
 
-    for (int depth = 1; level.size() > 1; ++depth) {
-      std::vector<KernelSvmModel> next;
-      for (std::size_t i = 0; i < level.size(); i += kFanIn) {
-        std::vector<const KernelSvmModel*> group;
-        for (std::size_t j = i; j < std::min(i + kFanIn, level.size()); ++j) {
-          group.push_back(&level[j]);
+    for (std::size_t fan_in : {2, 8}) {
+      const std::string prefix =
+          std::string(s.name) + "/fan" + std::to_string(fan_in);
+      std::vector<const KernelSvmModel*> inputs;
+      for (const KernelSvmModel& m : locals) inputs.push_back(&m);
+      Result<KernelSvmModel> tree = CascadeTree(inputs, opt, fan_in);
+      ASSERT_TRUE(tree.ok());
+
+      // The cascade rebuilt level by level with the grouping CascadeTree
+      // uses.
+      std::vector<KernelSvmModel> level = locals;
+      std::vector<double> duals = local_duals;
+      for (int depth = 1; level.size() > 1; ++depth) {
+        std::vector<KernelSvmModel> next;
+        std::vector<double> next_duals;
+        for (std::size_t i = 0; i < level.size(); i += fan_in) {
+          const std::size_t end = std::min(i + fan_in, level.size());
+          if (end - i == 1) {  // passed through unchanged, not retrained
+            next.push_back(level[i]);
+            next_duals.push_back(duals[i]);
+            continue;
+          }
+          std::vector<const KernelSvmModel*> group;
+          for (std::size_t j = i; j < end; ++j) group.push_back(&level[j]);
+          const std::vector<Example> pool = Pool(group);
+          uint64_t iters = 0;
+          next.push_back(TrainCounted(pool, opt, &iters));
+          const std::string name = prefix + "/level" + std::to_string(depth) +
+                                   "/group" + std::to_string(i / fan_in);
+          const Certificate parent = ExpectCertified(
+              name, next.back(), pool, opt, iters, s.may_use_fallback);
+          next_duals.push_back(parent.dual);
+          for (std::size_t j = i; j < end; ++j) {
+            EXPECT_LE(duals[j], parent.primal + RoundingSlack(parent.primal))
+                << name << ": child " << j - i
+                << "'s dual exceeds its parent's primal";
+          }
         }
-        if (group.size() == 1) {  // passed through unchanged, not retrained
-          next.push_back(*group[0]);
-          continue;
-        }
-        const std::vector<Example> pool = Pool(group);
-        uint64_t iters = 0;
-        next.push_back(TrainCounted(pool, opt, &iters));
-        ExpectCertified(std::string(s.name) + "/level" +
-                            std::to_string(depth) + "/group" +
-                            std::to_string(i / kFanIn),
-                        next.back(), pool, opt, iters, s.may_use_fallback);
+        level = std::move(next);
+        duals = std::move(next_duals);
       }
-      level = std::move(next);
+      EXPECT_LE(duals[0], central.primal + RoundingSlack(central.primal))
+          << prefix << ": root dual exceeds the union SVM's primal";
+
+      // The rebuilt root is the model CascadeTree returned.
+      ASSERT_EQ(level[0].num_support_vectors(), tree->num_support_vectors());
+      EXPECT_EQ(level[0].bias(), tree->bias());
+      for (std::size_t i = 0; i < level[0].num_support_vectors(); ++i) {
+        EXPECT_EQ(level[0].support_vectors()[i].alpha,
+                  tree->support_vectors()[i].alpha);
+      }
     }
-    // The rebuilt root is the model CascadeTree returned.
-    ASSERT_EQ(level[0].num_support_vectors(), tree->num_support_vectors());
-    EXPECT_EQ(level[0].bias(), tree->bias());
-    for (std::size_t i = 0; i < level[0].num_support_vectors(); ++i) {
-      EXPECT_EQ(level[0].support_vectors()[i].alpha,
-                tree->support_vectors()[i].alpha);
+  }
+}
+
+/// A model like a byzantine garbage upload: six support vectors whose one
+/// coordinate cycles NaN / inf / 1e30, under a NaN bias.
+KernelSvmModel NonFiniteModel(const Kernel& kernel) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<SupportVector> svs;
+  for (uint32_t k = 0; k < 6; ++k) {
+    const double v = k % 3 == 0 ? kNan : k % 3 == 1 ? kInf : 1.0e30;
+    svs.push_back({SparseVector::FromPairs({{3 + k, v}}),
+                   k % 2 == 0 ? 1.0 : -1.0, 1.0});
+  }
+  return KernelSvmModel(kernel, std::move(svs), kNan);
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+// CascadeMerge pools through a hash; it must still train on the reference
+// pool: shared support vectors kept once, first occurrences in model order,
+// and each vector carrying a NaN kept every time, since it equals nothing,
+// itself included.
+TEST(SmoCertificate, CascadeMergePoolsAsTheQuadraticReference) {
+  for (const Setting& s : Settings()) {
+    SCOPED_TRACE(s.name);
+    KernelSvmOptions opt;
+    opt.kernel = s.kernel;
+    opt.c = s.c;
+    const std::vector<Example> a = MakeProblem(40, 501, 0.1);
+    std::vector<Example> b = MakeProblem(40, 502, 0.1);
+    b.insert(b.end(), a.begin(), a.begin() + 20);
+    uint64_t iters = 0;
+    const KernelSvmModel ma = TrainCounted(a, opt, &iters);
+    const KernelSvmModel mb = TrainCounted(b, opt, &iters);
+    const KernelSvmModel garbage = NonFiniteModel(opt.kernel);
+    const std::vector<const KernelSvmModel*> group = {&ma, &garbage, &mb,
+                                                      &garbage, &ma};
+    const std::vector<Example> pool = Pool(group);
+    const auto has_nan = [](const Example& ex) {
+      return std::any_of(ex.x.entries().begin(), ex.x.entries().end(),
+                         [](const auto& e) { return std::isnan(e.second); });
+    };
+    // Two NaN vectors per garbage copy; b's model shares some of a's.
+    EXPECT_EQ(std::count_if(pool.begin(), pool.end(), has_nan), 4);
+    EXPECT_LT(pool.size(),
+              ma.num_support_vectors() + mb.num_support_vectors() + 8);
+
+    Result<KernelSvmModel> merged = CascadeMerge(group, opt);
+    Result<KernelSvmModel> reference = TrainKernelSvm(pool, opt);
+    ASSERT_TRUE(merged.ok());
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(Bits(merged->bias()), Bits(reference->bias()));
+    ASSERT_EQ(merged->num_support_vectors(), reference->num_support_vectors());
+    for (std::size_t i = 0; i < merged->num_support_vectors(); ++i) {
+      const SupportVector& got = merged->support_vectors()[i];
+      const SupportVector& want = reference->support_vectors()[i];
+      EXPECT_EQ(Bits(got.alpha), Bits(want.alpha)) << "sv " << i;
+      EXPECT_EQ(Bits(got.y), Bits(want.y)) << "sv " << i;
     }
   }
 }
