@@ -3,14 +3,12 @@
 #include <cstdlib>
 
 #include "common/json_check.h"
+#include "git_sha.h"  // generated at build time (src/common/git_sha.cmake)
 
 namespace p2pdt {
 
 // The CMake build scopes these definitions to this one translation unit
 // (see src/common/CMakeLists.txt); fallbacks keep ad-hoc builds compiling.
-#ifndef P2PDT_BUILD_GIT_SHA
-#define P2PDT_BUILD_GIT_SHA "unknown"
-#endif
 #ifndef P2PDT_BUILD_COMPILER
 #define P2PDT_BUILD_COMPILER "unknown"
 #endif

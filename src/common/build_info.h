@@ -9,7 +9,7 @@ namespace p2pdt {
 /// perf numbers are comparable across commits: a baseline only binds
 /// against the toolchain that produced it.
 struct BuildInfo {
-  std::string git_sha;     ///< HEAD at configure time ("unknown" outside git).
+  std::string git_sha;     ///< HEAD at build time ("unknown" outside git).
   std::string compiler;    ///< e.g. "GNU 13.2.0".
   std::string flags;       ///< CMAKE_CXX_FLAGS + per-config flags.
   std::string build_type;  ///< Release / RelWithDebInfo / Debug.

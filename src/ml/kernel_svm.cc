@@ -13,10 +13,10 @@ namespace p2pdt {
 
 namespace {
 
-// Charges `evals` cached-norm kernel evaluations whose gathers read `ops`
-// entries: to the distance counters for RBF, whose merge they replace, to
-// the dot counters otherwise. One charge per row or decision keeps the
-// inner loops free of ledger branches.
+// Charges `evals` cached-norm kernel evaluations whose dot products
+// multiplied `ops` postings: to the distance counters for RBF, whose merge
+// they replace, to the dot counters otherwise. One charge per matrix or
+// decision keeps the inner loops free of ledger branches.
 void ChargeGathers(const Kernel& kernel, uint64_t evals, uint64_t ops) {
   if (!CostLedger::enabled() || evals == 0) return;
   CostCounts& c = CostLedger::Tls();
@@ -30,65 +30,94 @@ void ChargeGathers(const Kernel& kernel, uint64_t evals, uint64_t ops) {
   }
 }
 
-// v·x where x's entries with ids below `bound` are scattered into `dense`
-// (zero elsewhere) and v has no entry at or past `bound` that x shares.
-// Sums v's products in id order, as SparseVector::Dot does, so finite
-// inputs give Dot's exact value. Adds the entries read to `ops`.
-double GatherDot(const SparseVector& v, const std::vector<double>& dense,
-                 uint64_t bound, uint64_t& ops) {
-  const std::vector<SparseVector::Entry>& e = v.entries();
-  double dot = 0.0;
-  std::size_t k = 0;
-  for (; k < e.size() && e[k].first < bound; ++k) {
-    dot += e[k].second * dense[e[k].first];
-  }
-  ops += k;
-  return dot;
-}
-
-// A training problem's entries flattened in example order, each feature id
-// replaced by its slot in a compact table of the problem's distinct ids.
-// Kernel rows scatter into a buffer of num_slots doubles, sized by the
-// problem and never by a feature id.
-struct CompactEntries {
-  std::vector<uint32_t> slot;
-  std::vector<double> weight;
-  std::vector<std::size_t> begin;  // example i owns [begin[i], begin[i + 1])
-  std::size_t num_slots = 0;
+// The buffers that inverting a problem and building its kernel rows need.
+struct PostingScratch {
+  FeaturePostings postings;
+  std::vector<uint32_t> entry_slot;  // slot of every indexed entry, in order
+  std::vector<uint32_t> cursor;
+  std::vector<double> norm2;
+  std::vector<double> dots;
 };
 
-CompactEntries CompactFeatures(const std::vector<Example>& data) {
-  CompactEntries out;
+// Inverts the entries of each items[i].x whose s.norm2[i] passes
+// Kernel::Gatherable into s.postings. Slots are numbered in order of first
+// appearance, and a counting sort lays each slot's postings out in item
+// order; s.entry_slot gets the slot of every indexed entry, item by item.
+// The table is an open-addressing hash, not FeatureRemapper's
+// unordered_map or a sort: on a local problem of 50 documents x ~47 ids
+// the map costs 2.5x the kernel rows and a sort 14x the hash.
+template <typename Item>
+void InvertEntries(const std::vector<Item>& items, PostingScratch& s) {
+  constexpr uint32_t kNoSlot = FeaturePostings::kNoSlot;
+  FeaturePostings& out = s.postings;
   std::size_t total = 0;
-  for (const Example& ex : data) total += ex.x.nnz();
-  out.slot.reserve(total);
-  out.weight.reserve(total);
-  out.begin.reserve(data.size() + 1);
-  out.begin.push_back(0);
-  // Open-addressing id -> slot table at load factor <= 1/2 with Fibonacci
-  // hashing, not FeatureRemapper's unordered_map or a sort: on a local
-  // problem of 50 documents x ~47 ids it costs under half of the kernel
-  // rows it enables, where the map costs 2.5x the rows and a sort more.
-  constexpr uint32_t kEmpty = std::numeric_limits<uint32_t>::max();
-  const std::size_t capacity = std::bit_ceil(2 * total + 2);
-  const int shift = 64 - std::countr_zero(capacity);
-  std::vector<uint32_t> ids(capacity);
-  std::vector<uint32_t> slots(capacity, kEmpty);
-  for (const Example& ex : data) {
-    for (const auto& [id, w] : ex.x.entries()) {
-      std::size_t h = (uint64_t{id} * 0x9E3779B97F4A7C15ull) >> shift;
-      while (slots[h] != kEmpty && ids[h] != id) h = (h + 1) & (capacity - 1);
-      if (slots[h] == kEmpty) {
-        ids[h] = id;
-        slots[h] = static_cast<uint32_t>(out.num_slots++);
-      }
-      out.slot.push_back(slots[h]);
-      out.weight.push_back(w);
-    }
-    out.begin.push_back(out.slot.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (Kernel::Gatherable(s.norm2[i])) total += items[i].x.nnz();
   }
-  return out;
+  const std::size_t capacity = std::bit_ceil(2 * total + 2);
+  out.shift = 64 - std::countr_zero(capacity);
+  out.cells.assign(capacity, FeaturePostings::Cell{});
+  // begin[s + 1] counts slot s's entries until the prefix sum below.
+  out.begin.assign(1, 0);
+  s.entry_slot.clear();
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!Kernel::Gatherable(s.norm2[i])) continue;
+    for (const auto& [id, w] : items[i].x.entries()) {
+      const std::size_t h = out.Probe(id);
+      if (out.cells[h].slot == kNoSlot) {
+        out.cells[h] = {id, static_cast<uint32_t>(out.begin.size() - 1)};
+        out.begin.push_back(0);
+      }
+      ++out.begin[out.cells[h].slot + 1];
+      s.entry_slot.push_back(out.cells[h].slot);
+    }
+  }
+  for (std::size_t slot = 1; slot < out.begin.size(); ++slot) {
+    out.begin[slot] += out.begin[slot - 1];
+  }
+  s.cursor.assign(out.begin.begin(), out.begin.end() - 1);
+  out.owner.resize(total);
+  out.weight.resize(total);
+  std::size_t e = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (!Kernel::Gatherable(s.norm2[i])) continue;
+    for (const auto& [id, w] : items[i].x.entries()) {
+      const uint32_t at = s.cursor[s.entry_slot[e++]]++;
+      out.owner[at] = static_cast<uint32_t>(i);
+      out.weight[at] = w;
+    }
+  }
 }
+
+// A model's postings under a table sized by its distinct ids rather than
+// by its entries, since the model keeps it.
+FeaturePostings IndexSupportVectors(const std::vector<SupportVector>& svs,
+                                    const std::vector<double>& norm2) {
+  PostingScratch s;
+  s.norm2 = norm2;
+  InvertEntries(svs, s);
+  FeaturePostings& all = s.postings;
+  FeaturePostings index;
+  const std::size_t capacity = std::bit_ceil(2 * all.begin.size());
+  index.shift = 64 - std::countr_zero(capacity);
+  index.cells.resize(capacity);
+  for (const FeaturePostings::Cell& cell : all.cells) {
+    if (cell.slot != FeaturePostings::kNoSlot) {
+      index.cells[index.Probe(cell.id)] = cell;
+    }
+  }
+  index.begin = std::move(all.begin);
+  index.owner = std::move(all.owner);
+  index.weight = std::move(all.weight);
+  return index;
+}
+
+// Problems of up to this many entries, every peer's local problem among
+// them, reuse their thread's PostingScratch: on the ~13-document local
+// problems of a 20% training split, fresh buffers made KernelMatrix ~13%
+// slower. A larger problem allocates its own, a cost its n² kernel
+// evaluations dwarf, so that no thread keeps a cascade pool's buffers.
+constexpr std::size_t kReusedScratchEntries = std::size_t{1} << 12;
 
 }  // namespace
 
@@ -100,8 +129,6 @@ KernelSvmModel::KernelSvmModel(Kernel kernel, std::vector<SupportVector> svs,
   body->norm2.reserve(body->svs.size());
   for (const SupportVector& sv : body->svs) {
     body->norm2.push_back(sv.x.SquaredNorm());
-    body->dimension_bound =
-        std::max(body->dimension_bound, sv.x.DimensionBound());
   }
   body_ = std::move(body);
 }
@@ -116,36 +143,41 @@ double KernelSvmModel::Decision(const SparseVector& x) const {
   const Body& b = body();
   double sum = bias_;
   const double x_norm2 = x.SquaredNorm();
-  // Ids at or past min(query bound, model bound) are on one side only.
-  const uint64_t bound = std::min(x.DimensionBound(), b.dimension_bound);
-  if (!Kernel::Gatherable(x_norm2) || bound > kGatherDimensionCeiling) {
+  if (!Kernel::Gatherable(x_norm2)) {
     for (const auto& sv : b.svs) sum += sv.alpha * sv.y * kernel_(sv.x, x);
     return sum;
   }
-  // All-zero between calls: only the query's ids are written, and they are
-  // cleared before returning.
-  thread_local std::vector<double> dense;
-  if (dense.size() < bound) dense.resize(bound, 0.0);
-  const std::vector<SparseVector::Entry>& query = x.entries();
-  std::size_t scattered = 0;
-  for (; scattered < query.size() && query[scattered].first < bound;
-       ++scattered) {
-    dense[query[scattered].first] = query[scattered].second;
+  // dots[s] gets sv_s's products with the query's ids in id order, as
+  // SparseVector::Dot adds them; the ids sv_s lacks would add only ±0.0.
+  thread_local std::vector<double> dots;
+  dots.assign(b.svs.size(), 0.0);
+  uint64_t ops = 0;
+  if (!x.empty() && !b.svs.empty()) {
+    std::call_once(b.index_once,
+                   [&b] { b.index = IndexSupportVectors(b.svs, b.norm2); });
+    const FeaturePostings& index = b.index;
+    for (const auto& [id, w] : x.entries()) {
+      const uint32_t slot = index.Find(id);
+      if (slot == FeaturePostings::kNoSlot) continue;
+      const uint32_t end = index.begin[slot + 1];
+      for (uint32_t q = index.begin[slot]; q < end; ++q) {
+        dots[index.owner[q]] += index.weight[q] * w;
+      }
+      ops += end - index.begin[slot];
+    }
   }
-  uint64_t gathers = 0, ops = 0;
+  uint64_t gathers = 0;
   for (std::size_t s = 0; s < b.svs.size(); ++s) {
     const SupportVector& sv = b.svs[s];
     double k;
     if (Kernel::Gatherable(b.norm2[s])) {
-      k = kernel_.FromDot(GatherDot(sv.x, dense, bound, ops), b.norm2[s],
-                          x_norm2);
+      k = kernel_.FromDot(dots[s], b.norm2[s], x_norm2);
       ++gathers;
     } else {
       k = kernel_(sv.x, x);
     }
     sum += sv.alpha * sv.y * k;
   }
-  for (std::size_t i = 0; i < scattered; ++i) dense[query[i].first] = 0.0;
   ChargeGathers(kernel_, gathers, ops);
   return sum;
 }
@@ -162,39 +194,52 @@ std::vector<double> KernelMatrix(const std::vector<Example>& data,
                                  const Kernel& kernel) {
   PhaseScope profile("kernel_matrix");
   const std::size_t n = data.size();
-  // Remap first: its hash table is freed before the n x n matrix exists.
-  const CompactEntries p = CompactFeatures(data);
+  std::size_t entries = 0;
+  for (const Example& ex : data) entries += ex.x.nnz();
+  thread_local PostingScratch reused;
+  PostingScratch fresh;
+  const bool reuse = entries <= kReusedScratchEntries;
+  PostingScratch& s = reuse ? reused : fresh;
+  s.norm2.resize(n);
+  for (std::size_t i = 0; i < n; ++i) s.norm2[i] = data[i].x.SquaredNorm();
+  InvertEntries(data, s);
+  // Rows read slots from entry_slot, so a large problem frees its id table
+  // before the n x n matrix exists.
+  if (!reuse) std::vector<FeaturePostings::Cell>().swap(s.postings.cells);
+  const FeaturePostings& p = s.postings;
+  // A slot's postings before its cursor belong to rows already built; the
+  // one at the cursor is x_i's own.
+  s.cursor.assign(p.begin.begin(), p.begin.end() - 1);
   std::vector<double> k(n * n);
-  std::vector<double> norm2(n);
-  for (std::size_t i = 0; i < n; ++i) norm2[i] = data[i].x.SquaredNorm();
-  std::vector<double> dense(p.num_slots, 0.0);
+  s.dots.resize(n);
   uint64_t gathers = 0, ops = 0;
+  std::size_t e = 0;  // x_i's first entry in entry_slot
   for (std::size_t i = 0; i < n; ++i) {
-    const bool gather_i = Kernel::Gatherable(norm2[i]);
-    if (gather_i) {
-      for (std::size_t e = p.begin[i]; e < p.begin[i + 1]; ++e) {
-        dense[p.slot[e]] = p.weight[e];
+    if (!Kernel::Gatherable(s.norm2[i])) {
+      for (std::size_t j = i; j < n; ++j) {
+        k[i * n + j] = kernel(data[i].x, data[j].x);
+        k[j * n + i] = k[i * n + j];
       }
+      continue;
+    }
+    // dots[j] gets x_i's products with x_j in id order, as Dot adds them.
+    std::fill(s.dots.begin() + i, s.dots.end(), 0.0);
+    for (const auto& [id, w] : data[i].x.entries()) {
+      const uint32_t slot = s.entry_slot[e++];
+      const uint32_t end = p.begin[slot + 1];
+      for (uint32_t q = s.cursor[slot]; q < end; ++q) {
+        s.dots[p.owner[q]] += w * p.weight[q];
+      }
+      ops += end - s.cursor[slot]++;
     }
     for (std::size_t j = i; j < n; ++j) {
-      if (gather_i && Kernel::Gatherable(norm2[j])) {
-        // Same products in the same id order as SparseVector::Dot.
-        double dot = 0.0;
-        for (std::size_t e = p.begin[j]; e < p.begin[j + 1]; ++e) {
-          dot += p.weight[e] * dense[p.slot[e]];
-        }
-        ops += p.begin[j + 1] - p.begin[j];
+      if (Kernel::Gatherable(s.norm2[j])) {
+        k[i * n + j] = kernel.FromDot(s.dots[j], s.norm2[i], s.norm2[j]);
         ++gathers;
-        k[i * n + j] = kernel.FromDot(dot, norm2[i], norm2[j]);
       } else {
         k[i * n + j] = kernel(data[i].x, data[j].x);
       }
       k[j * n + i] = k[i * n + j];
-    }
-    if (gather_i) {
-      for (std::size_t e = p.begin[i]; e < p.begin[i + 1]; ++e) {
-        dense[p.slot[e]] = 0.0;
-      }
     }
   }
   ChargeGathers(kernel, gathers, ops);

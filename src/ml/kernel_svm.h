@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/status.h"
@@ -32,12 +33,40 @@ struct SupportVector {
   double alpha = 0.0;  // dual coefficient, 0 < alpha <= C
 };
 
-/// Feature-id ceiling of the dense query buffer Decision() scatters into:
-/// the default hashing-trick dimensionality
-/// (PreprocessorOptions::hashed_dimensions, 2^18). A query and model whose
-/// ids both reach it are scored with the reference merge instead, so no
-/// buffer is ever sized from a feature id alone.
-inline constexpr uint64_t kGatherDimensionCeiling = uint64_t{1} << 18;
+/// The entries of a list of sparse vectors, inverted: each distinct feature
+/// id gets a slot in an open-addressing table, and each slot a posting list
+/// of (vector index, weight) in vector order. KernelMatrix builds one per
+/// training problem and KernelSvmModel one per scored model, so a dot
+/// product multiplies only the ids its two vectors share.
+struct FeaturePostings {
+  static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+  struct Cell {
+    uint32_t id = 0;
+    uint32_t slot = kNoSlot;
+  };
+  /// Id -> slot table at load factor <= 1/2 with Fibonacci hashing; its
+  /// size is a power of two, 2^(64 - shift).
+  std::vector<Cell> cells;
+  int shift = 0;
+  /// Slot s owns postings [begin[s], begin[s + 1]).
+  std::vector<uint32_t> begin;
+  std::vector<uint32_t> owner;
+  std::vector<double> weight;
+
+  /// The cell holding `id`, or the empty cell where it would go.
+  std::size_t Probe(uint32_t id) const {
+    std::size_t h = static_cast<std::size_t>(
+        (uint64_t{id} * 0x9E3779B97F4A7C15ull) >> shift);
+    while (cells[h].slot != kNoSlot && cells[h].id != id) {
+      h = (h + 1) & (cells.size() - 1);
+    }
+    return h;
+  }
+  /// The slot of `id`, or kNoSlot.
+  uint32_t Find(uint32_t id) const {
+    return cells.empty() ? kNoSlot : cells[Probe(id)].slot;
+  }
+};
 
 /// Non-linear (kernel) SVM model, represented by its support vectors.
 ///
@@ -47,21 +76,22 @@ inline constexpr uint64_t kGatherDimensionCeiling = uint64_t{1} << 18;
 /// themselves — which is also why CEMPaR's privacy argument is only about
 /// word-id obfuscation: actual document vectors travel.
 ///
-/// The support vectors, their cached norms and the dimension bound live in
-/// one immutable body that copies, assignments and Clone() share: the
-/// simulator holds each uploaded model at the peer, at its home and in the
-/// cascade, and those copies cost one array, not three. Nothing writes the
-/// body after construction, so any number of threads may read one model.
+/// The support vectors and their cached norms live in one body that copies,
+/// assignments and Clone() share: the simulator holds each uploaded model at
+/// the peer, at its home and in the cascade, and those copies cost one
+/// array, not three. The body's one member written after construction is
+/// its inverted index, built by the first Decision() on a non-empty query
+/// and published through std::call_once; so any number of threads may read
+/// one model, and only models that are scored pay for an index.
 class KernelSvmModel final : public BinaryClassifier {
  public:
   KernelSvmModel() = default;
   KernelSvmModel(Kernel kernel, std::vector<SupportVector> svs, double bias);
 
-  /// bias + Σ α_i y_i K(sv_i, x). The query is scattered once into a
-  /// per-thread dense buffer over ids below min(query bound, model bound);
-  /// each SV's K comes from a gather against it and the cached ‖sv‖².
-  /// Vectors failing Kernel::Gatherable(), and pairs whose bounds both pass
-  /// kGatherDimensionCeiling, use Kernel::operator().
+  /// bias + Σ α_i y_i K(sv_i, x), summed in SV order. Each SV's dot with
+  /// the query accumulates over the posting lists of the query's ids only,
+  /// in id order, and K comes from Kernel::FromDot with the cached ‖sv‖².
+  /// Vectors failing Kernel::Gatherable() use Kernel::operator().
   double Decision(const SparseVector& x) const override;
 
   std::size_t WireSize() const override;
@@ -82,8 +112,9 @@ class KernelSvmModel final : public BinaryClassifier {
     std::vector<SupportVector> svs;
     /// ‖sv‖² per support vector.
     std::vector<double> norm2;
-    /// Largest SV feature id + 1 (64-bit).
-    uint64_t dimension_bound = 0;
+    /// Postings of the gatherable SVs, built once on first use.
+    mutable std::once_flag index_once;
+    mutable FeaturePostings index;
   };
   /// The shared body; a default-constructed or moved-from model has none
   /// and reads as one without support vectors.
@@ -95,9 +126,10 @@ class KernelSvmModel final : public BinaryClassifier {
 };
 
 /// Gram matrix K(x_i, x_j) of `data`, row-major n x n and exactly
-/// symmetric: what TrainKernelSvm's SMO runs on. Feature ids are remapped
-/// to a compact per-problem table once; each row i is a scatter of x_i into
-/// a buffer of that size plus one gather per j >= i, read through
+/// symmetric: what TrainKernelSvm's SMO runs on. The problem's entries are
+/// inverted once into per-id postings in example order; row i walks the
+/// postings of x_i's ids from example i on, so each dot x_i·x_j (j >= i)
+/// sums only the products of shared ids, in id order, and K comes from
 /// Kernel::FromDot. Pairs with a vector failing Kernel::Gatherable() use
 /// Kernel::operator().
 std::vector<double> KernelMatrix(const std::vector<Example>& data,

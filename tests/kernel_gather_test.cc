@@ -1,6 +1,6 @@
-// Oracle checks of the cached-norm gather kernel (KernelMatrix for training,
+// Oracle checks of the posting-list kernels (KernelMatrix for training,
 // KernelSvmModel::Decision for serving) against the reference merge,
-// Kernel::operator().
+// SparseVector::Dot and Kernel::operator().
 
 #include <atomic>
 #include <bit>
@@ -8,14 +8,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <latch>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "ml/kernel_svm.h"
-#include "text/preprocessor.h"
 
 // Largest single allocation since the last reset. Requests past 1 GiB are
 // refused outright, so an allocation sized from a 32-bit feature id fails
@@ -112,6 +113,23 @@ double ReferenceDecision(const KernelSvmModel& m, const SparseVector& x) {
   return sum;
 }
 
+// K as the posting kernels must produce it: FromDot over the merge's own
+// dot product when both norms pass Gatherable, the merge otherwise.
+double MergeDotK(const Kernel& kernel, const SparseVector& a,
+                 const SparseVector& b) {
+  const double a2 = a.SquaredNorm(), b2 = b.SquaredNorm();
+  if (!Kernel::Gatherable(a2) || !Kernel::Gatherable(b2)) return kernel(a, b);
+  return kernel.FromDot(a.Dot(b), a2, b2);
+}
+
+double MergeDotDecision(const KernelSvmModel& m, const SparseVector& x) {
+  double sum = m.bias();
+  for (const auto& sv : m.support_vectors()) {
+    sum += sv.alpha * sv.y * MergeDotK(m.kernel(), sv.x, x);
+  }
+  return sum;
+}
+
 // Linear and polynomial K are exact: the gather sums the merge's products
 // in the merge's order. RBF may differ by rounding only.
 void ExpectMatches(const Kernel& kernel, double got, double want) {
@@ -122,10 +140,6 @@ void ExpectMatches(const Kernel& kernel, double got, double want) {
     EXPECT_TRUE(SameBits(got, want))
         << kernel.ToString() << ": " << got << " vs " << want;
   }
-}
-
-TEST(KernelGatherTest, CeilingCoversHashedDocuments) {
-  EXPECT_GE(kGatherDimensionCeiling, PreprocessorOptions{}.hashed_dimensions);
 }
 
 TEST(KernelGatherTest, FromDotMatchesReference) {
@@ -319,6 +333,123 @@ TEST(KernelGatherTest, NoAllocationIsSizedFromAFeatureId) {
     ExpectMatches(kernel, query_top, ReferenceDecision(low_model, top));
     ExpectMatches(kernel, model_top, ReferenceDecision(model, low));
     EXPECT_EQ(k.size(), 9u);
+  }
+}
+
+TEST(KernelGatherTest, DecisionEqualsMergeDotBitForBit) {
+  Rng rng(59);
+  for (const Kernel& kernel : AllKernels()) {
+    const auto pairs = RandomPairs(61);
+    std::vector<SupportVector> svs;
+    for (const auto& [a, b] : pairs) {
+      EXPECT_TRUE(SameBits(GatherK(kernel, a, b), MergeDotK(kernel, a, b)))
+          << kernel.ToString() << " " << a.ToString() << " vs "
+          << b.ToString();
+      svs.push_back({a, svs.size() % 2 == 0 ? 1.0 : -1.0,
+                     rng.Uniform(0.01, 1.0)});
+    }
+    // One model over every shape's first vector, scored on both sides.
+    KernelSvmModel model(kernel, svs, -0.375);
+    for (const auto& [a, b] : pairs) {
+      for (const SparseVector* x : {&a, &b}) {
+        EXPECT_TRUE(
+            SameBits(model.Decision(*x), MergeDotDecision(model, *x)))
+            << kernel.ToString() << " " << x->ToString();
+      }
+    }
+  }
+  const SparseVector shared = SparseVector::FromPairs({{3, 0.5}, {8, -0.25}});
+  const SparseVector disjoint = SparseVector::FromPairs({{4, 1.5}, {90, 2.0}});
+  const SparseVector overlap =
+      SparseVector::FromPairs({{3, -1.0}, {4, 0.125}, {8, 3.0}, {77, 1.0}});
+  const SparseVector poison = SparseVector::FromPairs({{3, kInf}, {8, 1.0}});
+  // The empty query comes first, before the model has an index.
+  const std::vector<SparseVector> queries = {
+      SparseVector(), SparseVector::FromPairs({{3, 0.75}, {8, 0.5}, {77, -2.0}}),
+      SparseVector::FromPairs({{5, 1.0}}), shared, disjoint,
+      SparseVector::FromPairs({{8, kNan}})};
+  for (const Kernel& kernel : AllKernels()) {
+    // Shared, disjoint, duplicate, empty and non-gatherable SVs together.
+    KernelSvmModel model(kernel,
+                         {{shared, 1.0, 0.5},
+                          {disjoint, -1.0, 0.25},
+                          {overlap, 1.0, 1.0},
+                          {shared, -1.0, 0.75},
+                          {SparseVector(), 1.0, 0.5},
+                          {poison, -1.0, 0.125},
+                          {overlap, -1.0, 2.0}},
+                         0.0625);
+    for (const SparseVector& x : queries) {
+      EXPECT_TRUE(SameBits(model.Decision(x), MergeDotDecision(model, x)))
+          << kernel.ToString() << " " << x.ToString();
+    }
+  }
+}
+
+TEST(KernelGatherTest, KernelMatrixEqualsMergeDotBitForBit) {
+  for (const Kernel& kernel : AllKernels()) {
+    std::vector<Example> data;
+    for (const auto& [a, b] : RandomPairs(67)) {
+      if (data.size() >= 120) break;
+      data.push_back({a, 1.0});
+      data.push_back({b, -1.0});
+    }
+    // A non-gatherable example takes the merge in its row and column.
+    data.push_back({SparseVector::FromPairs({{2, kInf}, {9, 1.0}}), 1.0});
+    data.push_back({SparseVector::FromPairs({{2, 0.5}, {9, -0.5}}), -1.0});
+    const std::size_t n = data.size();
+    const std::vector<double> k = KernelMatrix(data, kernel);
+    ASSERT_EQ(k.size(), n * n);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_TRUE(SameBits(k[i * n + j],
+                             MergeDotK(kernel, data[i].x, data[j].x)))
+            << kernel.ToString() << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(KernelGatherTest, FirstDecisionFromManyThreads) {
+  constexpr int kThreads = 4;
+  Rng rng(71);
+  std::vector<SupportVector> svs;
+  for (int s = 0; s < 40; ++s) {
+    SparseVector x = RandomVector(rng, 400, 1 + rng.NextU64(50), 1.0);
+    x.L2Normalize();
+    svs.push_back({x, s % 2 == 0 ? 1.0 : -1.0, rng.Uniform(0.01, 1.0)});
+  }
+  std::vector<SparseVector> queries;
+  for (int q = 0; q < 30; ++q) {
+    queries.push_back(RandomVector(rng, 400, 1 + rng.NextU64(50), 1.0));
+  }
+  for (const Kernel& kernel : AllKernels()) {
+    const KernelSvmModel serial(kernel, svs, 0.25);
+    std::vector<double> want;
+    for (const SparseVector& x : queries) want.push_back(serial.Decision(x));
+    // Several fresh models, each first scored by all threads at once.
+    for (int round = 0; round < 5; ++round) {
+      const KernelSvmModel fresh(kernel, svs, 0.25);
+      std::vector<std::vector<double>> got(kThreads);
+      std::latch start(kThreads);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          for (const SparseVector& x : queries) {
+            got[t].push_back(fresh.Decision(x));
+          }
+        });
+      }
+      for (std::thread& th : threads) th.join();
+      for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), want.size());
+        for (std::size_t q = 0; q < want.size(); ++q) {
+          EXPECT_TRUE(SameBits(got[t][q], want[q]))
+              << kernel.ToString() << " thread " << t << " query " << q;
+        }
+      }
+    }
   }
 }
 
